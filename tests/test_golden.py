@@ -1,0 +1,78 @@
+"""Golden CLI transcript: a fixed command list whose output must not change
+by a single byte.
+
+Each command runs in-process through ``qcoord.cli.run``; its exit code,
+stdout and stderr are appended to a transcript that is compared with
+``golden_cli.txt``.  Regenerate the file with ``python tests/test_golden.py``
+only when an output change is intended.
+"""
+
+import contextlib
+import io
+import shlex
+from pathlib import Path
+
+from qcoord.cli import run
+
+GOLDEN = Path(__file__).with_name("golden_cli.txt")
+
+TOP2 = "t[1,1]^2 t[1,2]^2 t[2,1]^2 t[2,2]^2"
+
+COMMANDS = [
+    *(
+        f"det --n {n} --variant {variant} --order {order}"
+        for n in (2, 3)
+        for variant in ("m", "gl", "sl")
+        for order in ("rowmajor", "opposite")
+    ),
+    "det --n 3 --json",
+    "det --n 2 --variant gl --order opposite --json",
+    "nf 't[2,2] t[1,1]' --variant gl",
+    "nf 't[2,2] t[1,1] t[1,2]' --variant gl --order opposite --json",
+    "nf 't[2,2] t[1,1] + D^-1 t[2,1]' --variant gl",
+    "nf 't[2,2] t[2,1] t[1,1] t[1,2]' --variant sl",
+    "nf 't[2,1] t[2,2] t[1,1] t[1,2]' --variant sl --order opposite",
+    "nf 't[2,2]^2 t[1,1]^2 - q t[1,2]' --ell 3",
+    "nf '(t[1,1] + q^-1 t[2,2])^3' --ell 3 --json",
+    "mul 't[2,2] t[1,2]' 't[1,1] t[2,1]' --variant gl",
+    "mul 't[1,1] t[2,2]' 't[1,1]' --variant gl --order opposite --json",
+    "mul 't[2,2]^2' 't[1,1]^2' --variant sl --json",
+    "mul 't[2,1] t[2,2]' 't[1,1] t[1,2]' --variant sl --order opposite",
+    "mul 't[2,2]^2 t[2,1]' 't[1,1]^2 t[1,2]' --ell 3",
+    f"expand '{TOP2} t[2,2]^2 t[1,1]^3 + q t[1,2]^4' --ell 3",
+    "expand 't[2,2]^4 t[1,1]^2 D^-2 + t[1,2]^3 D^5' --ell 3 --variant gl --json",
+    f"phi '{TOP2}' --ell 3",
+    "phi 't[2,2]^5 t[2,1]^2 t[1,2]^2 t[1,1]^2 + q t[1,2]^3' --ell 3 --json",
+    f"phi '{TOP2} D^3 - q t[2,2]^2 t[2,1]^2 t[1,2]^2 t[1,1]^2 D^-3' --ell 3 --variant gl",
+    "nakayama 't[1,1] t[2,2]^2 + t[1,2] t[2,1]^2' --ell 3",
+    "nakayama 't[1,2]^2 t[2,1] D^-1 + t[2,2]' --ell 3 --variant gl --json",
+    "basis --n 2 --ell 3",
+    "basis --n 1 --ell 3 --variant gl --json",
+    "check central --n 2",
+    "check central --n 2 --json",
+    "check iso --n 2",
+    "check identities --n 2 --json",
+    "check frobenius --n 2 --ell 3",
+    "nf 't[1,2]^-1'",
+    "phi q",
+]
+
+
+def transcript() -> str:
+    chunks = []
+    for command in COMMANDS:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run(shlex.split(command))
+        chunks.append(f"$ qcoord {command}\n[exit {code}]\n{out.getvalue()}")
+        if err.getvalue():
+            chunks.append(f"[stderr]\n{err.getvalue()}")
+    return "".join(chunks)
+
+
+def test_transcript_is_byte_identical():
+    assert transcript() == GOLDEN.read_text(encoding="utf-8")
+
+
+if __name__ == "__main__":
+    GOLDEN.write_text(transcript(), encoding="utf-8")
