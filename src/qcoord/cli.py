@@ -9,8 +9,8 @@ separated by whitespace or an explicit ``*``)::
     atom   := INT | 'q' | 'D' | 't' '[' INT ',' INT ']' | '(' expr ')'
 
 Negative exponents are allowed only on ``q`` and ``D``.  ``D`` requires the
-localized or special variant.  Exit codes: 0 success, 1 failed check,
-2 usage or parse error.
+localized or special variant.  Parentheses nest at most ``MAX_NESTING``
+deep.  Exit codes: 0 success, 1 failed check, 2 usage or parse error.
 """
 
 from __future__ import annotations
@@ -19,15 +19,20 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass
+from functools import reduce
 
 from . import detloc, frobext, rootspec
-from .coeff import CycloRing
-from .monomial import NormalMonomial, weight
+from .monomial import NormalMonomial
 from .render import element_to_str, monomial_to_str
 from .report import CheckReport
 from .rewrite import AlgebraConfig, Element, make_config, multiply, normal_form_of_word
 
 CHECK_SUITES = ("central", "pbw-confluence", "frobenius", "nakayama", "iso", "identities")
+
+# Deepest parenthesis nesting the parser accepts.  Parsing and evaluation
+# take a few stack frames per level, so this keeps both far below the
+# interpreter's recursion limit.
+MAX_NESTING = 100
 
 
 class ParseError(ValueError):
@@ -102,7 +107,8 @@ def _tokenize(src: str) -> list[tuple[str, str, int, int]]:
 
 
 # ---------------------------------------------------------------------------
-# Parser producing a small tuple AST.
+# Parser producing a small tuple AST.  Sums and products are flat n-ary
+# nodes, so recursion depth follows parenthesis nesting only.
 # ---------------------------------------------------------------------------
 
 _ATOM_STARTS = ("INT", "Q", "D", "T", "LPAREN")
@@ -113,6 +119,7 @@ class _Parser:
         self.tokens = _tokenize(src)
         self.cfg = cfg
         self.pos = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.pos]
@@ -136,33 +143,33 @@ class _Parser:
         return node
 
     def expr(self):
-        node = self.term()
+        terms = [self.term()]
         while self.peek()[0] in ("PLUS", "MINUS"):
             op = self.advance()
             rhs = self.term()
-            node = ("add" if op[0] == "PLUS" else "sub", node, rhs)
-        return node
+            terms.append(rhs if op[0] == "PLUS" else ("neg", rhs))
+        return terms[0] if len(terms) == 1 else ("sum", terms)
 
     def term(self):
         negations = 0
         while self.peek()[0] == "MINUS":
             self.advance()
             negations += 1
-        node = self.factor()
+        factors = [self.factor()]
         while True:
             tok = self.peek()
             if tok[0] == "STAR":
                 self.advance()
-                node = ("mul", node, self.factor())
             elif tok[0] in _ATOM_STARTS:
                 prev = self.tokens[self.pos - 1]
                 if prev[3] == tok[2]:
                     raise ParseError(
                         "adjacent factors need whitespace or '*'", tok[2], ("*",)
                     )
-                node = ("mul", node, self.factor())
             else:
                 break
+            factors.append(self.factor())
+        node = factors[0] if len(factors) == 1 else ("prod", factors)
         return ("neg", node) if negations % 2 else node
 
     def factor(self):
@@ -207,8 +214,12 @@ class _Parser:
                 raise ParseError(f"index t[{i},{j}] out of range for n={self.cfg.n}", tok[2])
             return ("gen", i, j)
         if kind == "LPAREN":
+            if self.depth == MAX_NESTING:
+                raise ParseError(f"parentheses nested deeper than {MAX_NESTING}", tok[2])
             self.advance()
+            self.depth += 1
             inner = self.expr()
+            self.depth -= 1
             self.expect("RPAREN", ")")
             return inner
         raise ParseError(
@@ -244,12 +255,10 @@ def eval_expr(node, cfg: AlgebraConfig) -> Element:
         return eval_expr(base, cfg) ** k
     if kind == "neg":
         return -eval_expr(node[1], cfg)
-    if kind == "add":
-        return eval_expr(node[1], cfg) + eval_expr(node[2], cfg)
-    if kind == "sub":
-        return eval_expr(node[1], cfg) - eval_expr(node[2], cfg)
-    if kind == "mul":
-        return multiply(eval_expr(node[1], cfg), eval_expr(node[2], cfg))
+    if kind == "sum":
+        return sum((eval_expr(term, cfg) for term in node[1]), Element.zero(cfg))
+    if kind == "prod":
+        return reduce(multiply, (eval_expr(factor, cfg) for factor in node[1]))
     raise AssertionError(f"unknown node {node!r}")
 
 
@@ -459,24 +468,20 @@ def run(argv) -> int:
             ctx = frobext.FrobeniusContext(run_cfg.n, run_cfg.ell, run_cfg.variant)
             _print_element(ctx.nakayama(evaluate(args.expr, ctx.config)), run_cfg)
         elif args.command == "basis":
-            monomials = list(
-                rootspec.enumerate_basis(run_cfg.n, run_cfg.ell, run_cfg.variant)
-            )
+            monomials = rootspec.enumerate_basis(run_cfg.n, run_cfg.ell, run_cfg.variant)
             if run_cfg.json:
-                order = run_cfg.algebra().order
                 _emit_json(
                     {
                         "schema": 1,
                         "n": run_cfg.n,
                         "ell": run_cfg.ell,
                         "variant": run_cfg.variant,
-                        "basis": [monomial_to_str(m, order) or "1" for m in monomials],
+                        "basis": [monomial_to_str(m, cfg.order) or "1" for m in monomials],
                     }
                 )
             else:
-                order = run_cfg.algebra().order
                 for m in monomials:
-                    print(monomial_to_str(m, order) or "1")
+                    print(monomial_to_str(m, cfg.order) or "1")
         else:  # pragma: no cover - argparse restricts choices
             raise AssertionError(args.command)
     except ParseError as exc:

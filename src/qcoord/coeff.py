@@ -22,6 +22,21 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 
+def _merge(bucket: dict, key, coeff) -> None:
+    """Add ``coeff`` to ``bucket[key]`` in a sparse combination, dropping
+    the key when the sum vanishes and never storing a zero."""
+    cur = bucket.get(key)
+    if cur is None:
+        if coeff:
+            bucket[key] = coeff
+    else:
+        cur = cur + coeff
+        if cur:
+            bucket[key] = cur
+        else:
+            del bucket[key]
+
+
 class LaurentPoly:
     """A Laurent polynomial in ``q`` over the integers.
 
@@ -71,11 +86,7 @@ class LaurentPoly:
             other = LaurentPoly(other)
         merged = dict(self.terms)
         for e, c in other.terms.items():
-            s = merged.get(e, 0) + c
-            if s:
-                merged[e] = s
-            else:
-                merged.pop(e, None)
+            _merge(merged, e, c)
         out = LaurentPoly.__new__(LaurentPoly)
         out.terms = merged
         return out
@@ -105,12 +116,7 @@ class LaurentPoly:
         prod: dict[int, int] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = e1 + e2
-                s = prod.get(e, 0) + c1 * c2
-                if s:
-                    prod[e] = s
-                else:
-                    del prod[e]
+                _merge(prod, e1 + e2, c1 * c2)
         out = LaurentPoly.__new__(LaurentPoly)
         out.terms = prod
         return out
@@ -132,29 +138,12 @@ class LaurentPoly:
         return out
 
     def __str__(self) -> str:
-        return _format_qpoly(sorted(self.terms.items()))
+        from .render import format_qpoly
+
+        return format_qpoly(sorted(self.terms.items()))
 
     def __repr__(self) -> str:
         return f"LaurentPoly('{self}')"
-
-
-def _format_qpoly(pairs) -> str:
-    """Render ``[(exponent, coeff), ...]`` as e.g. ``q^-1 + 2 - q^3``."""
-    if not pairs:
-        return "0"
-    chunks: list[str] = []
-    for e, c in pairs:
-        mag = abs(c)
-        if e == 0:
-            body = str(mag)
-        else:
-            var = "q" if e == 1 else f"q^{e}"
-            body = var if mag == 1 else f"{mag} {var}"
-        if not chunks:
-            chunks.append(body if c > 0 else f"-{body}")
-        else:
-            chunks.append(f"+ {body}" if c > 0 else f"- {body}")
-    return " ".join(chunks)
 
 
 def specialize_at_one(p: LaurentPoly) -> int:
@@ -302,7 +291,9 @@ class CycloElem:
     __rmul__ = __mul__
 
     def __str__(self) -> str:
-        return _format_qpoly([(e, c) for e, c in enumerate(self.residue) if c])
+        from .render import format_qpoly
+
+        return format_qpoly([(e, c) for e, c in enumerate(self.residue) if c])
 
     def __repr__(self) -> str:
         return f"CycloElem('{self}' mod phi_{self.modulus.ell})"

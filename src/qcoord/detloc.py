@@ -9,56 +9,20 @@ lets the special variant substitute ``D = 1``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from itertools import permutations as _itertools_permutations
-
-from ._concurrency import map_cases
-from .coeff import LaurentPoly
-from .monomial import NormalMonomial, check_gen
+from .coeff import LaurentPoly, _merge
+from .monomial import NormalMonomial, check_gen, word_exponents
+from .monomial import Permutation  # noqa: F401  (re-exported)
 from .render import monomial_to_str
 from .report import CheckReport
-from .rewrite import AlgebraConfig, Element, _reduction_step, make_config, multiply, swap_adjacent
-
-
-@dataclass(frozen=True)
-class Permutation:
-    """A permutation of ``{1..n}`` together with its inversion count."""
-
-    images: tuple[int, ...]
-    length: int = field(init=False, compare=False)
-
-    def __post_init__(self):
-        n = len(self.images)
-        if sorted(self.images) != list(range(1, n + 1)):
-            raise ValueError(f"not a permutation of 1..{n}: {self.images}")
-        inv = sum(
-            1
-            for a in range(n)
-            for b in range(a + 1, n)
-            if self.images[a] > self.images[b]
-        )
-        object.__setattr__(self, "length", inv)
-
-    @property
-    def n(self) -> int:
-        return len(self.images)
-
-    def __call__(self, i: int) -> int:
-        return self.images[i - 1]
-
-    @classmethod
-    def identity(cls, n: int) -> Permutation:
-        return cls(tuple(range(1, n + 1)))
-
-    @classmethod
-    def reversal(cls, n: int) -> Permutation:
-        """``i -> n + 1 - i``, the longest element."""
-        return cls(tuple(range(n, 0, -1)))
-
-
-def all_permutations(n: int):
-    for images in _itertools_permutations(range(1, n + 1)):
-        yield Permutation(images)
+from .rewrite import (
+    AlgebraConfig,
+    Element,
+    _det_word_pairs,
+    _reduction_step,
+    make_config,
+    multiply,
+    swap_adjacent,
+)
 
 
 def quantum_determinant(cfg: AlgebraConfig) -> Element:
@@ -67,12 +31,7 @@ def quantum_determinant(cfg: AlgebraConfig) -> Element:
     Under the localized (resp. special) variant the normal form collapses
     to the pure determinant key ``D`` (resp. to ``1``).
     """
-    n = cfg.n
-    entries = []
-    for sigma in all_permutations(n):
-        word = tuple((r, sigma(r)) for r in range(1, n + 1))
-        entries.append((word, LaurentPoly({sigma.length: (-1) ** sigma.length})))
-    return Element.from_words(cfg, entries)
+    return Element.from_words(cfg, _det_word_pairs(cfg.n))
 
 
 def quantum_determinant_reversed(cfg: AlgebraConfig) -> Element:
@@ -83,11 +42,10 @@ def quantum_determinant_reversed(cfg: AlgebraConfig) -> Element:
     with :func:`quantum_determinant`, as the n=2 relations already show.
     The agreement for n <= 3 is part of the acceptance suite.
     """
-    n = cfg.n
-    entries = []
-    for sigma in all_permutations(n):
-        word = tuple((r, sigma(r)) for r in range(n, 0, -1))
-        entries.append((word, LaurentPoly({-sigma.length: (-1) ** sigma.length})))
+    entries = [
+        (word[::-1], LaurentPoly({-e: c for e, c in coeff.terms.items()}))
+        for word, coeff in _det_word_pairs(cfg.n)
+    ]
     return Element.from_words(cfg, entries)
 
 
@@ -96,15 +54,11 @@ def check_central(n: int, ell: int | None = None) -> CheckReport:
     cfg = make_config(n, "m", ell=ell)
     det = quantum_determinant(cfg)
     report = CheckReport("central", n, ell)
-
-    def commutator(g):
-        i, j = g
-        t = Element.generator(cfg, i, j)
-        return g, multiply(det, t) - multiply(t, det)
-
-    gens = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
-    for (i, j), residual in map_cases(commutator, gens):
-        report.add(f"D t[{i},{j}] - t[{i},{j}] D", str(residual), residual.is_zero())
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            t = Element.generator(cfg, i, j)
+            residual = multiply(det, t) - multiply(t, det)
+            report.add(f"D t[{i},{j}] - t[{i},{j}] D", str(residual), residual.is_zero())
     return report
 
 
@@ -126,9 +80,8 @@ def diagonal_reduction(cfg: AlgebraConfig, m: NormalMonomial) -> Element | None:
     is_gl = cfg.variant == "gl"
     terms = {}
     for exps, dshift, coeff in _reduction_step(cfg, m.exps):
-        key = NormalMonomial(exps, m.dpower + dshift if is_gl else 0)
-        terms[key] = terms.get(key, cfg.ring.zero()) + coeff
-    return Element(cfg, {k: c for k, c in terms.items() if c}, _raw=True)
+        _merge(terms, NormalMonomial(exps, m.dpower + dshift if is_gl else 0), coeff)
+    return Element(cfg, terms, _raw=True)
 
 
 # ---------------------------------------------------------------------------
@@ -232,24 +185,24 @@ def check_sl_gl_iso(n: int) -> CheckReport:
     one = cfg_sl.ring.one()
     gens = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
 
-    def relation_residual(pair):
-        x, y = pair
-        image = _iso_image_of_word(cfg_gl, (x, y), 0, one)
-        for word, coeff in swap_adjacent(x, y):
-            image = image - _iso_image_of_word(cfg_gl, word, 0, cfg_sl.ring.from_laurent(coeff))
-        return pair, image
-
-    pairs = [(x, y) for x in gens for y in gens if x != y]
-    for (x, y), residual in map_cases(relation_residual, pairs):
-        report.add(
-            f"t[{x[0]},{x[1]}] t[{y[0]},{y[1]}] relation", str(residual), residual.is_zero()
-        )
+    for x in gens:
+        for y in gens:
+            if x == y:
+                continue
+            residual = _iso_image_of_word(cfg_gl, (x, y), 0, one)
+            for word, coeff in swap_adjacent(x, y):
+                residual = residual - _iso_image_of_word(
+                    cfg_gl, word, 0, cfg_sl.ring.from_laurent(coeff)
+                )
+            report.add(
+                f"t[{x[0]},{x[1]}] t[{y[0]},{y[1]}] relation", str(residual), residual.is_zero()
+            )
 
     det_image = Element.zero(cfg_gl)
-    for sigma in all_permutations(n):
-        word = tuple((r, sigma(r)) for r in range(1, n + 1))
-        coeff = cfg_sl.ring.from_laurent(LaurentPoly({sigma.length: (-1) ** sigma.length}))
-        det_image = det_image + _iso_image_of_word(cfg_gl, word, 0, coeff)
+    for word, coeff in _det_word_pairs(n):
+        det_image = det_image + _iso_image_of_word(
+            cfg_gl, word, 0, cfg_sl.ring.from_laurent(coeff)
+        )
     residual = det_image - Element.one(cfg_gl)
     report.add("determinant maps to 1", str(residual), residual.is_zero())
 
@@ -272,10 +225,7 @@ def _reduction_targets(n: int, flavor: str) -> list[NormalMonomial]:
         base = [(i, i) for i in range(1, n + 1)]
     else:
         base = [(i, n + 1 - i) for i in range(1, n + 1)]
-    exps = [0] * (n * n)
-    for i, j in base:
-        exps[(i - 1) * n + (j - 1)] = 1
-    return [NormalMonomial(tuple(exps)), NormalMonomial((1,) * (n * n))]
+    return [NormalMonomial(word_exponents(base, n)), NormalMonomial((1,) * (n * n))]
 
 
 def _expand_determinant_powers(cfg_m: AlgebraConfig, e: Element) -> Element:

@@ -14,12 +14,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from ._concurrency import map_cases
 from .coeff import CycloElem, CycloRing
-from .monomial import GenOrder, NormalMonomial, row_major_order
+from .monomial import GenOrder, NormalMonomial, canonical_key, row_major_order
 from .render import monomial_to_str
 from .report import CheckReport
-from .rewrite import AlgebraConfig, Element, make_config, multiply
+from .rewrite import AlgebraConfig, Element, multiply
 from .rootspec import (
     ClassicalMonomial,
     ClassicalPoly,
@@ -38,6 +37,14 @@ def nakayama_exponent(n: int, i: int, j: int) -> int:
     ``B(x, y) = B(nu(y), x)`` (see the nakayama suite).
     """
     return 2 * (n + 1 - i - j)
+
+
+def _twist_exponent(n: int, exps: tuple[int, ...]) -> int:
+    """Exponent of the root of unity by which ``nu`` rescales the monomial
+    with row-major exponent table ``exps``."""
+    return sum(
+        v * nakayama_exponent(n, k // n + 1, k % n + 1) for k, v in enumerate(exps) if v
+    )
 
 
 @dataclass(frozen=True)
@@ -165,9 +172,7 @@ class FrobeniusContext:
         if a.is_zero():
             raise ValueError("the zero element has no non-degeneracy witness")
         expansion = module_expand(a)
-        key = max(
-            expansion.entries, key=lambda k: (k.weight(), k.exps, k.dpower)
-        )
+        key = max(expansion.entries, key=canonical_key)
         coeff = expansion.entries[key]
         x = self.dual_witness(key)
         value = self.phi(multiply(self.element(x), a))
@@ -184,28 +189,16 @@ class FrobeniusContext:
         """Rescale every monomial by the root-of-unity twist; keys unchanged."""
         if e.config != self.config:
             raise ValueError("element lives outside this pairing context")
-        n = self.n
         flip = -1 if inverse else 1
         out = {}
         for key, coeff in e.terms.items():
-            total = 0
-            for i in range(1, n + 1):
-                for j in range(1, n + 1):
-                    v = key.exps[(i - 1) * n + (j - 1)]
-                    if v:
-                        total += v * nakayama_exponent(n, i, j)
-            c = coeff * self.ring.q_power(flip * total)
+            c = coeff * self.ring.q_power(flip * _twist_exponent(self.n, key.exps))
             if c:
                 out[key] = c
         return Element(self.config, out, _raw=True)
 
     def nakayama_monomial_scalar(self, m: NormalMonomial) -> CycloElem:
-        n = self.n
-        total = 0
-        for i in range(1, n + 1):
-            for j in range(1, n + 1):
-                total += m.exps[(i - 1) * n + (j - 1)] * nakayama_exponent(n, i, j)
-        return self.ring.q_power(total)
+        return self.ring.q_power(_twist_exponent(self.n, m.exps))
 
 
 def default_symmetry_pairs(n: int, ell: int, limit: int = 500):
@@ -240,36 +233,28 @@ def check_nakayama(n: int, ell: int, symmetry_pairs=None) -> CheckReport:
     basis = list(enumerate_basis(n, ell, "m"))
     gens = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
 
-    def twist_case(args):
-        (i, j), m = args
-        word = m.word(cfg.order)
-        left = Element.from_words(cfg, [(word + ((i, j),), 1)])
-        right = Element.from_words(cfg, [(((i, j),) + word, 1)])
+    for i, j in gens:
         scalar = ctx.ring.q_power(nakayama_exponent(n, i, j))
-        lhs = ctx.phi(left)
-        rhs = ctx.phi(right) * scalar
-        return args, lhs - rhs
-
-    cases = [((i, j), m) for (i, j) in gens for m in basis]
-    for ((i, j), m), residual in map_cases(twist_case, cases):
-        report.add(
-            f"t[{i},{j}] twisted past {monomial_to_str(m, cfg.order) or '1'}",
-            str(residual),
-            residual.is_zero(),
-        )
+        for m in basis:
+            word = m.word(cfg.order)
+            lhs = ctx.phi(Element.from_words(cfg, [(word + ((i, j),), 1)]))
+            rhs = ctx.phi(Element.from_words(cfg, [(((i, j),) + word, 1)])) * scalar
+            residual = lhs - rhs
+            report.add(
+                f"t[{i},{j}] twisted past {monomial_to_str(m, cfg.order) or '1'}",
+                str(residual),
+                residual.is_zero(),
+            )
 
     if symmetry_pairs is None:
         symmetry_pairs = default_symmetry_pairs(n, ell)
 
-    def symmetry_case(pair):
-        x, y = pair
+    for x, y in symmetry_pairs:
         wx = x.word(cfg.order)
         wy = y.word(cfg.order)
         lhs = ctx.phi(Element.from_words(cfg, [(wx + wy, 1)]))
         rhs = ctx.phi(Element.from_words(cfg, [(wy + wx, 1)])) * ctx.nakayama_monomial_scalar(y)
-        return pair, lhs - rhs
-
-    for (x, y), residual in map_cases(symmetry_case, symmetry_pairs):
+        residual = lhs - rhs
         report.add(
             f"B({monomial_to_str(x, cfg.order) or '1'}, {monomial_to_str(y, cfg.order) or '1'}) symmetry",
             str(residual),

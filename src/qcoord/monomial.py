@@ -1,4 +1,5 @@
-"""Words, ordered monomials, generator orders and the weight filtration.
+"""Words, ordered monomials, generator orders, permutations and the weight
+filtration.
 
 The generators of the quantum matrix algebra are indexed by pairs
 ``(i, j)`` with ``1 <= i, j <= n``.  A *word* is a finite product of
@@ -17,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import isqrt
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 GenIndex = tuple[int, int]
 Word = tuple[GenIndex, ...]
@@ -33,18 +34,33 @@ def check_gen(g: GenIndex, n: int) -> None:
         raise ValueError(f"generator index {g} out of range for n={n}")
 
 
-def weight(word: Word, n: int) -> Weight:
-    """Weight of a word: total degree, then row-major occurrence counts."""
+def word_exponents(word: Word, n: int) -> tuple[int, ...]:
+    """Row-major occurrence counts of the letters of a word.
+
+    The letters are not range-checked; callers validate outside input first.
+    """
     counts = [0] * (n * n)
     for i, j in word:
-        check_gen((i, j), n)
         counts[(i - 1) * n + (j - 1)] += 1
-    return (len(word), *counts)
+    return tuple(counts)
+
+
+def weight(word: Word, n: int) -> Weight:
+    """Weight of a word: total degree, then row-major occurrence counts."""
+    for g in word:
+        check_gen(g, n)
+    return (len(word), *word_exponents(word, n))
 
 
 def weight_of_exponents(exps: tuple[int, ...]) -> Weight:
     """Weight of the ordered monomial with the given exponent table."""
     return (sum(exps), *exps)
+
+
+def canonical_key(m) -> tuple:
+    """Sort key of a monomial with ``exps`` and ``dpower``: weight, then the
+    determinant power.  Every rendered listing sorts by it, largest first."""
+    return (weight_of_exponents(m.exps), m.dpower)
 
 
 def lex_compare(a: Weight, b: Weight) -> int:
@@ -56,6 +72,42 @@ def lex_compare(a: Weight, b: Weight) -> int:
     if a > b:
         return 1
     return 0
+
+
+@dataclass(frozen=True)
+class Permutation:
+    """A permutation of ``{1..n}`` together with its inversion count."""
+
+    images: tuple[int, ...]
+    length: int = field(init=False, compare=False)
+
+    def __post_init__(self):
+        n = len(self.images)
+        if sorted(self.images) != list(range(1, n + 1)):
+            raise ValueError(f"not a permutation of 1..{n}: {self.images}")
+        inv = sum(
+            1
+            for a in range(n)
+            for b in range(a + 1, n)
+            if self.images[a] > self.images[b]
+        )
+        object.__setattr__(self, "length", inv)
+
+    @property
+    def n(self) -> int:
+        return len(self.images)
+
+    def __call__(self, i: int) -> int:
+        return self.images[i - 1]
+
+    @classmethod
+    def identity(cls, n: int) -> Permutation:
+        return cls(tuple(range(1, n + 1)))
+
+    @classmethod
+    def reversal(cls, n: int) -> Permutation:
+        """``i -> n + 1 - i``, the longest element."""
+        return cls(tuple(range(n, 0, -1)))
 
 
 def antidiag_region(n: int, g: GenIndex) -> int:
@@ -152,7 +204,7 @@ class NormalMonomial(NamedTuple):
         return sum(self.exps)
 
     def weight(self) -> Weight:
-        return (sum(self.exps), *self.exps)
+        return weight_of_exponents(self.exps)
 
     def word(self, order: GenOrder) -> Word:
         """Expand into a word with factors listed in rank order."""
@@ -170,35 +222,3 @@ class NormalMonomial(NamedTuple):
     def min_antidiag(self) -> int:
         n = self.n
         return min(self.exps[(i - 1) * n + (n - i)] for i in range(1, n + 1))
-
-
-def one_monomial(n: int) -> NormalMonomial:
-    return NormalMonomial((0,) * (n * n), 0)
-
-
-def generator_monomial(n: int, i: int, j: int) -> NormalMonomial:
-    check_gen((i, j), n)
-    exps = [0] * (n * n)
-    exps[(i - 1) * n + (j - 1)] = 1
-    return NormalMonomial(tuple(exps), 0)
-
-
-def monomial_from_exponents(n: int, table: dict[GenIndex, int], dpower: int = 0) -> NormalMonomial:
-    exps = [0] * (n * n)
-    for g, e in table.items():
-        check_gen(g, n)
-        if e < 0:
-            raise ValueError("generator exponents must be nonnegative")
-        exps[(g[0] - 1) * n + (g[1] - 1)] = e
-    return NormalMonomial(tuple(exps), dpower)
-
-
-def word_of_exponents(exps: tuple[int, ...], order: GenOrder) -> Word:
-    return NormalMonomial(exps, 0).word(order)
-
-
-def concat(*words: Iterable[Word]) -> Word:
-    out: tuple[GenIndex, ...] = ()
-    for w in words:
-        out = out + tuple(w)
-    return out

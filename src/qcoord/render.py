@@ -7,7 +7,7 @@ parenthesized.
 
 from __future__ import annotations
 
-from .coeff import CycloElem, LaurentPoly, _format_qpoly
+from .coeff import CycloElem, LaurentPoly
 from .monomial import GenOrder, NormalMonomial
 
 
@@ -39,33 +39,44 @@ def monomial_to_str(
     return " ".join(parts)
 
 
+def join_terms(parts) -> str:
+    """Join ``(sign, body)`` pairs as ``a + b - c``; ``0`` when there are none."""
+    chunks: list[str] = []
+    for sign, body in parts:
+        if chunks:
+            chunks.append(f"+ {body}" if sign > 0 else f"- {body}")
+        else:
+            chunks.append(body if sign > 0 else f"-{body}")
+    return " ".join(chunks) or "0"
+
+
+def _scaled_q_power(e: int, mag: int) -> str:
+    """``mag * q**e`` with ``mag`` positive, e.g. ``3``, ``q``, ``2 q^-1``."""
+    if e == 0:
+        return str(mag)
+    var = "q" if e == 1 else f"q^{e}"
+    return var if mag == 1 else f"{mag} {var}"
+
+
+def format_qpoly(pairs) -> str:
+    """Render ``[(exponent, coeff), ...]`` as e.g. ``q^-1 + 2 - q^3``."""
+    return join_terms((1 if c > 0 else -1, _scaled_q_power(e, abs(c))) for e, c in pairs)
+
+
 def term_to_str(coeff, mon: str) -> tuple[int, str]:
     """Render one term as ``(sign, body)`` with ``sign`` +1 or -1."""
     pairs = coeff_pairs(coeff)
     if len(pairs) == 1:
         (e, v), = pairs
-        sign = 1 if v > 0 else -1
         mag = abs(v)
-        if e == 0:
-            cpart = "" if (mag == 1 and mon) else str(mag)
-        else:
-            var = "q" if e == 1 else f"q^{e}"
-            cpart = var if mag == 1 else f"{mag} {var}"
-        body = " ".join(p for p in (cpart, mon) if p)
-        return sign, body or "1"
-    body = f"({_format_qpoly(pairs)})"
+        cpart = "" if (e == 0 and mag == 1 and mon) else _scaled_q_power(e, mag)
+        return (1 if v > 0 else -1), " ".join(p for p in (cpart, mon) if p)
+    body = f"({format_qpoly(pairs)})"
     return 1, f"{body} {mon}".strip()
 
 
 def element_to_str(e) -> str:
-    if e.is_zero():
-        return "0"
-    chunks: list[str] = []
-    for m, coeff in e.sorted_terms():
-        mon = monomial_to_str(m, e.config.order)
-        sign, body = term_to_str(coeff, mon)
-        if not chunks:
-            chunks.append(body if sign > 0 else f"-{body}")
-        else:
-            chunks.append(f"+ {body}" if sign > 0 else f"- {body}")
-    return " ".join(chunks)
+    order = e.config.order
+    return join_terms(
+        term_to_str(coeff, monomial_to_str(m, order)) for m, coeff in e.sorted_terms()
+    )

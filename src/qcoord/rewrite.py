@@ -28,18 +28,21 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations
 
-from .coeff import CycloRing, LaurentPoly, LaurentRing
+from .coeff import CycloRing, LaurentPoly, LaurentRing, _merge
 from .monomial import (
     OPPOSITE_KIND,
     GenIndex,
     GenOrder,
     NormalMonomial,
+    Permutation,
     Word,
     antidiag_degree,
+    canonical_key,
     check_gen,
     make_opposite_order,
     row_major_order,
     weight_of_exponents,
+    word_exponents,
 )
 
 VARIANTS = ("m", "gl", "sl")
@@ -95,6 +98,23 @@ def make_config(
     return AlgebraConfig(n, variant, order, ring, flavor)
 
 
+def _relation(x: GenIndex, y: GenIndex):
+    """The commutation relation for ``x y`` with ``x != y``, as
+    ``(qexp, branch)``: ``x y = q**qexp y x``, plus ``sign (q - q^-1) u v``
+    when ``branch`` is ``(u, v, sign)`` (the nested-corner case)."""
+    a, b = x
+    c, d = y
+    if a == c:
+        return (1 if b < d else -1), None
+    if b == d:
+        return (1 if a < c else -1), None
+    if (a - c) * (b - d) < 0:
+        return 0, None
+    if a < c:
+        return 0, ((a, d), (c, b), 1)
+    return 0, ((c, b), (a, d), -1)
+
+
 def swap_adjacent(x: GenIndex, y: GenIndex) -> list[tuple[Word, LaurentPoly]] | None:
     """Expand the two-letter word ``x y`` over words with ``y`` first.
 
@@ -104,54 +124,19 @@ def swap_adjacent(x: GenIndex, y: GenIndex) -> list[tuple[Word, LaurentPoly]] | 
     """
     if x == y:
         return None
-    a, b = x
-    c, d = y
-    if a == c:
-        return [((y, x), LaurentPoly.q_power(1 if b < d else -1))]
-    if b == d:
-        return [((y, x), LaurentPoly.q_power(1 if a < c else -1))]
-    if (a - c) * (b - d) < 0:
-        return [((y, x), LaurentPoly(1))]
-    if a < c:
-        return [((y, x), LaurentPoly(1)), (((a, d), (c, b)), LaurentPoly.q_diff())]
-    return [((y, x), LaurentPoly(1)), (((c, b), (a, d)), -LaurentPoly.q_diff())]
+    qexp, branch = _relation(x, y)
+    out = [((y, x), LaurentPoly.q_power(qexp))]
+    if branch is not None:
+        u, v, sign = branch
+        out.append(((u, v), LaurentPoly.q_diff() * sign))
+    return out
 
 
 @lru_cache(maxsize=None)
 def _swap_table(n: int):
-    """(x, y) -> (q exponent of the swap, optional branch (u, v, sign))."""
-    table = {}
+    """:func:`_relation` tabulated over all ordered pairs of distinct letters."""
     gens = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
-    for x in gens:
-        for y in gens:
-            if x == y:
-                continue
-            a, b = x
-            c, d = y
-            if a == c:
-                table[(x, y)] = ((1 if b < d else -1), None)
-            elif b == d:
-                table[(x, y)] = ((1 if a < c else -1), None)
-            elif (a - c) * (b - d) < 0:
-                table[(x, y)] = (0, None)
-            elif a < c:
-                table[(x, y)] = (0, ((a, d), (c, b), 1))
-            else:
-                table[(x, y)] = (0, ((c, b), (a, d), -1))
-    return table
-
-
-def _merge(bucket: dict, key, coeff) -> None:
-    cur = bucket.get(key)
-    if cur is None:
-        if coeff:
-            bucket[key] = coeff
-    else:
-        cur = cur + coeff
-        if cur:
-            bucket[key] = cur
-        else:
-            del bucket[key]
+    return {(x, y): _relation(x, y) for x in gens for y in gens if x != y}
 
 
 def _rewrite(cfg: AlgebraConfig, pending: dict, strategy: str = "leftmost", trace=None) -> dict:
@@ -172,16 +157,10 @@ def _rewrite(cfg: AlgebraConfig, pending: dict, strategy: str = "leftmost", trac
     if strategy not in ("leftmost", "rightmost"):
         raise ValueError(f"unknown strategy {strategy!r}")
 
-    def wt(word):
-        counts = [0] * (n * n)
-        for i, j in word:
-            counts[(i - 1) * n + (j - 1)] += 1
-        return (len(word), *counts)
-
     classes: dict[tuple, dict] = {}
     for word, coeff in pending.items():
         if coeff:
-            _merge(classes.setdefault(wt(word), {}), word, coeff)
+            _merge(classes.setdefault((len(word), *word_exponents(word, n)), {}), word, coeff)
 
     result: dict[tuple[int, ...], object] = {}
     while classes:
@@ -197,10 +176,7 @@ def _rewrite(cfg: AlgebraConfig, pending: dict, strategy: str = "leftmost", trac
                     pos = p
                     break
             if pos < 0:
-                counts = [0] * (n * n)
-                for i, j in word:
-                    counts[(i - 1) * n + (j - 1)] += 1
-                _merge(result, tuple(counts), coeff)
+                _merge(result, word_exponents(word, n), coeff)
                 continue
             x = word[pos]
             y = word[pos + 1]
@@ -211,7 +187,11 @@ def _rewrite(cfg: AlgebraConfig, pending: dict, strategy: str = "leftmost", trac
             if branch is not None:
                 u, v, sign = branch
                 branched = word[:pos] + (u, v) + word[pos + 2:]
-                _merge(classes.setdefault(wt(branched), {}), branched, qdiff_mul(coeff, sign))
+                _merge(
+                    classes.setdefault((k, *word_exponents(branched, n)), {}),
+                    branched,
+                    qdiff_mul(coeff, sign),
+                )
                 produced.append((branched, "branch"))
             if trace is not None:
                 trace.append((word, produced))
@@ -235,14 +215,9 @@ def _det_word_pairs(n: int) -> tuple[tuple[Word, LaurentPoly], ...]:
     """Words and coefficients of ``sum_s (-q)^len(s) t[1,s(1)] .. t[n,s(n)]``."""
     out = []
     for images in permutations(range(1, n + 1)):
-        inv = sum(
-            1
-            for a in range(n)
-            for b in range(a + 1, n)
-            if images[a] > images[b]
-        )
-        word = tuple((row + 1, images[row]) for row in range(n))
-        out.append((word, LaurentPoly({inv: (-1) ** inv})))
+        sigma = Permutation(images)
+        word = tuple((r, sigma(r)) for r in range(1, n + 1))
+        out.append((word, LaurentPoly({sigma.length: (-1) ** sigma.length})))
     return tuple(out)
 
 
@@ -295,10 +270,7 @@ def _reduction_step(cfg: AlgebraConfig, exps: tuple[int, ...]):
         t0[t] -= 1
     t0 = tuple(t0)
     pull = _pullout_word(cfg)
-    pull_exps = [0] * (cfg.n * cfg.n)
-    for i, j in pull:
-        pull_exps[(i - 1) * cfg.n + (j - 1)] += 1
-    pull_exps = tuple(pull_exps)
+    pull_exps = word_exponents(pull, cfg.n)
 
     straightened = _rewrite(
         cfg, {NormalMonomial(t0).word(order) + pull: ring.one()}
@@ -494,13 +466,8 @@ class Element:
         return self._terms.get(m, self.config.ring.zero())
 
     def sorted_terms(self) -> list:
-        """Terms sorted canonically: by weight, exponent table, then D power,
-        largest first."""
-        return sorted(
-            self._terms.items(),
-            key=lambda kv: (kv[0].weight(), kv[0].exps, kv[0].dpower),
-            reverse=True,
-        )
+        """Terms sorted by :func:`canonical_key`, largest first."""
+        return sorted(self._terms.items(), key=lambda kv: canonical_key(kv[0]), reverse=True)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Element):

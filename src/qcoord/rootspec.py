@@ -16,10 +16,9 @@ from itertools import product
 from math import isqrt
 from typing import Iterator, NamedTuple
 
-from ._concurrency import map_cases
-from .coeff import CycloElem, CycloRing
-from .monomial import NormalMonomial, row_major_order
-from .render import monomial_to_str, term_to_str
+from .coeff import CycloElem, CycloRing, _merge
+from .monomial import NormalMonomial, canonical_key, row_major_order
+from .render import join_terms, monomial_to_str, term_to_str
 from .report import CheckReport
 from .rewrite import AlgebraConfig, Element, make_config, multiply
 
@@ -83,12 +82,7 @@ class ClassicalPoly:
         self._check(other)
         merged = dict(self.terms)
         for m, c in other.terms.items():
-            s = merged.get(m)
-            s = c if s is None else s + c
-            if s:
-                merged[m] = s
-            else:
-                merged.pop(m, None)
+            _merge(merged, m, c)
         return ClassicalPoly(self.ring, self.n, merged)
 
     def __neg__(self) -> ClassicalPoly:
@@ -108,38 +102,22 @@ class ClassicalPoly:
                 key = ClassicalMonomial(
                     tuple(a + b for a, b in zip(m1.exps, m2.exps)), m1.dpower + m2.dpower
                 )
-                s = out.get(key)
-                s = c1 * c2 if s is None else s + c1 * c2
-                if s:
-                    out[key] = s
-                else:
-                    out.pop(key, None)
+                _merge(out, key, c1 * c2)
         return ClassicalPoly(self.ring, self.n, out)
 
     __rmul__ = __mul__
 
     def sorted_terms(self) -> list:
-        return sorted(
-            self.terms.items(),
-            key=lambda kv: ((sum(kv[0].exps), *kv[0].exps), kv[0].dpower),
-            reverse=True,
-        )
+        return sorted(self.terms.items(), key=lambda kv: canonical_key(kv[0]), reverse=True)
 
     def __str__(self) -> str:
         if not self.terms:
             return "0"
         order = row_major_order(self.n)
-        chunks: list[str] = []
-        for m, coeff in self.sorted_terms():
-            mon = monomial_to_str(
-                NormalMonomial(m.exps, m.dpower), order, symbol="tbar", dsymbol="Dbar"
-            )
-            sign, body = term_to_str(coeff, mon)
-            if not chunks:
-                chunks.append(body if sign > 0 else f"-{body}")
-            else:
-                chunks.append(f"+ {body}" if sign > 0 else f"- {body}")
-        return " ".join(chunks)
+        return join_terms(
+            term_to_str(coeff, monomial_to_str(m, order, symbol="tbar", dsymbol="Dbar"))
+            for m, coeff in self.sorted_terms()
+        )
 
     def __repr__(self) -> str:
         return f"<ClassicalPoly {self}>"
@@ -192,21 +170,15 @@ def check_frobenius_central(n: int, ell: int) -> CheckReport:
     report = CheckReport("frobenius", n, ell)
     gens = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
 
-    def commutator(pair):
-        g, h = pair
+    for g in gens:
         power = (g,) * ell
-        residual = Element.from_words(
-            cfg, [(power + (h,), 1), ((h,) + power, -1)]
-        )
-        return pair, residual
-
-    pairs = [(g, h) for g in gens for h in gens]
-    for (g, h), residual in map_cases(commutator, pairs):
-        report.add(
-            f"t[{g[0]},{g[1]}]^{ell} against t[{h[0]},{h[1]}]",
-            str(residual),
-            residual.is_zero(),
-        )
+        for h in gens:
+            residual = Element.from_words(cfg, [(power + (h,), 1), ((h,) + power, -1)])
+            report.add(
+                f"t[{g[0]},{g[1]}]^{ell} against t[{h[0]},{h[1]}]",
+                str(residual),
+                residual.is_zero(),
+            )
     return report
 
 
@@ -223,11 +195,7 @@ class ModuleExpansion:
     entries: dict[NormalMonomial, ClassicalPoly]
 
     def sorted_entries(self) -> list:
-        return sorted(
-            self.entries.items(),
-            key=lambda kv: (kv[0].weight(), kv[0].exps, kv[0].dpower),
-            reverse=True,
-        )
+        return sorted(self.entries.items(), key=lambda kv: canonical_key(kv[0]), reverse=True)
 
     def recombine(self) -> Element:
         out = Element.zero(self.config)
@@ -258,9 +226,8 @@ def module_expand(e: Element) -> ModuleExpansion:
         d_res, d_quot = (key.dpower % ell, key.dpower // ell) if cfg.variant == "gl" else (0, 0)
         rkey = NormalMonomial(residue, d_res)
         part = ClassicalPoly.monomial(ring, n, ClassicalMonomial(quotient, d_quot), coeff)
-        cur = entries.get(rkey)
-        entries[rkey] = part if cur is None else cur + part
-    return ModuleExpansion(cfg, {k: v for k, v in entries.items() if v})
+        _merge(entries, rkey, part)
+    return ModuleExpansion(cfg, entries)
 
 
 def enumerate_basis(n: int, ell: int, variant: str = "m") -> Iterator[NormalMonomial]:

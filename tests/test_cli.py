@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from qcoord.cli import ParseError, evaluate, parse, run
+from qcoord.cli import MAX_NESTING, ParseError, evaluate, parse, run
 from qcoord.coeff import LaurentPoly
 from qcoord.detloc import quantum_determinant
 from qcoord.monomial import NormalMonomial
@@ -52,6 +52,14 @@ class TestParse:
         with pytest.raises(ParseError) as err:
             parse("q + %", make_config(2))
         assert err.value.offset == 4
+
+    def test_nesting_limit(self):
+        cfg = make_config(2)
+        deep = "(" * MAX_NESTING + "t[1,1]" + ")" * MAX_NESTING
+        assert evaluate(deep, cfg) == Element.generator(cfg, 1, 1)
+        with pytest.raises(ParseError) as err:
+            parse("(" + deep + ")", cfg)
+        assert err.value.offset == MAX_NESTING
 
 
 class TestEval:
@@ -208,6 +216,15 @@ class TestRun:
         run(["det", "--n", "3", "--json"])
         assert capsys.readouterr().out == first
 
+    def test_deep_nesting_fails_cleanly(self, capsys):
+        assert run(["nf", "(" * 3000 + "t[1,1]" + ")" * 3000]) == 2
+        err = capsys.readouterr().err
+        assert err == f"parse error at offset {MAX_NESTING}: parentheses nested deeper than {MAX_NESTING}\n"
+
+    def test_long_sum(self, capsys):
+        assert run(["nf", " + ".join(["t[1,1]"] * 1500)]) == 0
+        assert capsys.readouterr().out == "1500 t[1,1]\n"
+
     def test_parse_error_exit_code(self, capsys):
         assert run(["nf", "t[1,2]^-1"]) == 2
         assert "parse error" in capsys.readouterr().err
@@ -234,9 +251,3 @@ class TestRun:
         monkeypatch.setattr(cli.detloc, "check_central", lambda n, ell=None: report)
         assert run(["check", "central"]) == 1
         assert "FAIL" in capsys.readouterr().out
-
-    def test_thread_env_cap(self, capsys, monkeypatch):
-        monkeypatch.setenv("QCOORD_THREADS", "2")
-        assert run(["check", "central", "--n", "2"]) == 0
-        monkeypatch.setenv("QCOORD_THREADS", "oops")
-        assert run(["check", "central", "--n", "2"]) == 2
