@@ -10,7 +10,9 @@ separated by whitespace or an explicit ``*``)::
 
 Negative exponents are allowed only on ``q`` and ``D``.  ``D`` requires the
 localized or special variant.  Parentheses nest at most ``MAX_NESTING``
-deep.  Exit codes: 0 success, 1 failed check, 2 usage or parse error.
+deep.  Exit codes: 0 success, 1 failed check, 2 usage, parse or input error,
+or a command too large to finish (out of memory, recursion limit, or
+``basis --json`` above ``MAX_BASIS_JSON`` keys).
 """
 
 from __future__ import annotations
@@ -33,6 +35,9 @@ CHECK_SUITES = ("central", "pbw-confluence", "frobenius", "nakayama", "iso", "id
 # take a few stack frames per level, so this keeps both far below the
 # interpreter's recursion limit.
 MAX_NESTING = 100
+
+# Most keys ``basis --json`` lists: it holds them all, while text output streams.
+MAX_BASIS_JSON = 2**22
 
 
 class ParseError(ValueError):
@@ -468,6 +473,12 @@ def run(argv) -> int:
             ctx = frobext.FrobeniusContext(run_cfg.n, run_cfg.ell, run_cfg.variant)
             _print_element(ctx.nakayama(evaluate(args.expr, ctx.config)), run_cfg)
         elif args.command == "basis":
+            keys = run_cfg.ell ** (run_cfg.n**2 + (run_cfg.variant == "gl"))
+            if run_cfg.json and keys > MAX_BASIS_JSON:
+                raise ValueError(
+                    f"basis --json would list {keys} keys, more than {MAX_BASIS_JSON}; "
+                    "text output streams"
+                )
             monomials = rootspec.enumerate_basis(run_cfg.n, run_cfg.ell, run_cfg.variant)
             if run_cfg.json:
                 _emit_json(
@@ -489,6 +500,10 @@ def run(argv) -> int:
         return 2
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except (MemoryError, RecursionError) as exc:
+        reason = "out of memory" if isinstance(exc, MemoryError) else "recursion limit exceeded"
+        print(f"error: {reason}", file=sys.stderr)
         return 2
     return 0
 

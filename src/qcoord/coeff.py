@@ -21,6 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
+# Bound on the per-root-order caches; a process uses a handful of orders.
+_ORDER_CACHE = 64
+
 
 def _merge(bucket: dict, key, coeff) -> None:
     """Add ``coeff`` to ``bucket[key]`` in a sparse combination, dropping
@@ -209,7 +212,7 @@ class CyclotomicModulus:
         return LaurentPoly({e: c for e, c in enumerate(self.phi)})
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_ORDER_CACHE)
 def cyclotomic(ell: int) -> CyclotomicModulus:
     """Compute ``phi_l`` by exact division of ``q**l - 1`` by all ``phi_d``
     with ``d`` a proper divisor of ``l``.
@@ -315,8 +318,10 @@ def reduce_mod(p: LaurentPoly, m: CyclotomicModulus) -> CycloElem:
 
 
 # ---------------------------------------------------------------------------
-# Ring adapters: a uniform constructor/arithmetic surface over the two
-# coefficient rings, so the rewriting engine is generic over both.
+# Ring adapters: constructors, coercion and unit tests for the two rings.
+# The rewriting engine computes in Z_q only; root-of-unity coefficients are
+# lifted into it and projected back with ``coerce`` once, which is sound
+# because ``reduce_mod`` is a ring homomorphism.
 # ---------------------------------------------------------------------------
 
 
@@ -334,9 +339,6 @@ class LaurentRing:
     def one(self) -> LaurentPoly:
         return LaurentPoly(1)
 
-    def from_int(self, k: int) -> LaurentPoly:
-        return LaurentPoly(k)
-
     def q_power(self, k: int) -> LaurentPoly:
         return LaurentPoly.q_power(k)
 
@@ -347,15 +349,12 @@ class LaurentRing:
             return LaurentPoly(value)
         raise TypeError(f"cannot coerce {value!r} into {self.name}")
 
-    def from_laurent(self, p: LaurentPoly) -> LaurentPoly:
-        return p
-
     def shift(self, c: LaurentPoly, k: int) -> LaurentPoly:
         return c.shift(k)
 
     def qdiff_mul(self, c: LaurentPoly, sign: int) -> LaurentPoly:
-        up = c.shift(1)
-        down = c.shift(-1)
+        """``sign * (q - q^-1) * c``."""
+        up, down = c.shift(1), c.shift(-1)
         return (up - down) if sign > 0 else (down - up)
 
     def unit_power(self, c: LaurentPoly) -> tuple[int, int] | None:
@@ -375,7 +374,7 @@ class LaurentRing:
         return LaurentPoly({-e: sign})
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_ORDER_CACHE)
 def _eps_powers(ell: int) -> tuple[CycloElem, ...]:
     m = cyclotomic(ell)
     return tuple(reduce_mod(LaurentPoly.q_power(k), m) for k in range(ell))
@@ -421,16 +420,6 @@ class CycloRing:
             return reduce_mod(value, self.modulus)
         raise TypeError(f"cannot coerce {value!r} into {self.name}")
 
-    def from_laurent(self, p: LaurentPoly) -> CycloElem:
-        return reduce_mod(p, self.modulus)
-
-    def shift(self, c: CycloElem, k: int) -> CycloElem:
-        return c * self.q_power(k)
-
-    def qdiff_mul(self, c: CycloElem, sign: int) -> CycloElem:
-        d = self.q_power(1) - self.q_power(self.ell - 1)
-        return c * d if sign > 0 else c * (-d)
-
     def unit_power(self, c: CycloElem) -> tuple[int, int] | None:
         """Return ``(sign, k)`` when ``c == sign * eps**k``, else ``None``."""
         for k, p in enumerate(_eps_powers(self.ell)):
@@ -439,11 +428,3 @@ class CycloRing:
             if c == -p:
                 return -1, k
         return None
-
-    def invert_unit(self, c: CycloElem) -> CycloElem:
-        up = self.unit_power(c)
-        if up is None:
-            raise ArithmeticError(f"{c!r} is not recognized as a unit of {self.name}")
-        sign, k = up
-        inv = self.q_power((-k) % self.ell)
-        return inv if sign > 0 else -inv

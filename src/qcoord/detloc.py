@@ -18,6 +18,7 @@ from .rewrite import (
     AlgebraConfig,
     Element,
     _det_word_pairs,
+    _project,
     _reduction_step,
     make_config,
     multiply,
@@ -81,7 +82,7 @@ def diagonal_reduction(cfg: AlgebraConfig, m: NormalMonomial) -> Element | None:
     terms = {}
     for exps, dshift, coeff in _reduction_step(cfg, m.exps):
         _merge(terms, NormalMonomial(exps, m.dpower + dshift if is_gl else 0), coeff)
-    return Element(cfg, terms, _raw=True)
+    return Element(cfg, _project(cfg, terms), _raw=True)
 
 
 # ---------------------------------------------------------------------------
@@ -191,18 +192,14 @@ def check_sl_gl_iso(n: int) -> CheckReport:
                 continue
             residual = _iso_image_of_word(cfg_gl, (x, y), 0, one)
             for word, coeff in swap_adjacent(x, y):
-                residual = residual - _iso_image_of_word(
-                    cfg_gl, word, 0, cfg_sl.ring.from_laurent(coeff)
-                )
+                residual = residual - _iso_image_of_word(cfg_gl, word, 0, coeff)
             report.add(
                 f"t[{x[0]},{x[1]}] t[{y[0]},{y[1]}] relation", str(residual), residual.is_zero()
             )
 
     det_image = Element.zero(cfg_gl)
     for word, coeff in _det_word_pairs(n):
-        det_image = det_image + _iso_image_of_word(
-            cfg_gl, word, 0, cfg_sl.ring.from_laurent(coeff)
-        )
+        det_image = det_image + _iso_image_of_word(cfg_gl, word, 0, coeff)
     residual = det_image - Element.one(cfg_gl)
     report.add("determinant maps to 1", str(residual), residual.is_zero())
 

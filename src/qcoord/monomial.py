@@ -17,6 +17,7 @@ to normal form terminate.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from math import isqrt
 from typing import NamedTuple
 
@@ -166,6 +167,7 @@ class GenOrder:
         return self._rank
 
 
+@lru_cache(maxsize=16)
 def row_major_order(n: int) -> GenOrder:
     """The default order: ``(1,1) < (1,2) < ... < (n,n)``."""
     seq = tuple((i, j) for i in range(1, n + 1) for j in range(1, n + 1))

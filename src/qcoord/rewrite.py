@@ -20,6 +20,12 @@ For the localized and special variants, a second reduction phase expresses
 monomials whose diagonal (or antidiagonal) exponents are all positive in
 terms of the quantum determinant, enforcing the normal-form constraint that
 the minimal diagonal (antidiagonal) exponent be zero.
+
+Both phases compute over ``Z_q`` only.  A root-of-unity configuration is the
+base change of the ``Z_q`` form along ``reduce_mod``, a ring homomorphism,
+so its coefficients are lifted into ``Z_q`` on the way in (:func:`_lift`),
+straightened and reduced there, and projected into the configuration's ring
+once at the end (:func:`_project`).
 """
 
 from __future__ import annotations
@@ -28,7 +34,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations
 
-from .coeff import CycloRing, LaurentPoly, LaurentRing, _merge
+from .coeff import CycloElem, CycloRing, LaurentPoly, LaurentRing, _merge
 from .monomial import (
     OPPOSITE_KIND,
     GenIndex,
@@ -47,6 +53,14 @@ from .monomial import (
 
 VARIANTS = ("m", "gl", "sl")
 FLAVORS = ("standard", "opposite")
+
+# The ring every straightening and reduction step computes in.
+_ZQ = LaurentRing()
+
+# Cache bounds: a process meets a handful of dimensions and configurations,
+# and about 1,500 distinct reduction-step monomials in a mixed gl/sl workload.
+_SMALL_CACHE = 64
+_REDUCTION_CACHE = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -78,10 +92,6 @@ class AlgebraConfig:
             raise ValueError("generator order has the wrong dimension")
         if self.flavor == "opposite" and self.order.kind != OPPOSITE_KIND:
             raise ValueError("opposite flavor requires an opposite-constrained order")
-
-    @property
-    def ell(self) -> int | None:
-        return self.ring.ell if isinstance(self.ring, CycloRing) else None
 
 
 def make_config(
@@ -132,7 +142,7 @@ def swap_adjacent(x: GenIndex, y: GenIndex) -> list[tuple[Word, LaurentPoly]] | 
     return out
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_SMALL_CACHE)
 def _swap_table(n: int):
     """:func:`_relation` tabulated over all ordered pairs of distinct letters."""
     gens = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
@@ -142,17 +152,16 @@ def _swap_table(n: int):
 def _rewrite(cfg: AlgebraConfig, pending: dict, strategy: str = "leftmost", trace=None) -> dict:
     """Straighten a coefficient-weighted set of words.
 
-    ``pending`` maps words to coefficients in ``cfg.ring``; the result maps
-    exponent tables of ordered monomials to coefficients.  Words are
+    ``pending`` maps words to Laurent coefficients; the result maps
+    exponent tables of ordered monomials to Laurent coefficients.  Words are
     processed one weight class at a time, largest first; within a class the
     chosen adjacent inversion is the leftmost (or rightmost) one.
     """
     n = cfg.n
-    ring = cfg.ring
     rank = cfg.order.rank_map
     table = _swap_table(n)
-    shift = ring.shift
-    qdiff_mul = ring.qdiff_mul
+    shift = _ZQ.shift
+    qdiff_mul = _ZQ.qdiff_mul
     rightmost = strategy == "rightmost"
     if strategy not in ("leftmost", "rightmost"):
         raise ValueError(f"unknown strategy {strategy!r}")
@@ -162,7 +171,7 @@ def _rewrite(cfg: AlgebraConfig, pending: dict, strategy: str = "leftmost", trac
         if coeff:
             _merge(classes.setdefault((len(word), *word_exponents(word, n)), {}), word, coeff)
 
-    result: dict[tuple[int, ...], object] = {}
+    result: dict[tuple[int, ...], LaurentPoly] = {}
     while classes:
         top = max(classes)
         bucket = classes.pop(top)
@@ -198,11 +207,27 @@ def _rewrite(cfg: AlgebraConfig, pending: dict, strategy: str = "leftmost", trac
     return result
 
 
+def _lift(cfg: AlgebraConfig, value) -> LaurentPoly:
+    """A coefficient of ``cfg.ring`` as a Laurent polynomial; the residue of a
+    root-of-unity coefficient is read as a polynomial in ``q``."""
+    c = cfg.ring.coerce(value)
+    return LaurentPoly(dict(enumerate(c.residue))) if isinstance(c, CycloElem) else c
+
+
+def _project(cfg: AlgebraConfig, terms: dict) -> dict:
+    """Map finished Laurent coefficients into ``cfg.ring``, dropping zeros.
+    Over ``Z_q`` they are final already: the engine never stores a zero."""
+    if isinstance(cfg.ring, LaurentRing):
+        return terms
+    coerce = cfg.ring.coerce
+    return {key: c for key, coeff in terms.items() if (c := coerce(coeff))}
+
+
 def normal_form_of_word(cfg: AlgebraConfig, word: Word, strategy: str = "leftmost", trace=None) -> dict:
     """Exponent-table expansion of a single word (no determinant reduction)."""
     for g in word:
         check_gen(g, cfg.n)
-    return _rewrite(cfg, {tuple(word): cfg.ring.one()}, strategy, trace)
+    return _project(cfg, _rewrite(cfg, {tuple(word): LaurentPoly(1)}, strategy, trace))
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +235,7 @@ def normal_form_of_word(cfg: AlgebraConfig, word: Word, strategy: str = "leftmos
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_SMALL_CACHE)
 def _det_word_pairs(n: int) -> tuple[tuple[Word, LaurentPoly], ...]:
     """Words and coefficients of ``sum_s (-q)^len(s) t[1,s(1)] .. t[n,s(n)]``."""
     out = []
@@ -221,12 +246,10 @@ def _det_word_pairs(n: int) -> tuple[tuple[Word, LaurentPoly], ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_SMALL_CACHE)
 def _det_terms(cfg: AlgebraConfig) -> dict:
     """Quantum determinant as ordered-monomial exponent tables (no D key)."""
-    ring = cfg.ring
-    pending = {word: ring.from_laurent(c) for word, c in _det_word_pairs(cfg.n)}
-    return _rewrite(cfg, pending)
+    return _rewrite(cfg, dict(_det_word_pairs(cfg.n)))
 
 
 def _target_positions(cfg: AlgebraConfig) -> tuple[int, ...]:
@@ -249,7 +272,7 @@ def _reduction_measure(cfg: AlgebraConfig, exps: tuple[int, ...]):
     return (antidiag_degree(cfg.n, exps),) + weight_of_exponents(exps)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_REDUCTION_CACHE)
 def _reduction_step(cfg: AlgebraConfig, exps: tuple[int, ...]):
     """Expand a monomial with all target exponents positive.
 
@@ -259,7 +282,6 @@ def _reduction_step(cfg: AlgebraConfig, exps: tuple[int, ...]):
     that descent is what makes iterated enforcement terminate, so it is
     checked here rather than assumed.
     """
-    ring = cfg.ring
     order = cfg.order
     targets = _target_positions(cfg)
     if not all(exps[t] >= 1 for t in targets):
@@ -273,16 +295,14 @@ def _reduction_step(cfg: AlgebraConfig, exps: tuple[int, ...]):
     pull_exps = word_exponents(pull, cfg.n)
 
     straightened = _rewrite(
-        cfg, {NormalMonomial(t0).word(order) + pull: ring.one()}
+        cfg, {NormalMonomial(t0).word(order) + pull: LaurentPoly(1)}
     )
-    lead = straightened.pop(exps)
-    lead_inv = ring.invert_unit(lead)
+    lead_inv = _ZQ.invert_unit(straightened.pop(exps))
 
     det = _det_terms(cfg)
-    pull_coeff = det[pull_exps]
-    pull_inv = ring.invert_unit(pull_coeff)
+    pull_inv = _ZQ.invert_unit(det[pull_exps])
 
-    out: dict[tuple[tuple[int, ...], int], object] = {}
+    out: dict[tuple[tuple[int, ...], int], LaurentPoly] = {}
     main = lead_inv * pull_inv
     _merge(out, (t0, 1), main)
     neg_main = -main
@@ -304,7 +324,7 @@ def _reduction_step(cfg: AlgebraConfig, exps: tuple[int, ...]):
     # is one minus a unit multiple, so it can be solved for and divided out.
     self_coeff = out.pop((exps, 0), None)
     if self_coeff is not None:
-        rescale = ring.invert_unit(ring.one() + (-self_coeff))
+        rescale = _ZQ.invert_unit(1 - self_coeff)
         out = {key: c * rescale for key, c in out.items()}
 
     bound = _reduction_measure(cfg, exps)
@@ -321,12 +341,12 @@ def _violates(exps: tuple[int, ...], targets: tuple[int, ...]) -> bool:
 
 
 def _enforce(cfg: AlgebraConfig, terms: dict) -> dict:
-    """Apply the variant's minimal-exponent-zero constraint to reduced terms."""
+    """Apply the variant's minimal-exponent-zero constraint to Laurent terms."""
     if cfg.variant == "m":
         return terms
     targets = _target_positions(cfg)
     is_gl = cfg.variant == "gl"
-    result: dict[NormalMonomial, object] = {}
+    result: dict[NormalMonomial, LaurentPoly] = {}
     classes: dict[tuple, dict] = {}
     for key, coeff in terms.items():
         if _violates(key.exps, targets):
@@ -367,13 +387,13 @@ class Element:
         if terms is None:
             terms = {}
         if not _raw:
-            terms = _enforce(config, self._validate(config, terms))
+            terms = _project(config, _enforce(config, self._validate(config, terms)))
         self._terms = terms
 
     @staticmethod
     def _validate(cfg: AlgebraConfig, terms: dict) -> dict:
         size = cfg.n * cfg.n
-        out: dict[NormalMonomial, object] = {}
+        out: dict[NormalMonomial, LaurentPoly] = {}
         for key, coeff in terms.items():
             exps, dpower = key.exps, key.dpower
             if len(exps) != size or any(e < 0 for e in exps):
@@ -382,9 +402,7 @@ class Element:
                 raise ValueError("the plain matrix variant has no determinant inverse")
             if cfg.variant == "sl":
                 dpower = 0
-            c = cfg.ring.coerce(coeff)
-            if c:
-                _merge(out, NormalMonomial(tuple(exps), dpower), c)
+            _merge(out, NormalMonomial(tuple(exps), dpower), _lift(cfg, coeff))
         return out
 
     # -- constructors ------------------------------------------------------
@@ -426,12 +444,15 @@ class Element:
 
     @classmethod
     def from_monomials(cls, cfg: AlgebraConfig, pairs) -> Element:
-        return cls(cfg, dict(_accumulate(cfg, pairs)))
+        acc: dict[NormalMonomial, object] = {}
+        for m, coeff in pairs:
+            _merge(acc, m, cfg.ring.coerce(coeff))
+        return cls(cfg, acc)
 
     @classmethod
     def from_words(cls, cfg: AlgebraConfig, entries, strategy: str = "leftmost") -> Element:
         """Build from ``(word, coeff)`` or ``(word, coeff, dpower)`` entries."""
-        groups: dict[int, dict[Word, object]] = {}
+        groups: dict[int, dict[Word, LaurentPoly]] = {}
         for entry in entries:
             word, coeff = entry[0], entry[1]
             dpower = entry[2] if len(entry) > 2 else 0
@@ -442,12 +463,12 @@ class Element:
                 raise ValueError("the plain matrix variant has no determinant inverse")
             if cfg.variant == "sl":
                 dpower = 0
-            _merge(groups.setdefault(dpower, {}), word, cfg.ring.coerce(coeff))
-        terms: dict[NormalMonomial, object] = {}
+            _merge(groups.setdefault(dpower, {}), word, _lift(cfg, coeff))
+        terms: dict[NormalMonomial, LaurentPoly] = {}
         for dpower, words in groups.items():
             for exps, coeff in _rewrite(cfg, words, strategy).items():
                 _merge(terms, NormalMonomial(exps, dpower), coeff)
-        return cls(cfg, _enforce(cfg, terms), _raw=True)
+        return cls(cfg, _project(cfg, _enforce(cfg, terms)), _raw=True)
 
     # -- queries -----------------------------------------------------------
 
@@ -530,15 +551,6 @@ class Element:
             out = multiply(out, self)
         return out
 
-    def map_coefficients(self, fn, cfg: AlgebraConfig | None = None) -> Element:
-        cfg = cfg or self.config
-        out: dict[NormalMonomial, object] = {}
-        for key, coeff in self._terms.items():
-            c = fn(coeff)
-            if c:
-                _merge(out, key, c)
-        return Element(cfg, out, _raw=True)
-
     # -- rendering -----------------------------------------------------------
 
     def __str__(self) -> str:
@@ -548,13 +560,6 @@ class Element:
 
     def __repr__(self) -> str:
         return f"<Element {self}>"
-
-
-def _accumulate(cfg: AlgebraConfig, pairs):
-    acc: dict[NormalMonomial, object] = {}
-    for m, coeff in pairs:
-        _merge(acc, m, cfg.ring.coerce(coeff))
-    return acc.items()
 
 
 def normalize(e: Element) -> Element:

@@ -20,7 +20,7 @@ from .coeff import CycloElem, CycloRing, _merge
 from .monomial import NormalMonomial, canonical_key, row_major_order
 from .render import join_terms, monomial_to_str, term_to_str
 from .report import CheckReport
-from .rewrite import AlgebraConfig, Element, make_config, multiply
+from .rewrite import AlgebraConfig, Element, _project, make_config, multiply
 
 
 class ClassicalMonomial(NamedTuple):
@@ -128,9 +128,8 @@ def specialize(e: Element, ell: int) -> Element:
     cfg = e.config
     if isinstance(cfg.ring, CycloRing):
         raise ValueError("element is already specialized")
-    ring = CycloRing(ell)
-    target = AlgebraConfig(cfg.n, cfg.variant, cfg.order, ring, cfg.flavor)
-    return e.map_coefficients(ring.from_laurent, target)
+    target = AlgebraConfig(cfg.n, cfg.variant, cfg.order, CycloRing(ell), cfg.flavor)
+    return Element(target, _project(target, e.terms), _raw=True)
 
 
 def _require_cyclo(cfg: AlgebraConfig) -> CycloRing:

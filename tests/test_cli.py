@@ -242,6 +242,37 @@ class TestRun:
     def test_even_ell_rejected(self, capsys):
         assert run(["basis", "--ell", "4"]) == 2
 
+    @pytest.mark.parametrize(
+        "error,message",
+        [(MemoryError, "error: out of memory\n"), (RecursionError, "error: recursion limit exceeded\n")],
+    )
+    def test_resource_errors_exit_two(self, capsys, monkeypatch, error, message):
+        from qcoord import cli
+
+        def exhausted(cfg):
+            raise error()
+
+        monkeypatch.setattr(cli.detloc, "quantum_determinant", exhausted)
+        assert run(["det"]) == 2
+        assert capsys.readouterr().err == message
+
+    def test_basis_json_refused_above_cap(self, capsys, monkeypatch):
+        from qcoord import cli
+
+        def never(*args):
+            pytest.fail("the basis was enumerated")
+
+        monkeypatch.setattr(cli.rootspec, "enumerate_basis", never)
+        assert run(["basis", "--n", "4", "--ell", "3", "--json"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: basis --json would list {3**16} keys, more than {cli.MAX_BASIS_JSON}; "
+            "text output streams\n"
+        )
+        # gl adds a determinant residue: l^(n*n) * l keys
+        monkeypatch.setattr(cli, "MAX_BASIS_JSON", 8)
+        assert run(["basis", "--n", "1", "--ell", "3", "--variant", "gl", "--json"]) == 2
+        assert "would list 9 keys, more than 8" in capsys.readouterr().err
+
     def test_failing_check_exits_one(self, capsys, monkeypatch):
         from qcoord import cli
         from qcoord.report import CheckReport

@@ -148,7 +148,7 @@ class TestRingAxioms:
     def test_cyclo_axioms(self):
         rng = random.Random(6)
         ring = CycloRing(9)
-        elems = [ring.from_laurent(random_laurent(rng)) for _ in range(12)]
+        elems = [ring.coerce(random_laurent(rng)) for _ in range(12)]
         for a, b, c in zip(elems, elems[1:], elems[2:]):
             assert (a + b) + c == a + (b + c)
             assert (a * b) * c == a * (b * c)
@@ -174,10 +174,7 @@ class TestUnits:
         eps2 = ring.q_power(2)
         assert ring.unit_power(eps2) == (1, 2)
         assert ring.unit_power(-eps2) == (-1, 2)
-        assert ring.invert_unit(eps2) * eps2 == ring.one()
         assert ring.unit_power(ring.from_int(2)) is None
-        with pytest.raises(ArithmeticError):
-            ring.invert_unit(ring.from_int(2))
 
     def test_minus_one_is_not_a_root_power(self):
         # for odd order, -1 never equals a power of the root

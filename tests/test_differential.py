@@ -1,6 +1,9 @@
 """Straightening over Z_q, then reducing mod phi_l, equals straightening over
-Z_eps(l) directly; and the package's public names stay fixed."""
+Z_eps(l) directly; the package's public names stay fixed and its caches are
+bounded."""
 
+import importlib
+import pkgutil
 import random
 
 import pytest
@@ -56,3 +59,14 @@ def test_public_names_are_unchanged_and_resolve():
     for name in EXPORTS:
         assert getattr(qcoord, name) is not None, name
     assert qcoord.detloc.Permutation is qcoord.Permutation
+
+
+def test_every_cache_has_a_bound():
+    caches = {}
+    for info in pkgutil.iter_modules(qcoord.__path__):
+        module = importlib.import_module(f"qcoord.{info.name}")
+        for name, value in vars(module).items():
+            if hasattr(value, "cache_parameters") and value.__module__ == module.__name__:
+                caches[f"{info.name}.{name}"] = value.cache_parameters()["maxsize"]
+    assert len(caches) >= 7, caches
+    assert all(size is not None for size in caches.values()), caches

@@ -87,6 +87,9 @@ class TestOrders:
         assert order.seq == ((1, 1), (1, 2), (2, 1), (2, 2))
         assert order.rank((2, 1)) == 2
 
+    def test_row_major_is_built_once(self):
+        assert row_major_order(3) is row_major_order(3)
+
     def test_opposite_n2(self):
         order = make_opposite_order(2)
         assert order.seq[0] == (2, 2)

@@ -252,9 +252,9 @@ class TestSpecializedEngine:
             over_q = normal_form_of_word(cfg_q, word)
             over_e = normal_form_of_word(cfg_e, word)
             reduced = {
-                exps: ring.from_laurent(c)
+                exps: ring.coerce(c)
                 for exps, c in over_q.items()
-                if ring.from_laurent(c)
+                if ring.coerce(c)
             }
             assert over_e == reduced
 
