@@ -11,8 +11,9 @@ separated by whitespace or an explicit ``*``)::
 Negative exponents are allowed only on ``q`` and ``D``.  ``D`` requires the
 localized or special variant.  Parentheses nest at most ``MAX_NESTING``
 deep.  Exit codes: 0 success, 1 failed check, 2 usage, parse or input error,
-or a command too large to finish (out of memory, recursion limit, or
-``basis --json`` above ``MAX_BASIS_JSON`` keys).
+or a command too large to finish (out of memory, recursion limit,
+``basis --json`` above ``MAX_BASIS_JSON`` keys, or a quantum determinant
+expanded at ``n`` above ``rewrite.MAX_DET_N``).
 """
 
 from __future__ import annotations
@@ -461,7 +462,7 @@ def run(argv) -> int:
                 for entry in payload["entries"]:
                     print(f"{entry['basis_key']}: {entry['classical_coeff']}")
         elif args.command == "phi":
-            ctx = frobext.FrobeniusContext(run_cfg.n, run_cfg.ell, run_cfg.variant)
+            ctx = frobext.FrobeniusContext(run_cfg.n, run_cfg.ell, run_cfg.variant, cfg.order)
             value = ctx.phi(evaluate(args.expr, ctx.config))
             if run_cfg.json:
                 _emit_json(
@@ -470,7 +471,7 @@ def run(argv) -> int:
             else:
                 print(value)
         elif args.command == "nakayama":
-            ctx = frobext.FrobeniusContext(run_cfg.n, run_cfg.ell, run_cfg.variant)
+            ctx = frobext.FrobeniusContext(run_cfg.n, run_cfg.ell, run_cfg.variant, cfg.order)
             _print_element(ctx.nakayama(evaluate(args.expr, ctx.config)), run_cfg)
         elif args.command == "basis":
             keys = run_cfg.ell ** (run_cfg.n**2 + (run_cfg.variant == "gl"))

@@ -18,8 +18,11 @@ from .rewrite import (
     AlgebraConfig,
     Element,
     _det_word_pairs,
+    _dpower,
     _project,
     _reduction_step,
+    _target_positions,
+    _violates,
     make_config,
     multiply,
     swap_adjacent,
@@ -75,13 +78,11 @@ def diagonal_reduction(cfg: AlgebraConfig, m: NormalMonomial) -> Element | None:
     """
     if cfg.variant not in ("gl", "sl"):
         raise ValueError("determinant reduction applies to the gl and sl variants")
-    positive = m.min_diag() if cfg.flavor == "standard" else m.min_antidiag()
-    if positive < 1:
+    if not _violates(m.exps, _target_positions(cfg)):
         return None
-    is_gl = cfg.variant == "gl"
     terms = {}
     for exps, dshift, coeff in _reduction_step(cfg, m.exps):
-        _merge(terms, NormalMonomial(exps, m.dpower + dshift if is_gl else 0), coeff)
+        _merge(terms, NormalMonomial(exps, _dpower(cfg, m.dpower + dshift)), coeff)
     return Element(cfg, _project(cfg, terms), _raw=True)
 
 
@@ -180,6 +181,7 @@ def check_sl_gl_iso(n: int) -> CheckReport:
     expansions), the determinant-equals-one relation, and centrality of the
     image of ``x``.
     """
+    det_words = _det_word_pairs(n)  # fails fast above MAX_DET_N
     cfg_sl = make_config(n, "sl")
     cfg_gl = gl_config_like(cfg_sl)
     report = CheckReport("iso", n)
@@ -198,7 +200,7 @@ def check_sl_gl_iso(n: int) -> CheckReport:
             )
 
     det_image = Element.zero(cfg_gl)
-    for word, coeff in _det_word_pairs(n):
+    for word, coeff in det_words:
         det_image = det_image + _iso_image_of_word(cfg_gl, word, 0, coeff)
     residual = det_image - Element.one(cfg_gl)
     report.add("determinant maps to 1", str(residual), residual.is_zero())

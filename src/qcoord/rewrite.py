@@ -16,10 +16,14 @@ also spawns a two-letter replacement of strictly smaller weight; the
 measure (weight, inversion count) therefore strictly decreases and the
 process terminates.
 
-For the localized and special variants, a second reduction phase expresses
-monomials whose diagonal (or antidiagonal) exponents are all positive in
-terms of the quantum determinant, enforcing the normal-form constraint that
-the minimal diagonal (antidiagonal) exponent be zero.
+For the localized and special variants, a second reduction phase enforces
+the normal-form constraint that the minimal diagonal (antidiagonal, under
+the opposite flavor) exponent be zero.  If ``m`` has every such target
+exponent positive, let ``t0`` be ``m`` with one factor taken off at each
+target.  The quantum determinant ``D`` is central, and ``t0 D`` straightens
+to ``c m + rest`` with ``c`` a unit and ``rest`` strictly smaller, so
+``m = c**-1 (t0 D - rest)`` trades one target factor per position for a
+determinant factor.
 
 Both phases compute over ``Z_q`` only.  A root-of-unity configuration is the
 base change of the ``Z_q`` form along ``reduce_mod``, a ring homomorphism,
@@ -33,6 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations
+from math import factorial
 
 from .coeff import CycloElem, CycloRing, LaurentPoly, LaurentRing, _merge
 from .monomial import (
@@ -61,6 +66,10 @@ _ZQ = LaurentRing()
 # and about 1,500 distinct reduction-step monomials in a mixed gl/sl workload.
 _SMALL_CACHE = 64
 _REDUCTION_CACHE = 1 << 14
+
+# Largest dimension whose quantum determinant is expanded: the sum has n!
+# terms, and straightening it at n = 8 already takes about half a minute.
+MAX_DET_N = 8
 
 
 @dataclass(frozen=True)
@@ -143,10 +152,10 @@ def swap_adjacent(x: GenIndex, y: GenIndex) -> list[tuple[Word, LaurentPoly]] | 
 
 
 @lru_cache(maxsize=_SMALL_CACHE)
-def _swap_table(n: int):
-    """:func:`_relation` tabulated over all ordered pairs of distinct letters."""
-    gens = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
-    return {(x, y): _relation(x, y) for x in gens for y in gens if x != y}
+def _swap_table(n: int) -> dict:
+    """Memo of :func:`_relation` for dimension ``n``, filled on demand by
+    :func:`_rewrite`: it holds only the pairs a straightening has met."""
+    return {}
 
 
 def _rewrite(cfg: AlgebraConfig, pending: dict, strategy: str = "leftmost", trace=None) -> dict:
@@ -189,7 +198,10 @@ def _rewrite(cfg: AlgebraConfig, pending: dict, strategy: str = "leftmost", trac
                 continue
             x = word[pos]
             y = word[pos + 1]
-            qexp, branch = table[(x, y)]
+            relation = table.get((x, y))
+            if relation is None:
+                relation = table[(x, y)] = _relation(x, y)
+            qexp, branch = relation
             swapped = word[:pos] + (y, x) + word[pos + 2:]
             _merge(bucket, swapped, shift(coeff, qexp) if qexp else coeff)
             produced = [(swapped, "swap")]
@@ -237,7 +249,15 @@ def normal_form_of_word(cfg: AlgebraConfig, word: Word, strategy: str = "leftmos
 
 @lru_cache(maxsize=_SMALL_CACHE)
 def _det_word_pairs(n: int) -> tuple[tuple[Word, LaurentPoly], ...]:
-    """Words and coefficients of ``sum_s (-q)^len(s) t[1,s(1)] .. t[n,s(n)]``."""
+    """Words and coefficients of ``sum_s (-q)^len(s) t[1,s(1)] .. t[n,s(n)]``.
+
+    Raises ``ValueError`` above ``MAX_DET_N`` before enumerating anything.
+    """
+    if n > MAX_DET_N:
+        raise ValueError(
+            f"the quantum determinant at n={n} has {factorial(n)} terms; "
+            f"determinants are limited to n <= {MAX_DET_N}"
+        )
     out = []
     for images in permutations(range(1, n + 1)):
         sigma = Permutation(images)
@@ -259,11 +279,10 @@ def _target_positions(cfg: AlgebraConfig) -> tuple[int, ...]:
     return tuple((i - 1) * n + (n - i) for i in range(1, n + 1))
 
 
-def _pullout_word(cfg: AlgebraConfig) -> Word:
-    n = cfg.n
-    if cfg.flavor == "standard":
-        return tuple((i, i) for i in range(1, n + 1))
-    return tuple((i, n + 1 - i) for i in range(n, 0, -1))
+def _violates(exps: tuple[int, ...], targets: tuple[int, ...]) -> bool:
+    """Whether every target exponent is positive: the monomial breaks the
+    minimal-exponent-zero constraint and a determinant factor comes out."""
+    return all(exps[t] >= 1 for t in targets)
 
 
 def _reduction_measure(cfg: AlgebraConfig, exps: tuple[int, ...]):
@@ -274,70 +293,50 @@ def _reduction_measure(cfg: AlgebraConfig, exps: tuple[int, ...]):
 
 @lru_cache(maxsize=_REDUCTION_CACHE)
 def _reduction_step(cfg: AlgebraConfig, exps: tuple[int, ...]):
-    """Expand a monomial with all target exponents positive.
+    """Trade one determinant factor out of a monomial ``m`` with every
+    target exponent positive.
 
-    Returns entries ``(exps', dshift, coeff)`` with ``dshift`` 1 exactly on
-    the term carrying the freed determinant factor.  All emitted monomials
-    are strictly smaller than the input in the flavor's reduction measure;
-    that descent is what makes iterated enforcement terminate, so it is
-    checked here rather than assumed.
+    ``t0`` is ``m`` with one factor taken off at each target.  A single
+    straightening of ``t0 D`` gives ``c m + rest`` with ``c`` a unit, so
+    ``m = c**-1 (t0 D - rest)``.  Returns entries ``(exps', dshift, coeff)``:
+    ``(t0, 1, c**-1)`` carries the freed determinant factor, and each term
+    ``c2 e2`` of ``rest`` gives ``(e2, 0, -c**-1 c2)``.  All emitted
+    monomials are strictly smaller than the input in the flavor's reduction
+    measure; that descent is what makes iterated enforcement terminate, so
+    it is checked here rather than assumed.
     """
     order = cfg.order
     targets = _target_positions(cfg)
-    if not all(exps[t] >= 1 for t in targets):
+    if not _violates(exps, targets):
         raise ValueError("reduction requires every target exponent to be positive")
 
     t0 = list(exps)
     for t in targets:
         t0[t] -= 1
     t0 = tuple(t0)
-    pull = _pullout_word(cfg)
-    pull_exps = word_exponents(pull, cfg.n)
-
-    straightened = _rewrite(
-        cfg, {NormalMonomial(t0).word(order) + pull: LaurentPoly(1)}
-    )
-    lead_inv = _ZQ.invert_unit(straightened.pop(exps))
-
-    det = _det_terms(cfg)
-    pull_inv = _ZQ.invert_unit(det[pull_exps])
-
-    out: dict[tuple[tuple[int, ...], int], LaurentPoly] = {}
-    main = lead_inv * pull_inv
-    _merge(out, (t0, 1), main)
-    neg_main = -main
     t0_word = NormalMonomial(t0).word(order)
-    for det_exps, det_coeff in det.items():
-        if det_exps == pull_exps:
-            continue
-        product = _rewrite(
-            cfg, {t0_word + NormalMonomial(det_exps).word(order): neg_main * det_coeff}
-        )
-        for e2, c2 in product.items():
-            _merge(out, (e2, 0), c2)
-    neg_lead_inv = -lead_inv
-    for e2, c2 in straightened.items():
-        _merge(out, (e2, 0), neg_lead_inv * c2)
-
-    # Under the opposite flavor, reordering the traded determinant terms can
-    # branch back into the input monomial itself; its net coefficient there
-    # is one minus a unit multiple, so it can be solved for and divided out.
-    self_coeff = out.pop((exps, 0), None)
-    if self_coeff is not None:
-        rescale = _ZQ.invert_unit(1 - self_coeff)
-        out = {key: c * rescale for key, c in out.items()}
+    product = _rewrite(
+        cfg, {t0_word + NormalMonomial(e).word(order): c for e, c in _det_terms(cfg).items()}
+    )
+    inv = _ZQ.invert_unit(product.pop(exps, _ZQ.zero()))
+    neg_inv = -inv
+    out = [(t0, 1, inv)] + [(e2, 0, neg_inv * c2) for e2, c2 in product.items()]
 
     bound = _reduction_measure(cfg, exps)
-    for (e2, _dshift), _c in out.items():
+    for e2, _dshift, _c in out:
         if _reduction_measure(cfg, e2) >= bound:
             raise ArithmeticError(
                 "determinant reduction emitted a monomial that does not descend"
             )
-    return tuple((e2, dshift, c) for (e2, dshift), c in out.items())
+    return tuple(out)
 
 
-def _violates(exps: tuple[int, ...], targets: tuple[int, ...]) -> bool:
-    return all(exps[t] >= 1 for t in targets)
+def _dpower(cfg: AlgebraConfig, z: int) -> int:
+    """The determinant power a key of ``cfg`` carries for ``D**z``: ``z``
+    under ``gl``, 0 under ``sl`` (where ``D = 1``); ``m`` has no ``D``."""
+    if cfg.variant == "m" and z != 0:
+        raise ValueError("the plain matrix variant has no determinant inverse")
+    return z if cfg.variant == "gl" else 0
 
 
 def _enforce(cfg: AlgebraConfig, terms: dict) -> dict:
@@ -345,7 +344,6 @@ def _enforce(cfg: AlgebraConfig, terms: dict) -> dict:
     if cfg.variant == "m":
         return terms
     targets = _target_positions(cfg)
-    is_gl = cfg.variant == "gl"
     result: dict[NormalMonomial, LaurentPoly] = {}
     classes: dict[tuple, dict] = {}
     for key, coeff in terms.items():
@@ -358,7 +356,7 @@ def _enforce(cfg: AlgebraConfig, terms: dict) -> dict:
         bucket = classes.pop(top)
         for key, coeff in bucket.items():
             for e2, dshift, c2 in _reduction_step(cfg, key.exps):
-                key2 = NormalMonomial(e2, key.dpower + dshift if is_gl else 0)
+                key2 = NormalMonomial(e2, _dpower(cfg, key.dpower + dshift))
                 c = coeff * c2
                 if _violates(e2, targets):
                     _merge(classes.setdefault(_reduction_measure(cfg, e2), {}), key2, c)
@@ -395,14 +393,10 @@ class Element:
         size = cfg.n * cfg.n
         out: dict[NormalMonomial, LaurentPoly] = {}
         for key, coeff in terms.items():
-            exps, dpower = key.exps, key.dpower
+            exps = key.exps
             if len(exps) != size or any(e < 0 for e in exps):
                 raise ValueError(f"bad exponent table {exps}")
-            if cfg.variant == "m" and dpower != 0:
-                raise ValueError("the plain matrix variant has no determinant inverse")
-            if cfg.variant == "sl":
-                dpower = 0
-            _merge(out, NormalMonomial(tuple(exps), dpower), _lift(cfg, coeff))
+            _merge(out, NormalMonomial(tuple(exps), _dpower(cfg, key.dpower)), _lift(cfg, coeff))
         return out
 
     # -- constructors ------------------------------------------------------
@@ -431,10 +425,10 @@ class Element:
 
     @classmethod
     def d_power(cls, cfg: AlgebraConfig, z: int) -> Element:
-        """The central determinant power ``D**z`` (localized variant only)."""
-        if cfg.variant == "m":
-            raise ValueError("the plain matrix variant has no determinant inverse")
-        if cfg.variant == "sl" or z == 0:
+        """The central determinant power ``D**z``: one under ``sl``, and
+        under ``m`` only ``z = 0`` is defined."""
+        z = _dpower(cfg, z)
+        if z == 0:
             return cls.one(cfg)
         return cls(cfg, {NormalMonomial((0,) * (cfg.n * cfg.n), z): cfg.ring.one()}, _raw=True)
 
@@ -455,14 +449,10 @@ class Element:
         groups: dict[int, dict[Word, LaurentPoly]] = {}
         for entry in entries:
             word, coeff = entry[0], entry[1]
-            dpower = entry[2] if len(entry) > 2 else 0
+            dpower = _dpower(cfg, entry[2] if len(entry) > 2 else 0)
             word = tuple(word)
             for g in word:
                 check_gen(g, cfg.n)
-            if cfg.variant == "m" and dpower != 0:
-                raise ValueError("the plain matrix variant has no determinant inverse")
-            if cfg.variant == "sl":
-                dpower = 0
             _merge(groups.setdefault(dpower, {}), word, _lift(cfg, coeff))
         terms: dict[NormalMonomial, LaurentPoly] = {}
         for dpower, words in groups.items():

@@ -201,6 +201,12 @@ class TestRun:
         assert run(["nakayama", "t[1,1]", "--ell", "3"]) == 0
         assert capsys.readouterr().out == "(-1 - q) t[1,1]\n"
 
+    def test_nakayama_follows_the_generator_order(self, capsys):
+        # t[2,2] t[1,2] t[2,1] is already ordered under the opposite order
+        argv = ["nakayama", "t[2,2] t[1,2] t[2,1]", "--ell", "3", "--order", "opposite"]
+        assert run(argv) == 0
+        assert capsys.readouterr().out == "q t[2,2] t[1,2] t[2,1]\n"
+
     def test_basis_listing(self, capsys):
         assert run(["basis", "--ell", "3", "--n", "1"]) == 0
         assert capsys.readouterr().out == "1\nt[1,1]\nt[1,1]^2\n"
@@ -272,6 +278,13 @@ class TestRun:
         monkeypatch.setattr(cli, "MAX_BASIS_JSON", 8)
         assert run(["basis", "--n", "1", "--ell", "3", "--variant", "gl", "--json"]) == 2
         assert "would list 9 keys, more than 8" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["det", "--n", "9"], ["check", "iso", "--n", "9"]])
+    def test_determinant_above_size_limit_exits_two(self, capsys, argv):
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "n <= 8" in err
 
     def test_failing_check_exits_one(self, capsys, monkeypatch):
         from qcoord import cli

@@ -309,15 +309,27 @@ class TestEnforcementStress:
             z = _random_element(rng, cfg, dp_range)
             assert multiply(multiply(x, y), z) == multiply(x, multiply(y, z))
 
-    @pytest.mark.parametrize("flavor", ["standard", "opposite"])
-    def test_enforced_form_equals_determinant_clearing_oracle(self, flavor):
+    @pytest.mark.parametrize(
+        "flavor,n,ell,max_exp",
+        [
+            ("standard", 2, None, 3),
+            ("opposite", 2, None, 3),
+            ("standard", 3, None, 2),
+            ("opposite", 3, None, 2),
+            ("standard", 3, 3, 1),
+            ("opposite", 3, 3, 1),
+        ],
+        ids=["standard", "opposite", "standard-n3", "opposite-n3", "standard-n3-ell3",
+             "opposite-n3-ell3"],
+    )
+    def test_enforced_form_equals_determinant_clearing_oracle(self, flavor, n, ell, max_exp):
         # shift both routes by enough determinant powers to stay polynomial,
         # then expand every power into actual determinant products
         rng = random.Random(8888)
-        cfg = make_config(2, "gl", flavor=flavor)
-        cfg_m = AlgebraConfig(2, "m", cfg.order, cfg.ring, flavor)
+        cfg = make_config(n, "gl", ell=ell, flavor=flavor)
+        cfg_m = AlgebraConfig(n, "m", cfg.order, cfg.ring, flavor)
         for _ in range(25):
-            exps = tuple(rng.randint(0, 3) for _ in range(4))
+            exps = tuple(rng.randint(0, max_exp) for _ in range(n * n))
             dp = rng.randint(-2, 2)
             lift = max(0, -dp)
             enforced = Element.from_monomials(cfg, [(NormalMonomial(exps, dp), 1)])
