@@ -32,6 +32,9 @@ from .rewrite import AlgebraConfig, Element, make_config, multiply, normal_form_
 
 CHECK_SUITES = ("central", "pbw-confluence", "frobenius", "nakayama", "iso", "identities")
 
+# Commands, and check suites as ``check <suite>``, that work at a root of unity.
+NEEDS_ELL = ("expand", "phi", "nakayama", "basis", "check frobenius", "check nakayama")
+
 # Deepest parenthesis nesting the parser accepts.  Parsing and evaluation
 # take a few stack frames per level, so this keeps both far below the
 # interpreter's recursion limit.
@@ -349,14 +352,8 @@ def _run_check(suite: str, run: RunConfig) -> int:
     elif suite == "pbw-confluence":
         report = _confluence_report(run.n)
     elif suite == "frobenius":
-        if run.ell is None:
-            print("check frobenius requires --ell", file=sys.stderr)
-            return 2
         report = rootspec.check_frobenius_central(run.n, run.ell)
     elif suite == "nakayama":
-        if run.ell is None:
-            print("check nakayama requires --ell", file=sys.stderr)
-            return 2
         report = frobext.check_nakayama(run.n, run.ell)
     elif suite == "iso":
         report = detloc.check_sl_gl_iso(run.n)
@@ -421,17 +418,14 @@ def run(argv) -> int:
         code = exc.code
         return int(code) if code is not None else 0
     run_cfg = _run_config(args)
+    command = f"check {args.suite}" if args.command == "check" else args.command
+    if command in NEEDS_ELL and run_cfg.ell is None:
+        print(f"{command} requires --ell", file=sys.stderr)
+        return 2
 
     try:
         if args.command == "check":
             return _run_check(args.suite, run_cfg)
-
-        if args.command in ("expand", "phi", "nakayama") and run_cfg.ell is None:
-            print(f"{args.command} requires --ell", file=sys.stderr)
-            return 2
-        if args.command == "basis" and run_cfg.ell is None:
-            print("basis requires --ell", file=sys.stderr)
-            return 2
 
         cfg = run_cfg.algebra()
         if args.command == "nf":

@@ -8,6 +8,11 @@ Two ground rings are supported:
   where ``phi_l`` is the ``l``-th cyclotomic polynomial.  The class ``eps``
   of ``q`` is a primitive ``l``-th root of unity, so ``eps**l == 1``.
 
+Laurent polynomials, algebra elements (``rewrite.Element``) and classical
+coefficients (``rootspec.ClassicalPoly``) are all finite sparse
+combinations; :class:`Combination` holds their additive arithmetic once.
+The dense ``Z_eps(l)`` residues stay outside it.
+
 Everything here is exact integer arithmetic; there is no floating point.
 
 >>> LaurentPoly.q_power(1) * LaurentPoly.q_power(-1)
@@ -40,16 +45,83 @@ def _merge(bucket: dict, key, coeff) -> None:
             del bucket[key]
 
 
-class LaurentPoly:
-    """A Laurent polynomial in ``q`` over the integers.
+class Combination:
+    """A finite sparse linear combination: ``terms`` maps keys to nonzero
+    coefficients, and an empty ``terms`` is zero.
 
-    ``terms`` maps integer exponents to nonzero integer coefficients; the
-    zero polynomial has no terms.  Instances are immutable in practice:
-    every operation returns a fresh object and ``terms`` must not be
-    mutated by callers.
+    The additive arithmetic is written once here.  A subclass supplies
+    ``space``, which operands of ``+`` and ``==`` must share, and two hooks:
+    ``_like(terms)`` wraps already-merged terms as an instance in the same
+    space, and ``_scalar(k)`` is the integer ``k`` as an instance.  Instances
+    are immutable in practice: every operation returns a fresh object and
+    ``terms`` must not be mutated by callers.
     """
 
     __slots__ = ("terms",)
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
+    def _operand(self, other):
+        """``other`` as an instance in this space: an ``int`` is read as a
+        scalar, any other type is a ``TypeError`` and another space a
+        ``ValueError``."""
+        if isinstance(other, int):
+            return self._scalar(other)
+        if type(other) is not type(self):
+            raise TypeError(
+                f"cannot combine {type(self).__name__} with {type(other).__name__}"
+            )
+        if other.space != self.space:
+            raise ValueError(f"{type(self).__name__} operands live in different spaces")
+        return other
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, int):
+            other = self._scalar(other)
+        elif type(other) is not type(self):
+            return NotImplemented
+        return self.space == other.space and self.terms == other.terms
+
+    def __hash__(self) -> int:
+        return hash((self.space, frozenset(self.terms.items())))
+
+    def __add__(self, other):
+        if type(other) is not type(self) or other.space != self.space:
+            other = self._operand(other)
+        merged = dict(self.terms)
+        for key, coeff in other.terms.items():
+            _merge(merged, key, coeff)
+        return self._like(merged)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return self._like({key: -coeff for key, coeff in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-self._operand(other))
+
+    def __rsub__(self, other):
+        return self._operand(other) + (-self)
+
+    def scale(self, c):
+        """Multiply every coefficient by the scalar ``c``."""
+        return self._like({key: v for key, coeff in self.terms.items() if (v := coeff * c)})
+
+
+class LaurentPoly(Combination):
+    """A Laurent polynomial in ``q`` over the integers.
+
+    ``terms`` maps integer exponents to nonzero integer coefficients; the
+    zero polynomial has no terms.
+    """
+
+    __slots__ = ()
+    space = None
 
     def __init__(self, terms: dict[int, int] | int = 0):
         if isinstance(terms, int):
@@ -57,6 +129,14 @@ class LaurentPoly:
         else:
             terms = {e: c for e, c in terms.items() if c}
         self.terms = terms
+
+    def _like(self, terms: dict[int, int]) -> LaurentPoly:
+        out = LaurentPoly.__new__(LaurentPoly)
+        out.terms = terms
+        return out
+
+    def _scalar(self, k: int) -> LaurentPoly:
+        return LaurentPoly(k)
 
     @classmethod
     def q_power(cls, k: int = 1) -> LaurentPoly:
@@ -68,61 +148,14 @@ class LaurentPoly:
         """The scalar ``q - q**-1`` appearing in the commutation relations."""
         return cls({1: 1, -1: -1})
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, int):
-            other = LaurentPoly(other)
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self.terms.items()))
-
-    def __add__(self, other) -> LaurentPoly:
-        if isinstance(other, int):
-            other = LaurentPoly(other)
-        merged = dict(self.terms)
-        for e, c in other.terms.items():
-            _merge(merged, e, c)
-        out = LaurentPoly.__new__(LaurentPoly)
-        out.terms = merged
-        return out
-
-    __radd__ = __add__
-
-    def __neg__(self) -> LaurentPoly:
-        out = LaurentPoly.__new__(LaurentPoly)
-        out.terms = {e: -c for e, c in self.terms.items()}
-        return out
-
-    def __sub__(self, other) -> LaurentPoly:
-        if isinstance(other, int):
-            other = LaurentPoly(other)
-        return self + (-other)
-
-    def __rsub__(self, other) -> LaurentPoly:
-        return LaurentPoly(other) + (-self)
-
     def __mul__(self, other) -> LaurentPoly:
         if isinstance(other, int):
-            if not other:
-                return LaurentPoly()
-            out = LaurentPoly.__new__(LaurentPoly)
-            out.terms = {e: c * other for e, c in self.terms.items()}
-            return out
+            return self.scale(other)
         prod: dict[int, int] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 _merge(prod, e1 + e2, c1 * c2)
-        out = LaurentPoly.__new__(LaurentPoly)
-        out.terms = prod
-        return out
+        return self._like(prod)
 
     __rmul__ = __mul__
 
@@ -136,9 +169,7 @@ class LaurentPoly:
 
     def shift(self, k: int) -> LaurentPoly:
         """Multiply by ``q**k`` (exponent shift)."""
-        out = LaurentPoly.__new__(LaurentPoly)
-        out.terms = {e + k: c for e, c in self.terms.items()}
-        return out
+        return self._like({e + k: c for e, c in self.terms.items()})
 
     def __str__(self) -> str:
         from .render import format_qpoly
@@ -353,9 +384,14 @@ class LaurentRing:
         return c.shift(k)
 
     def qdiff_mul(self, c: LaurentPoly, sign: int) -> LaurentPoly:
-        """``sign * (q - q^-1) * c``."""
-        up, down = c.shift(1), c.shift(-1)
-        return (up - down) if sign > 0 else (down - up)
+        """``sign * (q - q^-1) * c``, built in one pass over ``c``: this runs
+        once per nested-corner swap of the straightener."""
+        out: dict[int, int] = {}
+        for e, v in c.terms.items():
+            v *= sign
+            _merge(out, e + 1, v)
+            _merge(out, e - 1, -v)
+        return c._like(out)
 
     def unit_power(self, c: LaurentPoly) -> tuple[int, int] | None:
         """Return ``(sign, k)`` when ``c == sign * q**k``, else ``None``."""

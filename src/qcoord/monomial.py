@@ -174,16 +174,10 @@ def row_major_order(n: int) -> GenOrder:
     return GenOrder(n, seq, STANDARD_KIND)
 
 
-def make_opposite_order(n: int, within_block=None) -> GenOrder:
-    """Build an order satisfying the antidiagonal block constraint.
-
-    ``within_block`` optionally gives a sort key applied inside each of the
-    three regions; the default is row-major.
-    """
-    if within_block is None:
-        within_block = lambda g: g
-    gens = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
-    gens.sort(key=lambda g: (antidiag_region(n, g), within_block(g)))
+def make_opposite_order(n: int) -> GenOrder:
+    """Build an order satisfying the antidiagonal block constraint: the
+    three regions in turn, row-major within each."""
+    gens = sorted(row_major_order(n).seq, key=lambda g: antidiag_region(n, g))
     return GenOrder(n, tuple(gens), OPPOSITE_KIND)
 
 

@@ -34,12 +34,13 @@ once at the end (:func:`_project`).
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations
 from math import factorial
 
-from .coeff import CycloElem, CycloRing, LaurentPoly, LaurentRing, _merge
+from .coeff import Combination, CycloElem, CycloRing, LaurentPoly, LaurentRing, _merge
 from .monomial import (
     OPPOSITE_KIND,
     GenIndex,
@@ -68,7 +69,8 @@ _SMALL_CACHE = 64
 _REDUCTION_CACHE = 1 << 14
 
 # Largest dimension whose quantum determinant is expanded: the sum has n!
-# terms, and straightening it at n = 8 already takes about half a minute.
+# terms, and straightening it at n = 8 takes about 2 s (Python 3.11, 2 cores)
+# while each further dimension multiplies the term count by n.
 MAX_DET_N = 8
 
 
@@ -179,11 +181,13 @@ def _rewrite(cfg: AlgebraConfig, pending: dict, strategy: str = "leftmost", trac
     for word, coeff in pending.items():
         if coeff:
             _merge(classes.setdefault((len(word), *word_exponents(word, n)), {}), word, coeff)
+    # The open class keys, ascending and kept in step with ``classes``, so
+    # the last one is the largest.
+    queue = sorted(classes)
 
     result: dict[tuple[int, ...], LaurentPoly] = {}
-    while classes:
-        top = max(classes)
-        bucket = classes.pop(top)
+    while queue:
+        bucket = classes.pop(queue.pop())
         while bucket:
             word, coeff = bucket.popitem()
             k = len(word)
@@ -204,17 +208,19 @@ def _rewrite(cfg: AlgebraConfig, pending: dict, strategy: str = "leftmost", trac
             qexp, branch = relation
             swapped = word[:pos] + (y, x) + word[pos + 2:]
             _merge(bucket, swapped, shift(coeff, qexp) if qexp else coeff)
-            produced = [(swapped, "swap")]
             if branch is not None:
                 u, v, sign = branch
                 branched = word[:pos] + (u, v) + word[pos + 2:]
-                _merge(
-                    classes.setdefault((k, *word_exponents(branched, n)), {}),
-                    branched,
-                    qdiff_mul(coeff, sign),
-                )
-                produced.append((branched, "branch"))
+                key = (k, *word_exponents(branched, n))
+                target = classes.get(key)
+                if target is None:
+                    target = classes[key] = {}
+                    insort(queue, key)
+                _merge(target, branched, qdiff_mul(coeff, sign))
             if trace is not None:
+                produced = [(swapped, "swap")]
+                if branch is not None:
+                    produced.append((branched, "branch"))
                 trace.append((word, produced))
     return result
 
@@ -346,22 +352,26 @@ def _enforce(cfg: AlgebraConfig, terms: dict) -> dict:
     targets = _target_positions(cfg)
     result: dict[NormalMonomial, LaurentPoly] = {}
     classes: dict[tuple, dict] = {}
-    for key, coeff in terms.items():
-        if _violates(key.exps, targets):
-            _merge(classes.setdefault(_reduction_measure(cfg, key.exps), {}), key, coeff)
-        else:
+    queue: list[tuple] = []
+
+    def add(key: NormalMonomial, coeff: LaurentPoly) -> None:
+        if not _violates(key.exps, targets):
             _merge(result, key, coeff)
-    while classes:
-        top = max(classes)
-        bucket = classes.pop(top)
-        for key, coeff in bucket.items():
+            return
+        measure = _reduction_measure(cfg, key.exps)
+        bucket = classes.get(measure)
+        if bucket is None:
+            bucket = classes[measure] = {}
+            insort(queue, measure)
+        _merge(bucket, key, coeff)
+
+    for key, coeff in terms.items():
+        add(key, coeff)
+    # ``queue`` holds the open measures, ascending: the last is the largest.
+    while queue:
+        for key, coeff in classes.pop(queue.pop()).items():
             for e2, dshift, c2 in _reduction_step(cfg, key.exps):
-                key2 = NormalMonomial(e2, _dpower(cfg, key.dpower + dshift))
-                c = coeff * c2
-                if _violates(e2, targets):
-                    _merge(classes.setdefault(_reduction_measure(cfg, e2), {}), key2, c)
-                else:
-                    _merge(result, key2, c)
+                add(NormalMonomial(e2, _dpower(cfg, key.dpower + dshift)), coeff * c2)
     return result
 
 
@@ -370,15 +380,16 @@ def _enforce(cfg: AlgebraConfig, terms: dict) -> dict:
 # ---------------------------------------------------------------------------
 
 
-class Element:
+class Element(Combination):
     """A finite linear combination of normal monomials, always reduced.
 
     Construction goes through :meth:`from_words` or :meth:`from_monomials`,
     which straighten and apply the basis constraint; arithmetic keeps the
-    result in normal form.
+    result in normal form.  ``terms`` maps normal monomials to coefficients
+    of ``config.ring``; operands must share ``config``.
     """
 
-    __slots__ = ("config", "_terms")
+    __slots__ = ("config",)
 
     def __init__(self, config: AlgebraConfig, terms: dict | None = None, *, _raw: bool = False):
         self.config = config
@@ -386,7 +397,17 @@ class Element:
             terms = {}
         if not _raw:
             terms = _project(config, _enforce(config, self._validate(config, terms)))
-        self._terms = terms
+        self.terms = terms
+
+    @property
+    def space(self) -> AlgebraConfig:
+        return self.config
+
+    def _like(self, terms: dict) -> Element:
+        return Element(self.config, terms, _raw=True)
+
+    def _scalar(self, k: int) -> Element:
+        return Element.scalar(self.config, k)
 
     @staticmethod
     def _validate(cfg: AlgebraConfig, terms: dict) -> dict:
@@ -462,68 +483,17 @@ class Element:
 
     # -- queries -----------------------------------------------------------
 
-    @property
-    def terms(self) -> dict:
-        """Mapping of normal monomials to coefficients.  Do not mutate."""
-        return self._terms
-
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def __bool__(self) -> bool:
-        return bool(self._terms)
-
     def coefficient(self, m: NormalMonomial):
-        return self._terms.get(m, self.config.ring.zero())
+        return self.terms.get(m, self.config.ring.zero())
 
     def sorted_terms(self) -> list:
         """Terms sorted by :func:`canonical_key`, largest first."""
-        return sorted(self._terms.items(), key=lambda kv: canonical_key(kv[0]), reverse=True)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Element):
-            return NotImplemented
-        return self.config == other.config and self._terms == other._terms
-
-    def __hash__(self) -> int:
-        return hash((self.config, frozenset(self._terms.items())))
+        return sorted(self.terms.items(), key=lambda kv: canonical_key(kv[0]), reverse=True)
 
     # -- arithmetic ----------------------------------------------------------
 
-    def _check_config(self, other: Element) -> None:
-        if self.config != other.config:
-            raise ValueError("elements live in different algebra configurations")
-
-    def __add__(self, other) -> Element:
-        if isinstance(other, int):
-            other = Element.scalar(self.config, other)
-        self._check_config(other)
-        merged = dict(self._terms)
-        for key, coeff in other._terms.items():
-            _merge(merged, key, coeff)
-        return Element(self.config, merged, _raw=True)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> Element:
-        return Element(
-            self.config, {k: -c for k, c in self._terms.items()}, _raw=True
-        )
-
-    def __sub__(self, other) -> Element:
-        if isinstance(other, int):
-            other = Element.scalar(self.config, other)
-        return self + (-other)
-
-    def __rsub__(self, other) -> Element:
-        return Element.scalar(self.config, other) - self
-
     def scale(self, value) -> Element:
-        c = self.config.ring.coerce(value)
-        out: dict[NormalMonomial, object] = {}
-        for key, coeff in self._terms.items():
-            _merge(out, key, coeff * c)
-        return Element(self.config, out, _raw=True)
+        return super().scale(self.config.ring.coerce(value))
 
     def __mul__(self, other) -> Element:
         if isinstance(other, Element):
@@ -559,7 +529,7 @@ def normalize(e: Element) -> Element:
 
 def multiply(a: Element, b: Element) -> Element:
     """Product of two elements, returned in normal form."""
-    a._check_config(b)
+    b = a._operand(b)
     cfg = a.config
     order = cfg.order
     entries = []

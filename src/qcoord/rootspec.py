@@ -16,7 +16,7 @@ from itertools import product
 from math import isqrt
 from typing import Iterator, NamedTuple
 
-from .coeff import CycloElem, CycloRing, _merge
+from .coeff import Combination, CycloElem, CycloRing, _merge
 from .monomial import NormalMonomial, canonical_key, row_major_order
 from .render import join_terms, monomial_to_str, term_to_str
 from .report import CheckReport
@@ -34,10 +34,13 @@ class ClassicalMonomial(NamedTuple):
         return isqrt(len(self.exps))
 
 
-class ClassicalPoly:
-    """A finite combination of classical monomials with cyclotomic scalars."""
+class ClassicalPoly(Combination):
+    """A finite combination of classical monomials with cyclotomic scalars.
 
-    __slots__ = ("ring", "n", "terms")
+    Operands must share the ring and the dimension ``n``.
+    """
+
+    __slots__ = ("ring", "n")
 
     def __init__(self, ring: CycloRing, n: int, terms: dict | None = None):
         self.ring = ring
@@ -58,44 +61,20 @@ class ClassicalPoly:
     def one(cls, ring: CycloRing, n: int) -> ClassicalPoly:
         return cls.monomial(ring, n, ClassicalMonomial((0,) * (n * n), 0))
 
-    def is_zero(self) -> bool:
-        return not self.terms
+    @property
+    def space(self) -> tuple[CycloRing, int]:
+        return (self.ring, self.n)
 
-    def __bool__(self) -> bool:
-        return bool(self.terms)
+    def _like(self, terms: dict) -> ClassicalPoly:
+        return ClassicalPoly(self.ring, self.n, terms)
 
-    def _check(self, other: ClassicalPoly) -> None:
-        if self.ring != other.ring or self.n != other.n:
-            raise ValueError("classical coefficients live over different rings")
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, int):
-            other = ClassicalPoly.monomial(self.ring, self.n, ClassicalMonomial((0,) * (self.n * self.n), 0), other)
-        if not isinstance(other, ClassicalPoly):
-            return NotImplemented
-        return self.ring == other.ring and self.n == other.n and self.terms == other.terms
-
-    def __hash__(self) -> int:
-        return hash((self.ring, self.n, frozenset(self.terms.items())))
-
-    def __add__(self, other) -> ClassicalPoly:
-        self._check(other)
-        merged = dict(self.terms)
-        for m, c in other.terms.items():
-            _merge(merged, m, c)
-        return ClassicalPoly(self.ring, self.n, merged)
-
-    def __neg__(self) -> ClassicalPoly:
-        return ClassicalPoly(self.ring, self.n, {m: -c for m, c in self.terms.items()})
-
-    def __sub__(self, other) -> ClassicalPoly:
-        return self + (-other)
+    def _scalar(self, k: int) -> ClassicalPoly:
+        return ClassicalPoly.one(self.ring, self.n) * k
 
     def __mul__(self, other) -> ClassicalPoly:
         if isinstance(other, (int, CycloElem)):
-            c = self.ring.coerce(other)
-            return ClassicalPoly(self.ring, self.n, {m: v * c for m, v in self.terms.items()})
-        self._check(other)
+            return self.scale(self.ring.coerce(other))
+        other = self._operand(other)
         out: dict[ClassicalMonomial, CycloElem] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
@@ -103,7 +82,7 @@ class ClassicalPoly:
                     tuple(a + b for a, b in zip(m1.exps, m2.exps)), m1.dpower + m2.dpower
                 )
                 _merge(out, key, c1 * c2)
-        return ClassicalPoly(self.ring, self.n, out)
+        return self._like(out)
 
     __rmul__ = __mul__
 

@@ -245,6 +245,21 @@ class TestRun:
         assert run(["check", "frobenius", "--n", "2"]) == 2
         assert run(["phi", "q"]) == 2
 
+    @pytest.mark.parametrize(
+        "argv,command",
+        [
+            (["expand", "q"], "expand"),
+            (["phi", "q"], "phi"),
+            (["nakayama", "q"], "nakayama"),
+            (["basis"], "basis"),
+            (["check", "frobenius"], "check frobenius"),
+            (["check", "nakayama"], "check nakayama"),
+        ],
+    )
+    def test_missing_ell_names_the_command(self, capsys, argv, command):
+        assert run(argv) == 2
+        assert capsys.readouterr().err == f"{command} requires --ell\n"
+
     def test_even_ell_rejected(self, capsys):
         assert run(["basis", "--ell", "4"]) == 2
 
