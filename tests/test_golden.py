@@ -4,13 +4,17 @@ by a single byte.
 Each command runs in-process through ``qcoord.cli.run``; its exit code,
 stdout and stderr are appended to a transcript that is compared with
 ``golden_cli.txt``.  Regenerate the file with ``python tests/test_golden.py``
-only when an output change is intended.
+only when an output change is intended.  Suites whose output is too long to
+keep there are pinned by the sha256 of their stdout in ``DIGESTS``.
 """
 
 import contextlib
+import hashlib
 import io
 import shlex
 from pathlib import Path
+
+import pytest
 
 from qcoord.cli import run
 
@@ -58,20 +62,39 @@ COMMANDS = [
 ]
 
 
+# Suites too long to keep in the transcript, pinned by the sha256 of stdout.
+DIGESTS = {
+    "check nakayama --n 2 --ell 3 --json": "c2d58306b7af90a72dd7aea9c4357817f7655a742d44c729104220da42a739b3",
+    "check nakayama --n 2 --ell 5 --json": "daff1568519698da4c4ffb2c4bca4434a27660fc68959b128f685ea3e210a7fe",
+}
+
+
+def capture(command: str) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(shlex.split(command))
+    return code, out.getvalue(), err.getvalue()
+
+
 def transcript() -> str:
     chunks = []
     for command in COMMANDS:
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = run(shlex.split(command))
-        chunks.append(f"$ qcoord {command}\n[exit {code}]\n{out.getvalue()}")
-        if err.getvalue():
-            chunks.append(f"[stderr]\n{err.getvalue()}")
+        code, out, err = capture(command)
+        chunks.append(f"$ qcoord {command}\n[exit {code}]\n{out}")
+        if err:
+            chunks.append(f"[stderr]\n{err}")
     return "".join(chunks)
 
 
 def test_transcript_is_byte_identical():
     assert transcript() == GOLDEN.read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("command", sorted(DIGESTS))
+def test_suite_stdout_digest(command):
+    code, out, err = capture(command)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == DIGESTS[command]
 
 
 if __name__ == "__main__":
