@@ -11,7 +11,8 @@ The *weight* of a word is the vector ``(degree, d[1,1], d[1,2], ...,
 d[n,n])`` of its length followed by the occurrence counts of each
 generator in row-major order.  Compared lexicographically, weights never
 increase under the rewriting relations, which is what makes the reduction
-to normal form terminate.
+to normal form terminate.  The *bidegree* of a monomial (its row sums, then
+its column sums, each plus the determinant power) never changes under them.
 """
 
 from __future__ import annotations
@@ -62,6 +63,23 @@ def canonical_key(m) -> tuple:
     """Sort key of a monomial with ``exps`` and ``dpower``: weight, then the
     determinant power.  Every rendered listing sorts by it, largest first."""
     return (weight_of_exponents(m.exps), m.dpower)
+
+
+def bidegree(m) -> tuple[int, ...]:
+    """Bidegree of a monomial with ``exps`` and ``dpower``: the row sums of
+    ``exps``, then the column sums, each plus ``dpower``.
+
+    Every relation keeps the rows and the columns of its letters, the
+    nested-corner branch ``t[a,d] t[c,b]`` included, and ``D`` has bidegree
+    ``(1, ..., 1; 1, ..., 1)``, so straightening and determinant enforcement
+    keep this grading on ``m`` and ``gl``; on ``sl`` (``D = 1``) it holds
+    modulo the all-ones vector.
+    """
+    exps = m.exps
+    n = isqrt(len(exps))
+    z = m.dpower
+    rows = [exps[r * n:(r + 1) * n] for r in range(n)]
+    return tuple([sum(row) + z for row in rows] + [sum(col) + z for col in zip(*rows)])
 
 
 def lex_compare(a: Weight, b: Weight) -> int:

@@ -4,8 +4,9 @@ import random
 
 import pytest
 
+from qcoord import frobext
 from qcoord.frobext import FrobeniusContext, check_nakayama, nakayama_exponent
-from qcoord.monomial import NormalMonomial
+from qcoord.monomial import NormalMonomial, bidegree
 from qcoord.rewrite import Element, multiply
 from qcoord.rootspec import (
     ClassicalMonomial,
@@ -85,6 +86,69 @@ class TestBform:
         x = ctx23.element(NormalMonomial((1, 1, 0, 0)))
         y = ctx23.element(NormalMonomial((1, 1, 2, 2)))
         assert ctx23.bform(multiply(x, z), y) == ctx23.bform(x, multiply(z, y))
+
+
+class TestGradedPairing:
+    """``bform`` multiplies only components whose bidegrees sum to the top's."""
+
+    @staticmethod
+    def counted_bform(monkeypatch, ctx, x, y):
+        """``bform(x, y)`` and the operand pairs it multiplied in its own
+        configuration (``phi`` on ``gl`` also multiplies, in the flat one)."""
+        calls = []
+
+        def counting(a, b):
+            if a.config == ctx.config:
+                calls.append((a, b))
+            return multiply(a, b)
+
+        monkeypatch.setattr(frobext, "multiply", counting)
+        value = ctx.bform(x, y)
+        monkeypatch.undo()
+        return value, calls
+
+    @pytest.mark.parametrize("variant", ["m", "gl"])
+    def test_multiplies_each_compatible_pair_once(self, monkeypatch, variant):
+        ctx = FrobeniusContext(2, 3, variant)
+        rng = random.Random(929)
+
+        def grade(m):
+            return tuple(v % ctx.ell for v in bidegree(m))
+
+        def draw():
+            return [
+                NormalMonomial(
+                    (0, *(rng.randint(0, 2) for _ in range(3))),
+                    rng.randint(-1, 2) if variant == "gl" else 0,
+                )
+                for _ in range(6)
+            ]
+
+        top = grade(ctx.top)
+        for _ in range(5):
+            xs = draw()
+            ys = draw() + [ctx.dual_witness(NormalMonomial(xs[0].exps, xs[0].dpower % ctx.ell))]
+            x = Element.from_monomials(ctx.config, [(m, 1) for m in xs])
+            y = Element.from_monomials(ctx.config, [(m, 1) for m in ys])
+            value, calls = self.counted_bform(monkeypatch, ctx, x, y)
+            assert value == ctx.phi(multiply(x, y))
+            compatible = {
+                (gx, gy)
+                for gx in map(grade, x.terms)
+                for gy in map(grade, y.terms)
+                if all((a + b - t) % ctx.ell == 0 for a, b, t in zip(gx, gy, top))
+            }
+            called = set()
+            for a, b in calls:
+                ((gx,), (gy,)) = ({grade(k) for k in a.terms}, {grade(k) for k in b.terms})
+                called.add((gx, gy))
+            assert compatible and len(calls) == len(called) == len(compatible)
+            assert called == compatible
+
+    def test_incompatible_pair_is_never_multiplied(self, monkeypatch, ctx23):
+        t11 = Element.generator(ctx23.config, 1, 1)
+        value, calls = self.counted_bform(monkeypatch, ctx23, t11, t11)
+        assert value.is_zero() and calls == []
 
 
 class TestDualWitness:

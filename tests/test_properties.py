@@ -1,20 +1,26 @@
-"""Property tests for the sparse-combination arithmetic and the textual form.
+"""Property tests for the sparse-combination arithmetic, the textual form,
+the multiplication and the bigrading behind the pairing.
 
 The additive laws are checked on all three kinds of combination: Laurent
 polynomials, algebra elements at n=2 in every variant and flavor over
 ``Z_q`` and ``Z_eps(3)``, and classical coefficients.  The print, parse,
 print round trip runs at n=2 and n=3 over ``Z_q``, ``Z_eps(3)`` and
-``Z_eps(5)``.  Examples are drawn from a fixed seed.
+``Z_eps(5)``.  Multiplication is checked for associativity, and for keeping
+the bidegree (row sums and column sums plus the determinant power); the
+pairing, which skips the component pairs that grading proves null, is
+checked against ``phi`` of the full product.  Examples are drawn from a
+fixed seed.
 """
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from qcoord.cli import evaluate
 from qcoord.coeff import CycloRing, LaurentPoly
-from qcoord.monomial import NormalMonomial
-from qcoord.rewrite import FLAVORS, VARIANTS, Element, make_config
+from qcoord.frobext import FrobeniusContext
+from qcoord.monomial import NormalMonomial, bidegree
+from qcoord.rewrite import FLAVORS, VARIANTS, Element, make_config, multiply
 from qcoord.rootspec import ClassicalMonomial, ClassicalPoly
 
 SETTINGS = settings(derandomize=True, deadline=None, database=None, max_examples=12)
@@ -36,13 +42,14 @@ def _config_id(cfg):
     return f"n{cfg.n}-{cfg.variant}-{cfg.flavor}-{cfg.ring.name}"
 
 
-def elements(cfg, max_exp=2, max_terms=3):
+def monomials(cfg, max_exp=2):
     size = cfg.n * cfg.n
     dpower = st.integers(-1, 1) if cfg.variant == "gl" else st.just(0)
-    monomial = st.builds(
-        NormalMonomial, st.tuples(*[st.integers(0, max_exp)] * size), dpower
-    )
-    pairs = st.lists(st.tuples(monomial, laurent), max_size=max_terms)
+    return st.builds(NormalMonomial, st.tuples(*[st.integers(0, max_exp)] * size), dpower)
+
+
+def elements(cfg, max_exp=2, max_terms=3):
+    pairs = st.lists(st.tuples(monomials(cfg, max_exp), laurent), max_size=max_terms)
     return pairs.map(lambda p: Element.from_monomials(cfg, p))
 
 
@@ -96,3 +103,79 @@ def test_print_parse_print_round_trip(cfg, data):
     again = evaluate(printed, cfg)
     assert again == e
     assert str(again) == printed
+
+
+@pytest.mark.parametrize("cfg", _configs((2,), (None, 3)), ids=_config_id)
+@settings(SETTINGS, max_examples=8)
+@given(data=st.data())
+def test_multiplication_is_associative(cfg, data):
+    a, b, c = (data.draw(elements(cfg, max_exp=1, max_terms=2)) for _ in range(3))
+    assert multiply(multiply(a, b), c) == multiply(a, multiply(b, c))
+
+
+@pytest.mark.parametrize("cfg", _configs((2, 3), (None, 3)), ids=_config_id)
+@SETTINGS
+@given(data=st.data())
+def test_products_keep_the_bidegree(cfg, data):
+    """Every term of ``x y`` has ``bidegree(x) + bidegree(y)``; under ``sl``,
+    where ``D = 1``, only up to a multiple of the all-ones vector."""
+    max_exp = 2 if cfg.n == 2 else 1
+    m1, m2 = (data.draw(monomials(cfg, max_exp)) for _ in range(2))
+    expected = [a + b for a, b in zip(bidegree(m1), bidegree(m2))]
+    product = multiply(Element.monomial(cfg, m1), Element.monomial(cfg, m2))
+    for key in product.terms:
+        shifts = {g - e for g, e in zip(bidegree(key), expected)}
+        assert shifts == {0} or (cfg.variant == "sl" and len(shifts) == 1)
+
+
+def pairing_operands(ctx):
+    """Two elements with terms of several bidegrees.  ``y`` carries the dual
+    witness of a residue monomial that ``x`` carries, so ``phi(x y)`` is often
+    nonzero."""
+    cfg = ctx.config
+    max_exp = 2 if ctx.n == 2 else 1
+    dpower = st.integers(0, ctx.ell - 1) if ctx.variant == "gl" else st.just(0)
+    residue = st.builds(
+        NormalMonomial, st.tuples(*[st.integers(0, ctx.ell - 1)] * (ctx.n * ctx.n)), dpower
+    )
+
+    def build(parts):
+        x, y, r, c = parts
+        return x + Element.monomial(cfg, r), y + Element.monomial(cfg, ctx.dual_witness(r), c)
+
+    return st.tuples(
+        elements(cfg, max_exp, max_terms=2), elements(cfg, max_exp, max_terms=2), residue, laurent
+    ).map(build)
+
+
+def check_bform_against_phi(ctx, config=SETTINGS):
+    """Assert ``bform(x, y) == phi(multiply(x, y))`` on drawn operands and
+    return the pairings."""
+    values = []
+
+    @config
+    @given(pairing_operands(ctx))
+    def check(operands):
+        x, y = operands
+        value = ctx.bform(x, y)
+        assert value == ctx.phi(multiply(x, y))
+        values.append(value)
+
+    check()
+    return values
+
+
+@pytest.mark.parametrize("n, ell, variant", [(2, 3, "m"), (2, 3, "gl"), (3, 3, "m")])
+def test_bform_equals_phi_of_the_product(n, ell, variant):
+    values = check_bform_against_phi(FrobeniusContext(n, ell, variant))
+    assert any(not v.is_zero() for v in values)
+
+
+def test_bform_differential_catches_a_mutated_target():
+    """A target off by one in one row pairs the wrong components."""
+    ctx = FrobeniusContext(2, 3)
+    grade = ctx._top_grade
+    ctx.__dict__["_top_grade"] = ((grade[0] + 1) % ctx.ell,) + grade[1:]
+    no_shrinking = settings(SETTINGS, phases=[Phase.generate])
+    with pytest.raises(AssertionError):
+        check_bform_against_phi(ctx, no_shrinking)
