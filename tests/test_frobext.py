@@ -311,6 +311,32 @@ class TestNakayamaSuite:
         assert report.passed
         assert len(report.cases) == 4 * 81
 
+    def test_twist_cases_match_straightened_words(self):
+        """The suite pairs through ``bform``, which skips the products the
+        grading proves phi-null; here every twist case is recomputed by
+        straightening the concatenated word, so the straightener checks it
+        apart from ``multiply`` and the grading."""
+        n, ell = 2, 3
+        ctx = FrobeniusContext(n, ell)
+        cfg = ctx.config
+        cases = iter(check_nakayama(n, ell, symmetry_pairs=[]).cases)
+        nonzero = 0
+        for i, j in [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]:
+            scalar = ctx.ring.q_power(nakayama_exponent(n, i, j))
+            t = Element.generator(cfg, i, j)
+            for m in enumerate_basis(n, ell, "m"):
+                word = m.word(cfg.order)
+                lhs = ctx.phi(Element.from_words(cfg, [(word + ((i, j),), 1)]))
+                rhs = ctx.phi(Element.from_words(cfg, [(((i, j),) + word, 1)]))
+                assert lhs == ctx.bform(ctx.element(m), t)
+                assert rhs == ctx.bform(t, ctx.element(m))
+                residual = lhs - rhs * scalar
+                case = next(cases)
+                assert (case.residual, case.passed) == (str(residual), residual.is_zero())
+                nonzero += not lhs.is_zero()
+        assert next(cases, None) is None
+        assert nonzero > 0
+
 
 class TestLocalizedPairing:
     def test_symmetry_with_determinant_residues(self):
