@@ -30,7 +30,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
-from .coeff import CycloElem, CycloRing
+from .coeff import CycloElem, CycloRing, _merge
+from .detloc import _times_determinant
 from .monomial import GenOrder, NormalMonomial, bidegree, canonical_key, row_major_order
 from .render import monomial_to_str
 from .report import CheckReport
@@ -122,46 +123,34 @@ class FrobeniusContext:
     def _flat_config(self) -> AlgebraConfig:
         return AlgebraConfig(self.n, "m", self.order, CycloRing(self.ell), "standard")
 
-    @cached_property
-    def _flat_determinant(self) -> Element:
-        from .detloc import quantum_determinant
-
-        return quantum_determinant(self._flat_config)
-
     # -- the functional and the pairing --------------------------------------
 
     def phi(self, e: Element) -> ClassicalPoly:
         """Classical coefficient of the top residue monomial in ``e``.
 
-        For the plain variant this is the expansion entry at the top key.
-        The localized variant is handled by classical-linearity over the
-        same determinant-free basis: a key's determinant power splits into
-        a classical scalar ``Dbar**a`` and a residue in ``[0, l)``, and the
-        residue is cleared by multiplying out actual determinant factors
-        before projecting.  (Projecting the raw expansion instead would
-        vanish identically on localized normal forms, whose residues always
-        have a zero diagonal entry.)
+        By classical linearity over the determinant-free basis of the plain
+        variant: a key's determinant power ``z`` splits as ``l*a + r`` with
+        ``r`` in ``[0, l)``.  The keys of each ``(a, r)`` group, stripped of
+        ``D``, are multiplied by ``D**r`` written out in the plain variant,
+        expanded once, and the top entry is scaled by ``Dbar**a``.  On the
+        plain variant every key has ``z = 0``, so this is the expansion entry
+        at the top key.  (Projecting the raw localized expansion instead
+        would vanish identically, since localized normal forms always have a
+        zero diagonal entry.)
         """
         if e.config != self.config:
             raise ValueError("element lives outside this pairing context")
-        if self.variant == "m":
-            expansion = module_expand(e)
-            found = expansion.entries.get(self.top)
-            return found if found is not None else ClassicalPoly.zero(self.ring, self.n)
-        total = ClassicalPoly.zero(self.ring, self.n)
-        zero_exps = (0,) * (self.n * self.n)
+        groups: dict[tuple[int, int], dict] = {}
         for key, coeff in e.terms.items():
-            d_quot, d_res = divmod(key.dpower, self.ell)
-            flat = Element.monomial(self._flat_config, NormalMonomial(key.exps), coeff)
-            for _ in range(d_res):
-                flat = multiply(flat, self._flat_determinant)
+            groups.setdefault(divmod(key.dpower, self.ell), {})[NormalMonomial(key.exps)] = coeff
+        total: dict[ClassicalMonomial, CycloElem] = {}
+        for (d_quot, d_res), terms in groups.items():
+            flat = _times_determinant(Element(self._flat_config, terms, _raw=True), d_res)
             part = module_expand(flat).entries.get(self.top)
-            if part is None:
-                continue
-            total = total + part * ClassicalPoly.monomial(
-                self.ring, self.n, ClassicalMonomial(zero_exps, d_quot)
-            )
-        return total
+            if part is not None:
+                for cm, coeff in part.terms.items():  # part * Dbar**d_quot
+                    _merge(total, ClassicalMonomial(cm.exps, cm.dpower + d_quot), coeff)
+        return ClassicalPoly(self.ring, self.n, total)
 
     @cached_property
     def _top_grade(self) -> tuple[int, ...]:
@@ -258,9 +247,6 @@ class FrobeniusContext:
                 out[key] = c
         return Element(self.config, out, _raw=True)
 
-    def nakayama_monomial_scalar(self, m: NormalMonomial) -> CycloElem:
-        return self.ring.q_power(_twist_exponent(self.n, m.exps))
-
 
 def default_symmetry_pairs(n: int, ell: int, limit: int = 500):
     """Deterministic pair sample for the pairing-symmetry check.
@@ -282,11 +268,13 @@ def default_symmetry_pairs(n: int, ell: int, limit: int = 500):
 
 
 def check_nakayama(n: int, ell: int, symmetry_pairs=None) -> CheckReport:
-    """Verify the twist identity and the pairing symmetry.
+    """Verify the Nakayama identity ``B(x, y) == B(nu(y), x)`` exactly.
 
-    For every generator ``t[i,j]`` and every residue basis monomial ``m``:
-    ``phi(m * t[i,j]) == eps**(2*(n+1-i-j)) * phi(t[i,j] * m)`` exactly,
-    and ``B(x, y) == B(nu(y), x)`` on the supplied (or default) pair sample.
+    Two families of cases, each with residual ``B(x, y) - B(nu(y), x)``:
+    the twist cases ``B(m, t) == B(nu(t), m)`` for every generator
+    ``t = t[i,j]``, where ``nu(t) = eps**(2*(n+1-i-j)) * t``, and every
+    residue basis monomial ``m``; and the symmetry cases on the supplied (or
+    default) sample of monomial pairs, which may lie outside the basis.
 
     Every pairing goes through :meth:`FrobeniusContext.bform`, so a case
     whose two sides have bidegrees that cannot reach the top is settled as
@@ -297,34 +285,26 @@ def check_nakayama(n: int, ell: int, symmetry_pairs=None) -> CheckReport:
     ctx = FrobeniusContext(n, ell)
     cfg = ctx.config
     report = CheckReport("nakayama", n, ell)
-    basis = list(enumerate_basis(n, ell, "m"))
-    gens = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
 
-    elements = [ctx.element(m) for m in basis]
-    for i, j in gens:
-        scalar = ctx.ring.q_power(nakayama_exponent(n, i, j))
-        t = Element.generator(cfg, i, j)
-        for m, e in zip(basis, elements):
-            lhs = ctx.bform(e, t)
-            rhs = ctx.bform(t, e) * scalar
-            residual = lhs - rhs
-            report.add(
-                f"t[{i},{j}] twisted past {monomial_to_str(m, cfg.order) or '1'}",
-                str(residual),
-                residual.is_zero(),
-            )
+    def labelled(m: NormalMonomial) -> tuple[str, Element]:
+        return monomial_to_str(m, cfg.order) or "1", ctx.element(m)
+
+    # Built once per basis monomial and shared by both families.
+    basis = {m: labelled(m) for m in enumerate_basis(n, ell, "m")}
+
+    def case(label: str, x: Element, y: Element, nu_y: Element) -> None:
+        report.add_residual(label, ctx.bform(x, y) - ctx.bform(nu_y, x))
+
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            t = Element.generator(cfg, i, j)
+            nu_t = ctx.nakayama(t)
+            for name, e in basis.values():
+                case(f"t[{i},{j}] twisted past {name}", e, t, nu_t)
 
     if symmetry_pairs is None:
         symmetry_pairs = default_symmetry_pairs(n, ell)
-
     for x, y in symmetry_pairs:
-        ex, ey = ctx.element(x), ctx.element(y)
-        lhs = ctx.bform(ex, ey)
-        rhs = ctx.bform(ey, ex) * ctx.nakayama_monomial_scalar(y)
-        residual = lhs - rhs
-        report.add(
-            f"B({monomial_to_str(x, cfg.order) or '1'}, {monomial_to_str(y, cfg.order) or '1'}) symmetry",
-            str(residual),
-            residual.is_zero(),
-        )
+        (x_name, ex), (y_name, ey) = basis.get(x) or labelled(x), basis.get(y) or labelled(y)
+        case(f"B({x_name}, {y_name}) symmetry", ex, ey, ctx.nakayama(ey))
     return report

@@ -22,6 +22,10 @@ class CheckReport:
     def add(self, input: str, residual: str, passed: bool) -> None:
         self.cases.append(CheckCase(input, residual, passed))
 
+    def add_residual(self, input: str, residual) -> None:
+        """Record a case that passes iff ``residual`` is exactly zero."""
+        self.add(input, str(residual), residual.is_zero())
+
     @property
     def passed(self) -> bool:
         return all(c.passed for c in self.cases)

@@ -153,13 +153,6 @@ def swap_adjacent(x: GenIndex, y: GenIndex) -> list[tuple[Word, LaurentPoly]] | 
     return out
 
 
-@lru_cache(maxsize=_SMALL_CACHE)
-def _swap_table(n: int) -> dict:
-    """Memo of :func:`_relation` for dimension ``n``, filled on demand by
-    :func:`_rewrite`: it holds only the pairs a straightening has met."""
-    return {}
-
-
 def _rewrite(cfg: AlgebraConfig, pending: dict, strategy: str = "leftmost", trace=None) -> dict:
     """Straighten a coefficient-weighted set of words.
 
@@ -170,7 +163,6 @@ def _rewrite(cfg: AlgebraConfig, pending: dict, strategy: str = "leftmost", trac
     """
     n = cfg.n
     rank = cfg.order.rank_map
-    table = _swap_table(n)
     shift = _ZQ.shift
     qdiff_mul = _ZQ.qdiff_mul
     rightmost = strategy == "rightmost"
@@ -202,10 +194,7 @@ def _rewrite(cfg: AlgebraConfig, pending: dict, strategy: str = "leftmost", trac
                 continue
             x = word[pos]
             y = word[pos + 1]
-            relation = table.get((x, y))
-            if relation is None:
-                relation = table[(x, y)] = _relation(x, y)
-            qexp, branch = relation
+            qexp, branch = _relation(x, y)
             swapped = word[:pos] + (y, x) + word[pos + 2:]
             _merge(bucket, swapped, shift(coeff, qexp) if qexp else coeff)
             if branch is not None:

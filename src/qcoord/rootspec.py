@@ -152,11 +152,7 @@ def check_frobenius_central(n: int, ell: int) -> CheckReport:
         power = (g,) * ell
         for h in gens:
             residual = Element.from_words(cfg, [(power + (h,), 1), ((h,) + power, -1)])
-            report.add(
-                f"t[{g[0]},{g[1]}]^{ell} against t[{h[0]},{h[1]}]",
-                str(residual),
-                residual.is_zero(),
-            )
+            report.add_residual(f"t[{g[0]},{g[1]}]^{ell} against t[{h[0]},{h[1]}]", residual)
     return report
 
 
@@ -201,7 +197,7 @@ def module_expand(e: Element) -> ModuleExpansion:
     for key, coeff in e.terms.items():
         residue = tuple(v % ell for v in key.exps)
         quotient = tuple(v // ell for v in key.exps)
-        d_res, d_quot = (key.dpower % ell, key.dpower // ell) if cfg.variant == "gl" else (0, 0)
+        d_quot, d_res = divmod(key.dpower, ell)
         rkey = NormalMonomial(residue, d_res)
         part = ClassicalPoly.monomial(ring, n, ClassicalMonomial(quotient, d_quot), coeff)
         _merge(entries, rkey, part)
@@ -213,14 +209,11 @@ def enumerate_basis(n: int, ell: int, variant: str = "m") -> Iterator[NormalMono
     ``[0, l)``; the localized variant appends a determinant residue in the
     same range."""
     CycloRing(ell)  # validates odd positive ell
-    if variant == "m":
-        for exps in product(range(ell), repeat=n * n):
-            yield NormalMonomial(exps, 0)
-    elif variant == "gl":
-        for exps in product(range(ell), repeat=n * n):
-            for d in range(ell):
-                yield NormalMonomial(exps, d)
-    else:
+    if variant not in ("m", "gl"):
         raise ValueError(
             "the free-module expansion covers the plain and localized variants only"
         )
+    d_residues = range(ell) if variant == "gl" else (0,)
+    for exps in product(range(ell), repeat=n * n):
+        for d in d_residues:
+            yield NormalMonomial(exps, d)

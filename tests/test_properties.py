@@ -8,8 +8,10 @@ print round trip runs at n=2 and n=3 over ``Z_q``, ``Z_eps(3)`` and
 ``Z_eps(5)``.  Multiplication is checked for associativity, and for keeping
 the bidegree (row sums and column sums plus the determinant power); the
 pairing, which skips the component pairs that grading proves null, is
-checked against ``phi`` of the full product.  Examples are drawn from a
-fixed seed.
+checked against ``phi`` of the full product, and ``phi``, which multiplies
+out the determinant once per ``divmod(z, l)`` group of determinant powers
+``z``, against the same computation done one key at a time.  Examples are
+drawn from a fixed seed.
 """
 
 import pytest
@@ -18,10 +20,11 @@ from hypothesis import strategies as st
 
 from qcoord.cli import evaluate
 from qcoord.coeff import CycloRing, LaurentPoly
+from qcoord.detloc import quantum_determinant
 from qcoord.frobext import FrobeniusContext
 from qcoord.monomial import NormalMonomial, bidegree
 from qcoord.rewrite import FLAVORS, VARIANTS, Element, make_config, multiply
-from qcoord.rootspec import ClassicalMonomial, ClassicalPoly
+from qcoord.rootspec import ClassicalMonomial, ClassicalPoly, module_expand
 
 SETTINGS = settings(derandomize=True, deadline=None, database=None, max_examples=12)
 
@@ -179,3 +182,76 @@ def test_bform_differential_catches_a_mutated_target():
     no_shrinking = settings(SETTINGS, phases=[Phase.generate])
     with pytest.raises(AssertionError):
         check_bform_against_phi(ctx, no_shrinking)
+
+
+def phi_operands(ctx):
+    """Elements whose keys fall into several ``divmod(z, l)`` groups of their
+    determinant power ``z``, negative ``z`` included.  One drawn key is the
+    top with ``z mod l`` taken off each diagonal exponent, so that
+    ``D**(z mod l)`` brings it back to the top and ``phi`` is often nonzero;
+    its ``l``-th powers become classical scalars."""
+    ell, n = ctx.ell, ctx.n
+    diagonal = {k * (n + 1) for k in range(n)}
+
+    def reaching(z, lift):
+        shaved = [ell - 1 - (z % ell if k in diagonal else 0) for k in range(n * n)]
+        return NormalMonomial(tuple(v + ell * a for v, a in zip(shaved, lift)), z)
+
+    dpower = st.integers(-2 * ell, 2 * ell) if ctx.variant == "gl" else st.just(0)
+    reach = st.builds(reaching, dpower, st.tuples(*[st.integers(0, 1)] * (n * n)))
+    key = st.one_of(reach, monomials(ctx.config))
+    pairs = st.lists(st.tuples(key, laurent), min_size=1, max_size=4)
+    return pairs.map(lambda p: Element.from_monomials(ctx.config, p))
+
+
+def phi_per_key(ctx, e):
+    """``phi`` on ``gl`` computed one key at a time: a key ``(m, z)`` with
+    ``z = l*a + r`` gives the top entry of ``m D**r`` multiplied out on the
+    plain variant, times ``Dbar**a``."""
+    flat = make_config(ctx.n, ell=ctx.ell, order=ctx.order)
+    det = quantum_determinant(flat)
+    zero_exps = (0,) * (ctx.n * ctx.n)
+    total = ClassicalPoly.zero(ctx.ring, ctx.n)
+    for key, coeff in e.terms.items():
+        d_quot, d_res = divmod(key.dpower, ctx.ell)
+        part = Element.monomial(flat, NormalMonomial(key.exps), coeff)
+        for _ in range(d_res):
+            part = multiply(part, det)
+        found = module_expand(part).entries.get(ctx.top)
+        if found is not None:
+            total = total + found * ClassicalPoly.monomial(
+                ctx.ring, ctx.n, ClassicalMonomial(zero_exps, d_quot)
+            )
+    return total
+
+
+def test_grouped_phi_equals_the_per_key_oracle():
+    ctx = FrobeniusContext(2, 3, "gl")
+    values, groups = [], set()
+
+    @settings(SETTINGS, max_examples=24)
+    @given(phi_operands(ctx))
+    def check(e):
+        value = ctx.phi(e)
+        assert value == phi_per_key(ctx, e)
+        values.append(value)
+        groups.update(divmod(key.dpower, ctx.ell) for key in e.terms)
+
+    check()
+    assert any(not v.is_zero() for v in values)
+    assert any(a < 0 for a, _ in groups) and len({r for _, r in groups}) == ctx.ell
+
+
+def test_plain_phi_is_the_top_expansion_entry():
+    ctx = FrobeniusContext(2, 3)
+    values = []
+
+    @SETTINGS
+    @given(phi_operands(ctx))
+    def check(e):
+        value = ctx.phi(e)
+        assert value == module_expand(e).entries.get(ctx.top, 0)
+        values.append(value)
+
+    check()
+    assert any(not v.is_zero() for v in values)

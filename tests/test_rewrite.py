@@ -9,7 +9,6 @@ from qcoord.coeff import CycloRing, LaurentPoly, specialize_at_one
 from qcoord.monomial import NormalMonomial, weight
 from qcoord.rewrite import (
     Element,
-    _swap_table,
     make_config,
     multiply,
     normal_form_of_word,
@@ -62,11 +61,6 @@ class TestSwapAdjacent:
                         else:
                             via_swap.pop(exps, None)
                 assert direct == via_swap
-
-    def test_relation_table_fills_on_demand(self):
-        _swap_table.cache_clear()
-        normal_form_of_word(make_config(12), ((1, 2), (1, 1)))
-        assert len(_swap_table(12)) == 1
 
 
 class TestNormalize:
