@@ -13,13 +13,15 @@ localized or special variant.  Parentheses nest at most ``MAX_NESTING``
 deep.  Exit codes: 0 success, 1 failed check, 2 usage, parse or input error,
 or a command too large to finish (out of memory, recursion limit,
 ``basis --json`` above ``MAX_BASIS_JSON`` keys, or a quantum determinant
-expanded at ``n`` above ``rewrite.MAX_DET_N``).
+expanded at ``n`` above ``rewrite.MAX_DET_N``), and ``EXIT_BROKEN_PIPE``
+when standard output is closed before the command has written it all.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass
 from functools import reduce
@@ -43,6 +45,10 @@ MAX_NESTING = 100
 # Most keys ``basis --json`` lists: it holds them all, while text output streams.
 MAX_BASIS_JSON = 2**22
 
+# Exit code when the reader of standard output goes away (``qcoord basis |
+# head``): 128 + SIGPIPE, what a shell reports for a process SIGPIPE ends.
+EXIT_BROKEN_PIPE = 141
+
 
 class ParseError(ValueError):
     def __init__(self, message: str, offset: int, expected: tuple[str, ...] = ()):
@@ -62,9 +68,12 @@ class RunConfig:
     order_flavor: str = "rowmajor"
     json: bool = False
 
+    @property
+    def flavor(self) -> str:
+        return "standard" if self.order_flavor == "rowmajor" else "opposite"
+
     def algebra(self) -> AlgebraConfig:
-        flavor = "standard" if self.order_flavor == "rowmajor" else "opposite"
-        return make_config(self.n, self.variant, ell=self.ell, flavor=flavor)
+        return make_config(self.n, self.variant, ell=self.ell, flavor=self.flavor)
 
 
 # ---------------------------------------------------------------------------
@@ -322,11 +331,11 @@ def _print_report(report: CheckReport, run: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _confluence_report(n: int, max_len: int = 5) -> CheckReport:
+def _confluence_report(n: int, max_len: int = 5, flavor: str = "standard") -> CheckReport:
     from itertools import product
 
     report = CheckReport("pbw-confluence", n)
-    cfg = make_config(n, "m")
+    cfg = make_config(n, "m", flavor=flavor)
     gens = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
     for length in range(max_len + 1):
         mismatches = 0
@@ -350,7 +359,7 @@ def _run_check(suite: str, run: RunConfig) -> int:
     if suite == "central":
         report = detloc.check_central(run.n, run.ell)
     elif suite == "pbw-confluence":
-        report = _confluence_report(run.n)
+        report = _confluence_report(run.n, flavor=run.flavor)
     elif suite == "frobenius":
         report = rootspec.check_frobenius_central(run.n, run.ell)
     elif suite == "nakayama":
@@ -504,7 +513,16 @@ def run(argv) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The recipe of Python's ``signal`` documentation: send the rest of
+        # the output to devnull so that the flush at exit cannot fail again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        sys.exit(EXIT_BROKEN_PIPE)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -167,10 +167,6 @@ class LaurentPoly(Combination):
             result = result * self
         return result
 
-    def shift(self, k: int) -> LaurentPoly:
-        """Multiply by ``q**k`` (exponent shift)."""
-        return self._like({e + k: c for e, c in self.terms.items()})
-
     def __str__(self) -> str:
         from .render import format_qpoly
 
@@ -381,7 +377,11 @@ class LaurentRing:
         raise TypeError(f"cannot coerce {value!r} into {self.name}")
 
     def shift(self, c: LaurentPoly, k: int) -> LaurentPoly:
-        return c.shift(k)
+        """``q**k * c``, built directly: this runs once per q-shifting swap
+        of the straightener, and is the one place ``q``-shifts are written."""
+        out = LaurentPoly.__new__(LaurentPoly)
+        out.terms = {e + k: v for e, v in c.terms.items()}
+        return out
 
     def qdiff_mul(self, c: LaurentPoly, sign: int) -> LaurentPoly:
         """``sign * (q - q^-1) * c``, built in one pass over ``c``: this runs

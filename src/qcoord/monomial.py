@@ -155,12 +155,18 @@ class GenOrder:
     ``"opposite-constrained"`` when the order must list every generator
     above the antidiagonal before every antidiagonal one, which in turn
     precede all those below it.
+
+    ``relations`` belongs to the straightener (``rewrite._rewrite``): the
+    commutation relation of each pair of ranks it has met, filled on demand,
+    so it holds at most ``n**4`` entries.  It takes no part in equality or
+    hashing.
     """
 
     n: int
     seq: tuple[GenIndex, ...]
     kind: str = STANDARD_KIND
     _rank: dict = field(init=False, repr=False, compare=False, default=None)
+    relations: dict = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
         n = self.n
@@ -176,6 +182,7 @@ class GenOrder:
                     "block first, then the antidiagonal, then the lower block"
                 )
         object.__setattr__(self, "_rank", {g: r for r, g in enumerate(self.seq)})
+        object.__setattr__(self, "relations", {})
 
     def rank(self, g: GenIndex) -> int:
         return self._rank[g]

@@ -16,6 +16,17 @@ also spawns a two-letter replacement of strictly smaller weight; the
 measure (weight, inversion count) therefore strictly decreases and the
 process terminates.
 
+The straightener (:func:`_rewrite`) works on words of generator ranks: a
+word is the tuple of its letters' ranks in the generator order, so an
+inversion is a plain integer comparison.  The relation of each pair of ranks
+is derived from :func:`_relation`, the one definition of the relations, the
+first time the pair is met, and kept in the order's ``relations`` table.
+Words are grouped in classes keyed by ``(length, *exponent table)``; a
+branch ``x y -> u v`` moves one count from each of the slots of ``x`` and
+``y`` to those of ``u`` and ``v``, so a branched word's class key follows
+from its parent's without recounting, and an ordered word's exponent table
+is the tail of its class key.
+
 For the localized and special variants, a second reduction phase enforces
 the normal-form constraint that the minimal diagonal (antidiagonal, under
 the opposite flavor) exponent be zero.  If ``m`` has every such target
@@ -153,6 +164,33 @@ def swap_adjacent(x: GenIndex, y: GenIndex) -> list[tuple[Word, LaurentPoly]] | 
     return out
 
 
+def _rank_relation(order: GenOrder, x: int, y: int):
+    """:func:`_relation` for the letters of ranks ``x`` and ``y``, stored in
+    ``order.relations`` under ``x * n**2 + y``, with a branch recast as
+    ``(u, v, sign, sx, sy, su, sv)``: the ranks of the branch letters, and
+    the slots of ``x``, ``y``, ``u``, ``v`` in a class key."""
+    n = order.n
+    gx = order.seq[x]
+    gy = order.seq[y]
+    qexp, branch = _relation(gx, gy)
+    if branch is not None:
+        u, v, sign = branch
+        rank = order.rank_map
+        slots = [1 + (i - 1) * n + (j - 1) for i, j in (gx, gy, u, v)]
+        branch = (rank[u], rank[v], sign, *slots)
+    entry = order.relations[x * n * n + y] = (qexp, branch)
+    return entry
+
+
+@lru_cache(maxsize=_SMALL_CACHE)
+def _spans(k: int, rightmost: bool) -> tuple[range, ...]:
+    """The inversion searches of a word of length ``k``, by start position:
+    ``s`` up to ``k - 2`` (leftmost), or ``s`` down to 0 (rightmost)."""
+    if rightmost:
+        return tuple(range(s, -1, -1) for s in range(k - 1)) or (range(0),)
+    return tuple(range(s, k - 1) for s in range(k - 1)) or (range(0),)
+
+
 def _rewrite(cfg: AlgebraConfig, pending: dict, strategy: str = "leftmost", trace=None) -> dict:
     """Straighten a coefficient-weighted set of words.
 
@@ -160,57 +198,105 @@ def _rewrite(cfg: AlgebraConfig, pending: dict, strategy: str = "leftmost", trac
     exponent tables of ordered monomials to Laurent coefficients.  Words are
     processed one weight class at a time, largest first; within a class the
     chosen adjacent inversion is the leftmost (or rightmost) one.
+
+    Inside, a word is the tuple of its letters' ranks in ``cfg.order``, so
+    an inversion is ``w[p] > w[p + 1]``, and the relation of a rank pair
+    comes from :func:`_rank_relation`, that is from :func:`_relation`.
+    Every word of a class shares its key ``(length, *exponent table)``: an
+    ordered word's exponent table is the key's tail, and a branch's key is
+    the parent's with one count moved from each of the slots of ``x`` and
+    ``y`` to those of ``u`` and ``v``, so exponents are counted once per
+    input word.  ``trace``, if given, receives one ``(word, produced)``
+    entry per swap, with words in generator letters.
     """
-    n = cfg.n
-    rank = cfg.order.rank_map
+    if strategy not in ("leftmost", "rightmost"):
+        raise ValueError(f"unknown strategy {strategy!r}")
+    order = cfg.order
+    n = order.n
+    size = n * n
+    rank = order.rank_map
+    relations = order.relations
     shift = _ZQ.shift
     qdiff_mul = _ZQ.qdiff_mul
     rightmost = strategy == "rightmost"
-    if strategy not in ("leftmost", "rightmost"):
-        raise ValueError(f"unknown strategy {strategy!r}")
 
     classes: dict[tuple, dict] = {}
     for word, coeff in pending.items():
         if coeff:
-            _merge(classes.setdefault((len(word), *word_exponents(word, n)), {}), word, coeff)
+            key = (len(word), *word_exponents(word, n))
+            _merge(classes.setdefault(key, {}), tuple([rank[g] for g in word]), coeff)
     # The open class keys, ascending and kept in step with ``classes``, so
     # the last one is the largest.
-    queue = sorted(classes)
+    queue = sorted(classes) if len(classes) > 1 else list(classes)
 
     result: dict[tuple[int, ...], LaurentPoly] = {}
     while queue:
-        bucket = classes.pop(queue.pop())
+        key = queue.pop()
+        bucket = classes.pop(key)
+        k = key[0]
+        spans = _spans(k, rightmost)
+        first = spans[-1] if rightmost else spans[0]
+        # The ordered words of a class all land on one exponent table, which
+        # no other class reaches: sum them and store the total once.
+        total = None
         while bucket:
             word, coeff = bucket.popitem()
-            k = len(word)
-            pos = -1
-            span = range(k - 2, -1, -1) if rightmost else range(k - 1)
-            for p in span:
-                if rank[word[p]] > rank[word[p + 1]]:
-                    pos = p
+            span = first
+            while True:
+                for p in span:
+                    if word[p] > word[p + 1]:
+                        break
+                else:
+                    total = coeff if total is None else total + coeff
                     break
-            if pos < 0:
-                _merge(result, word_exponents(word, n), coeff)
-                continue
-            x = word[pos]
-            y = word[pos + 1]
-            qexp, branch = _relation(x, y)
-            swapped = word[:pos] + (y, x) + word[pos + 2:]
-            _merge(bucket, swapped, shift(coeff, qexp) if qexp else coeff)
-            if branch is not None:
-                u, v, sign = branch
-                branched = word[:pos] + (u, v) + word[pos + 2:]
-                key = (k, *word_exponents(branched, n))
-                target = classes.get(key)
-                if target is None:
-                    target = classes[key] = {}
-                    insort(queue, key)
-                _merge(target, branched, qdiff_mul(coeff, sign))
-            if trace is not None:
-                produced = [(swapped, "swap")]
+                x = word[p]
+                y = word[p + 1]
+                qexp, branch = relations.get(x * size + y) or _rank_relation(order, x, y)
+                head = word[:p]
+                tail = word[p + 2:]
+                swapped = head + (y, x) + tail
                 if branch is not None:
-                    produced.append((branched, "branch"))
-                trace.append((word, produced))
+                    u, v, sign, sx, sy, su, sv = branch
+                    branched = head + (u, v) + tail
+                    slots = list(key)
+                    slots[sx] -= 1
+                    slots[sy] -= 1
+                    slots[su] += 1
+                    slots[sv] += 1
+                    bkey = tuple(slots)
+                    target = classes.get(bkey)
+                    if target is None:
+                        target = classes[bkey] = {}
+                        insort(queue, bkey)
+                    _merge(target, branched, qdiff_mul(coeff, sign))
+                if trace is not None:
+                    seq = order.seq
+                    produced = [(tuple([seq[r] for r in swapped]), "swap")]
+                    if branch is not None:
+                        produced.append((tuple([seq[r] for r in branched]), "branch"))
+                    trace.append((tuple([seq[r] for r in word]), produced))
+                if qexp:
+                    coeff = shift(coeff, qexp)
+                cur = bucket.get(swapped)
+                if cur is None:
+                    # A new entry would be the next one ``popitem`` returns:
+                    # carry on with it without the round trip.
+                    word = swapped
+                    # A swap at ``p`` leaves no inversion before ``p - 1``
+                    # (leftmost) or after ``p + 1`` (rightmost).
+                    if rightmost:
+                        span = spans[p + 1 if p < k - 2 else p]
+                    else:
+                        span = spans[p - 1 if p else 0]
+                    continue
+                cur = cur + coeff
+                if cur.terms:
+                    bucket[swapped] = cur
+                else:
+                    del bucket[swapped]
+                break
+        if total:
+            result[key[1:]] = total
     return result
 
 

@@ -1,14 +1,20 @@
 """Tests for the expression parser, evaluator and command line driver."""
 
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from qcoord.cli import MAX_NESTING, ParseError, evaluate, parse, run
+import qcoord
+
+from qcoord.cli import EXIT_BROKEN_PIPE, MAX_NESTING, ParseError, evaluate, parse, run
 from qcoord.coeff import LaurentPoly
 from qcoord.detloc import quantum_determinant
-from qcoord.monomial import NormalMonomial
+from qcoord.monomial import NormalMonomial, make_opposite_order, row_major_order
 from qcoord.render import element_to_str
 from qcoord.rewrite import Element, make_config
 
@@ -310,3 +316,57 @@ class TestRun:
         monkeypatch.setattr(cli.detloc, "check_central", lambda n, ell=None: report)
         assert run(["check", "central"]) == 1
         assert "FAIL" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "order,expected", [("rowmajor", row_major_order), ("opposite", make_opposite_order)]
+    )
+    def test_confluence_suite_straightens_under_the_run_order(
+        self, capsys, monkeypatch, order, expected
+    ):
+        from qcoord import cli
+
+        seen = set()
+        straighten = cli.normal_form_of_word
+
+        def spy(cfg, word, strategy):
+            seen.add(cfg.order)
+            return straighten(cfg, word, strategy)
+
+        monkeypatch.setattr(cli, "normal_form_of_word", spy)
+        assert run(["check", "pbw-confluence", "--n", "2", "--order", order]) == 0
+        assert capsys.readouterr().out == "check pbw-confluence (n=2): PASS (6 cases)\n"
+        assert seen == {expected(2)}
+
+
+class TestMain:
+    """The installed entry point, run as a child process."""
+
+    @staticmethod
+    def spawn(*argv):
+        env = dict(os.environ, PYTHONPATH=str(Path(qcoord.__file__).parents[1]))
+        return subprocess.Popen(
+            [sys.executable, "-c", "from qcoord.cli import main; main()", *argv],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+
+    def test_reader_leaving_after_one_line_ends_quietly(self):
+        # 3**9 basis lines overfill the pipe, so the child is still writing
+        # when the reader goes
+        with self.spawn("basis", "--n", "3", "--ell", "3") as child:
+            assert child.stdout.readline() == b"1\n"
+            child.stdout.close()
+            assert child.wait(timeout=60) == EXIT_BROKEN_PIPE
+            assert child.stderr.read() == b""
+
+    def test_reader_gone_before_the_first_write_ends_quietly(self):
+        with self.spawn("check", "pbw-confluence", "--n", "2", "--json") as child:
+            child.stdout.close()
+            assert child.wait(timeout=60) == EXIT_BROKEN_PIPE
+            assert child.stderr.read() == b""
+
+    def test_exit_code_is_kept_when_output_is_read(self):
+        with self.spawn("det", "--n", "2") as child:
+            out, err = child.communicate(timeout=60)
+        assert (child.returncode, out, err) == (0, b"t[1,1] t[2,2] - q t[1,2] t[2,1]\n", b"")

@@ -5,10 +5,12 @@ from itertools import product
 
 import pytest
 
-from qcoord.coeff import CycloRing, LaurentPoly, specialize_at_one
-from qcoord.monomial import NormalMonomial, weight
+from qcoord import rewrite
+from qcoord.coeff import CycloRing, LaurentPoly, LaurentRing, specialize_at_one
+from qcoord.monomial import GenOrder, NormalMonomial, row_major_order, weight
 from qcoord.rewrite import (
     Element,
+    _relation,
     make_config,
     multiply,
     normal_form_of_word,
@@ -289,3 +291,86 @@ class TestElementBasics:
         cfg = make_config(2)
         e = Element.from_words(cfg, [(((2, 2), (1, 1)), 1)])
         assert str(e) == "t[1,1] t[2,2] + (q^-1 - q) t[1,2] t[2,1]"
+
+
+class TestOperationCounts:
+    """The counts the benchmark's layer probes report, read through the same
+    hooks: ``trace=`` entries (one per swap, a ``"branch"`` product per
+    nested-corner swap), calls of ``LaurentRing.shift`` (one per q-shift) and
+    misses of the ``_reduction_step`` cache."""
+
+    @staticmethod
+    def count_shifts(monkeypatch) -> list:
+        calls = []
+        shift = LaurentRing.shift
+
+        def counted(self, c, k):
+            calls.append(k)
+            return shift(self, c, k)
+
+        monkeypatch.setattr(LaurentRing, "shift", counted)
+        return calls
+
+    def test_diagonal_word_k8(self, monkeypatch):
+        shifts = self.count_shifts(monkeypatch)
+        trace = []
+        nf = normal_form_of_word(make_config(2), ((2, 2),) * 8 + ((1, 1),) * 8, trace=trace)
+        branches = sum(kind == "branch" for _src, produced in trace for _w, kind in produced)
+        assert (len(trace), len(shifts), branches) == (7036, 3444, 3256)
+        assert len(nf) == 9
+
+    def test_gl_enforcement(self, monkeypatch):
+        shifts = self.count_shifts(monkeypatch)
+        trace = []
+        straighten = rewrite._rewrite
+
+        def traced(cfg, pending, strategy="leftmost"):
+            return straighten(cfg, pending, strategy, trace)
+
+        monkeypatch.setattr(rewrite, "_rewrite", traced)
+        rewrite._det_terms.cache_clear()
+        rewrite._reduction_step.cache_clear()
+        heavy = NormalMonomial((3, 1, 0, 0, 3, 1, 1, 0, 3))
+        e = Element.from_monomials(make_config(3, "gl"), [(heavy, 1)])
+        branches = sum(kind == "branch" for _src, produced in trace for _w, kind in produced)
+        assert (len(trace), len(shifts), branches) == (4703, 2199, 582)
+        assert rewrite._reduction_step.cache_info().misses == 28
+        assert len(e.terms) == 55
+
+
+class TestRelationTable:
+    def test_holds_only_the_pairs_met(self):
+        # a fresh order, so no other test has filled its table
+        n = 30
+        order = GenOrder(n, row_major_order(n).seq)
+        cfg = make_config(n, order=order)
+        word = ((2, 2), (1, 1), (30, 30), (1, 30), (30, 1))
+        trace = []
+        normal_form_of_word(cfg, word, trace=trace)
+        rank = order.rank_map
+        met = set()
+        for src, produced in trace:
+            # the swapped pair is where ``src`` and its swapped image differ
+            swapped = produced[0][0]
+            p = next(p for p in range(len(src)) if src[p] != swapped[p])
+            met.add(rank[src[p]] * n * n + rank[src[p + 1]])
+        # a handful of the n**4 = 810,000 pairs
+        assert set(order.relations) == met
+        assert 0 < len(met) < 20
+
+    def test_each_pair_is_derived_once(self, monkeypatch):
+        n = 3
+        cfg = make_config(n, order=GenOrder(n, row_major_order(n).seq))
+        derived = []
+
+        def counted(x, y):
+            derived.append((x, y))
+            return _relation(x, y)
+
+        monkeypatch.setattr(rewrite, "_relation", counted)
+        word = ((3, 3), (2, 2), (1, 1), (3, 1), (1, 3))
+        first = normal_form_of_word(cfg, word)
+        assert len(derived) == len(set(derived)) == len(cfg.order.relations) > 0
+        derived.clear()
+        assert normal_form_of_word(cfg, word) == first
+        assert derived == []
