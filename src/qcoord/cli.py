@@ -10,8 +10,15 @@ separated by whitespace or an explicit ``*``)::
 
 Negative exponents are allowed only on ``q`` and ``D``.  ``D`` requires the
 localized or special variant.  Parentheses nest at most ``MAX_NESTING``
-deep.  Exit codes: 0 success, 1 failed check, 2 usage, parse or input error,
-or a command too large to finish (out of memory, recursion limit,
+deep.
+
+Two tables drive the command line: ``COMMANDS``, and ``SUITES`` for the
+``check`` suites.  Handlers return a JSON payload, text lines and an exit
+code; :func:`run` alone checks the shared flags, prints and maps errors.
+
+Exit codes: 0 success, 1 failed check, 2 usage, parse or input error (also
+``--n`` above ``MAX_N``, or a suite given a non-default flag it does not
+read), or a command too large to finish (out of memory, recursion limit,
 ``basis --json`` above ``MAX_BASIS_JSON`` keys, or a quantum determinant
 expanded at ``n`` above ``rewrite.MAX_DET_N``), and ``EXIT_BROKEN_PIPE``
 when standard output is closed before the command has written it all.
@@ -23,19 +30,13 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import reduce
 
 from . import detloc, frobext, rootspec
-from .monomial import NormalMonomial
 from .render import element_to_str, monomial_to_str
 from .report import CheckReport
 from .rewrite import AlgebraConfig, Element, make_config, multiply, normal_form_of_word
-
-CHECK_SUITES = ("central", "pbw-confluence", "frobenius", "nakayama", "iso", "identities")
-
-# Commands, and check suites as ``check <suite>``, that work at a root of unity.
-NEEDS_ELL = ("expand", "phi", "nakayama", "basis", "check frobenius", "check nakayama")
 
 # Deepest parenthesis nesting the parser accepts.  Parsing and evaluation
 # take a few stack frames per level, so this keeps both far below the
@@ -44,6 +45,11 @@ MAX_NESTING = 100
 
 # Most keys ``basis --json`` lists: it holds them all, while text output streams.
 MAX_BASIS_JSON = 2**22
+
+# Largest ``--n`` any command accepts.  Every generator order and exponent
+# table has n*n entries, so this keeps a mistyped size a usage error, not an
+# out-of-memory kill.
+MAX_N = 1000
 
 # Exit code when the reader of standard output goes away (``qcoord basis |
 # head``): 128 + SIGPIPE, what a shell reports for a process SIGPIPE ends.
@@ -58,22 +64,6 @@ class ParseError(ValueError):
         if expected:
             detail += f" (expected {', '.join(expected)})"
         super().__init__(detail)
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    n: int = 2
-    variant: str = "m"
-    ell: int | None = None
-    order_flavor: str = "rowmajor"
-    json: bool = False
-
-    @property
-    def flavor(self) -> str:
-        return "standard" if self.order_flavor == "rowmajor" else "opposite"
-
-    def algebra(self) -> AlgebraConfig:
-        return make_config(self.n, self.variant, ell=self.ell, flavor=self.flavor)
 
 
 # ---------------------------------------------------------------------------
@@ -254,12 +244,8 @@ def eval_expr(node, cfg: AlgebraConfig) -> Element:
     kind = node[0]
     if kind == "int":
         return Element.scalar(cfg, node[1])
-    if kind == "q":
-        return Element.scalar(cfg, cfg.ring.q_power(1))
-    if kind == "D":
-        return Element.d_power(cfg, 1)
-    if kind == "gen":
-        return Element.generator(cfg, node[1], node[2])
+    if kind in ("q", "D", "gen"):
+        return eval_expr(("pow", node, 1), cfg)
     if kind == "pow":
         base, k = node[1], node[2]
         if base == ("q",):
@@ -267,9 +253,7 @@ def eval_expr(node, cfg: AlgebraConfig) -> Element:
         if base == ("D",):
             return Element.d_power(cfg, k)
         if base[0] == "gen":
-            exps = [0] * (cfg.n * cfg.n)
-            exps[(base[1] - 1) * cfg.n + (base[2] - 1)] = k
-            return Element.from_monomials(cfg, [(NormalMonomial(tuple(exps)), 1)])
+            return Element.generator(cfg, base[1], base[2], k)
         return eval_expr(base, cfg) ** k
     if kind == "neg":
         return -eval_expr(node[1], cfg)
@@ -285,50 +269,16 @@ def evaluate(src: str, cfg: AlgebraConfig) -> Element:
 
 
 # ---------------------------------------------------------------------------
-# Output helpers.
+# Check suites and commands.  A handler returns ``(payload, lines, exit
+# code)``.  Generators in either are rendered only if that form is printed,
+# so ``basis`` text streams.
 # ---------------------------------------------------------------------------
 
-
-def _emit_json(payload: dict) -> None:
-    print(json.dumps(payload, sort_keys=True, indent=2))
+_FLAVOR = {"rowmajor": "standard", "opposite": "opposite"}
 
 
-def element_json(e: Element, run: RunConfig) -> dict:
-    return {
-        "schema": 1,
-        "n": run.n,
-        "variant": run.variant,
-        "ell": run.ell,
-        "order": run.order_flavor,
-        "terms": [
-            {"monomial": monomial_to_str(m, e.config.order) or "1", "coeff": str(c)}
-            for m, c in e.sorted_terms()
-        ],
-    }
-
-
-def _print_element(e: Element, run: RunConfig) -> None:
-    if run.json:
-        _emit_json(element_json(e, run))
-    else:
-        print(element_to_str(e))
-
-
-def _print_report(report: CheckReport, run: RunConfig) -> int:
-    if run.json:
-        _emit_json(report.to_dict())
-    else:
-        status = "PASS" if report.passed else "FAIL"
-        scope = f"n={report.n}" + (f", ell={report.ell}" if report.ell is not None else "")
-        print(f"check {report.check} ({scope}): {status} ({len(report.cases)} cases)")
-        for case in report.failures():
-            print(f"  FAIL {case.input}: residual {case.residual}")
-    return 0 if report.passed else 1
-
-
-# ---------------------------------------------------------------------------
-# Check suites.
-# ---------------------------------------------------------------------------
+def _algebra(args) -> AlgebraConfig:
+    return make_config(args.n, args.variant, ell=args.ell, flavor=_FLAVOR[args.order])
 
 
 def _confluence_report(n: int, max_len: int = 5, flavor: str = "standard") -> CheckReport:
@@ -355,22 +305,116 @@ def _confluence_report(n: int, max_len: int = 5, flavor: str = "standard") -> Ch
     return report
 
 
-def _run_check(suite: str, run: RunConfig) -> int:
-    if suite == "central":
-        report = detloc.check_central(run.n, run.ell)
-    elif suite == "pbw-confluence":
-        report = _confluence_report(run.n, flavor=run.flavor)
-    elif suite == "frobenius":
-        report = rootspec.check_frobenius_central(run.n, run.ell)
-    elif suite == "nakayama":
-        report = frobext.check_nakayama(run.n, run.ell)
-    elif suite == "iso":
-        report = detloc.check_sl_gl_iso(run.n)
-    elif suite == "identities":
-        report = detloc.check_identities(run.n)
-    else:  # pragma: no cover - argparse restricts choices
-        raise AssertionError(suite)
-    return _print_report(report, run)
+# ``build(args)`` returns the report, reaching its module by attribute at call
+# time; ``takes`` names the shared flags it reads besides --n and --json.
+Suite = namedtuple("Suite", "build takes needs_ell", defaults=((), False))
+
+SUITES = {
+    "central": Suite(lambda a: detloc.check_central(a.n, a.ell), ("ell",)),
+    "pbw-confluence": Suite(
+        lambda a: _confluence_report(a.n, flavor=_FLAVOR[a.order]), ("order",)
+    ),
+    "frobenius": Suite(lambda a: rootspec.check_frobenius_central(a.n, a.ell), ("ell",), True),
+    "nakayama": Suite(lambda a: frobext.check_nakayama(a.n, a.ell), ("ell",), True),
+    "iso": Suite(lambda a: detloc.check_sl_gl_iso(a.n)),
+    "identities": Suite(lambda a: detloc.check_identities(a.n)),
+}
+
+CHECK_SUITES = tuple(SUITES)
+
+
+def _element(e: Element, args) -> tuple:
+    terms = (
+        {"monomial": monomial_to_str(m, e.config.order) or "1", "coeff": str(c)}
+        for m, c in e.sorted_terms()
+    )
+    keys = {"n": args.n, "variant": args.variant, "ell": args.ell, "order": args.order}
+    return {"schema": 1, **keys, "terms": terms}, map(element_to_str, [e]), 0
+
+
+def _mul(args) -> tuple:
+    cfg = _algebra(args)
+    return _element(multiply(evaluate(args.expr1, cfg), evaluate(args.expr2, cfg)), args)
+
+
+def _expand(args) -> tuple:
+    cfg = _algebra(args)
+    entries = [
+        {"basis_key": monomial_to_str(k, cfg.order) or "1", "classical_coeff": str(c)}
+        for k, c in rootspec.module_expand(evaluate(args.expr, cfg)).sorted_entries()
+    ]
+    payload = dict(schema=1, ell=args.ell, n=args.n, variant=args.variant, entries=entries)
+    return payload, (f"{e['basis_key']}: {e['classical_coeff']}" for e in entries), 0
+
+
+def _phi(args) -> tuple:
+    ctx = frobext.FrobeniusContext(args.n, args.ell, args.variant, _algebra(args).order)
+    value = str(ctx.phi(evaluate(args.expr, ctx.config)))
+    return {"schema": 1, "n": args.n, "ell": args.ell, "value": value}, [value], 0
+
+
+def _nakayama(args) -> tuple:
+    ctx = frobext.FrobeniusContext(args.n, args.ell, args.variant, _algebra(args).order)
+    return _element(ctx.nakayama(evaluate(args.expr, ctx.config)), args)
+
+
+def _basis(args) -> tuple:
+    cfg = _algebra(args)
+    keys = args.ell ** (args.n**2 + (args.variant == "gl"))
+    if args.json and keys > MAX_BASIS_JSON:
+        raise ValueError(
+            f"basis --json would list {keys} keys, more than {MAX_BASIS_JSON}; "
+            "text output streams"
+        )
+    basis = rootspec.enumerate_basis(args.n, args.ell, args.variant)
+    names = (monomial_to_str(m, cfg.order) or "1" for m in basis)
+    payload = dict(schema=1, n=args.n, ell=args.ell, variant=args.variant, basis=names)
+    return payload, names, 0
+
+
+def _check(args) -> tuple:
+    report = SUITES[args.suite].build(args)
+    status = "PASS" if report.passed else "FAIL"
+    scope = f"n={report.n}" + (f", ell={report.ell}" if report.ell is not None else "")
+    lines = [f"check {report.check} ({scope}): {status} ({len(report.cases)} cases)"]
+    lines += (f"  FAIL {case.input}: residual {case.residual}" for case in report.failures())
+    return report.to_dict(), lines, 0 if report.passed else 1
+
+
+# ``args`` maps each positional argument to its ``add_argument`` keywords.
+Command = namedtuple("Command", "help handler args needs_ell", defaults=(False,))
+
+_EXPR = {"expr": {}}
+COMMANDS = {
+    "nf": Command(
+        "normal form of an expression", lambda a: _element(evaluate(a.expr, _algebra(a)), a), _EXPR
+    ),
+    "det": Command(
+        "print the quantum determinant",
+        lambda a: _element(detloc.quantum_determinant(_algebra(a)), a),
+        {},
+    ),
+    "mul": Command("product of two expressions", _mul, {"expr1": {}, "expr2": {}}),
+    "expand": Command("free-module expansion", _expand, _EXPR, True),
+    "phi": Command("pairing functional of an expression", _phi, _EXPR, True),
+    "nakayama": Command("apply the pairing twist", _nakayama, _EXPR, True),
+    "basis": Command("list the residue basis monomials", _basis, {}, True),
+    "check": Command("run a verification suite", _check, {"suite": {"choices": CHECK_SUITES}}),
+}
+
+# Commands, and check suites as ``check <suite>``, that work at a root of unity.
+NEEDS_ELL = tuple(name for name, c in COMMANDS.items() if c.needs_ell) + tuple(
+    f"check {name}" for name, s in SUITES.items() if s.needs_ell
+)
+
+# The flags every command shares, as ``add_argument`` keywords.
+_FLAGS = {
+    "n": dict(type=int, default=2, help="matrix dimension (default 2)"),
+    "variant": dict(choices=("m", "gl", "sl"), default="m", help="algebra variant"),
+    "ell": dict(type=int, default=None, help="odd root-of-unity order"),
+    "order": dict(choices=("rowmajor", "opposite"), default="rowmajor", help="generator order"),
+    "json": dict(action="store_true", help="machine-readable output"),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -380,136 +424,53 @@ def _run_check(suite: str, run: RunConfig) -> int:
 
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--n", type=int, default=2, help="matrix dimension (default 2)")
-    common.add_argument(
-        "--variant", choices=("m", "gl", "sl"), default="m", help="algebra variant"
-    )
-    common.add_argument("--ell", type=int, default=None, help="odd root-of-unity order")
-    common.add_argument(
-        "--order", choices=("rowmajor", "opposite"), default="rowmajor", help="generator order"
-    )
-    common.add_argument("--json", action="store_true", help="machine-readable output")
-
+    for flag, spec in _FLAGS.items():
+        common.add_argument(f"--{flag}", **spec)
     parser = argparse.ArgumentParser(
-        prog="qcoord",
-        description="Exact computations in quantized coordinate rings of matrices.",
+        prog="qcoord", description="Exact computations in quantized coordinate rings of matrices."
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("nf", parents=[common], help="normal form of an expression")
-    p.add_argument("expr")
-    sub.add_parser("det", parents=[common], help="print the quantum determinant")
-    p = sub.add_parser("mul", parents=[common], help="product of two expressions")
-    p.add_argument("expr1")
-    p.add_argument("expr2")
-    p = sub.add_parser("expand", parents=[common], help="free-module expansion")
-    p.add_argument("expr")
-    p = sub.add_parser("phi", parents=[common], help="pairing functional of an expression")
-    p.add_argument("expr")
-    p = sub.add_parser("nakayama", parents=[common], help="apply the pairing twist")
-    p.add_argument("expr")
-    sub.add_parser("basis", parents=[common], help="list the residue basis monomials")
-    p = sub.add_parser("check", parents=[common], help="run a verification suite")
-    p.add_argument("suite", choices=CHECK_SUITES)
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, parents=[common], help=command.help)
+        for arg, spec in command.args.items():
+            p.add_argument(arg, **spec)
     return parser
 
 
-def _run_config(args) -> RunConfig:
-    return RunConfig(args.n, args.variant, args.ell, args.order, args.json)
+def _fail(message: str) -> int:
+    print(message, file=sys.stderr)
+    return 2
 
 
 def run(argv) -> int:
     """Execute a command line; returns the process exit code."""
-    parser = _build_parser()
     try:
-        args = parser.parse_args(list(argv))
+        args = _build_parser().parse_args(list(argv))
     except SystemExit as exc:
-        code = exc.code
-        return int(code) if code is not None else 0
-    run_cfg = _run_config(args)
-    command = f"check {args.suite}" if args.command == "check" else args.command
-    if command in NEEDS_ELL and run_cfg.ell is None:
-        print(f"{command} requires --ell", file=sys.stderr)
-        return 2
-
+        return int(exc.code or 0)
+    suite = SUITES[args.suite] if args.command == "check" else None
+    name = f"check {args.suite}" if suite else args.command
+    if args.n > MAX_N:
+        return _fail(f"error: --n {args.n} is too large; commands are limited to n <= {MAX_N}")
+    if name in NEEDS_ELL and args.ell is None:
+        return _fail(f"{name} requires --ell")
+    for flag in ("variant", "ell", "order") if suite else ():
+        if flag not in suite.takes and getattr(args, flag) != _FLAGS[flag]["default"]:
+            return _fail(f"{name} does not take --{flag}")
     try:
-        if args.command == "check":
-            return _run_check(args.suite, run_cfg)
-
-        cfg = run_cfg.algebra()
-        if args.command == "nf":
-            _print_element(evaluate(args.expr, cfg), run_cfg)
-        elif args.command == "det":
-            _print_element(detloc.quantum_determinant(cfg), run_cfg)
-        elif args.command == "mul":
-            product = multiply(evaluate(args.expr1, cfg), evaluate(args.expr2, cfg))
-            _print_element(product, run_cfg)
-        elif args.command == "expand":
-            expansion = rootspec.module_expand(evaluate(args.expr, cfg))
-            payload = {
-                "schema": 1,
-                "ell": run_cfg.ell,
-                "n": run_cfg.n,
-                "variant": run_cfg.variant,
-                "entries": [
-                    {
-                        "basis_key": monomial_to_str(k, cfg.order) or "1",
-                        "classical_coeff": str(c),
-                    }
-                    for k, c in expansion.sorted_entries()
-                ],
-            }
-            if run_cfg.json:
-                _emit_json(payload)
-            else:
-                for entry in payload["entries"]:
-                    print(f"{entry['basis_key']}: {entry['classical_coeff']}")
-        elif args.command == "phi":
-            ctx = frobext.FrobeniusContext(run_cfg.n, run_cfg.ell, run_cfg.variant, cfg.order)
-            value = ctx.phi(evaluate(args.expr, ctx.config))
-            if run_cfg.json:
-                _emit_json(
-                    {"schema": 1, "n": run_cfg.n, "ell": run_cfg.ell, "value": str(value)}
-                )
-            else:
-                print(value)
-        elif args.command == "nakayama":
-            ctx = frobext.FrobeniusContext(run_cfg.n, run_cfg.ell, run_cfg.variant, cfg.order)
-            _print_element(ctx.nakayama(evaluate(args.expr, ctx.config)), run_cfg)
-        elif args.command == "basis":
-            keys = run_cfg.ell ** (run_cfg.n**2 + (run_cfg.variant == "gl"))
-            if run_cfg.json and keys > MAX_BASIS_JSON:
-                raise ValueError(
-                    f"basis --json would list {keys} keys, more than {MAX_BASIS_JSON}; "
-                    "text output streams"
-                )
-            monomials = rootspec.enumerate_basis(run_cfg.n, run_cfg.ell, run_cfg.variant)
-            if run_cfg.json:
-                _emit_json(
-                    {
-                        "schema": 1,
-                        "n": run_cfg.n,
-                        "ell": run_cfg.ell,
-                        "variant": run_cfg.variant,
-                        "basis": [monomial_to_str(m, cfg.order) or "1" for m in monomials],
-                    }
-                )
-            else:
-                for m in monomials:
-                    print(monomial_to_str(m, cfg.order) or "1")
-        else:  # pragma: no cover - argparse restricts choices
-            raise AssertionError(args.command)
-    except ParseError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
+        payload, lines, code = COMMANDS[args.command].handler(args)
+        if args.json:
+            # ``default=list`` writes each generator in the payload as a list.
+            print(json.dumps(payload, sort_keys=True, indent=2, default=list))
+        else:
+            for line in lines:
+                print(line)
     except (ValueError, ArithmeticError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _fail(str(exc) if isinstance(exc, ParseError) else f"error: {exc}")
     except (MemoryError, RecursionError) as exc:
         reason = "out of memory" if isinstance(exc, MemoryError) else "recursion limit exceeded"
-        print(f"error: {reason}", file=sys.stderr)
-        return 2
-    return 0
+        return _fail(f"error: {reason}")
+    return code
 
 
 def main() -> None:

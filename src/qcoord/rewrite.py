@@ -513,11 +513,12 @@ class Element(Combination):
         return cls(cfg, {NormalMonomial((0,) * (cfg.n * cfg.n)): c}, _raw=True)
 
     @classmethod
-    def generator(cls, cfg: AlgebraConfig, i: int, j: int) -> Element:
+    def generator(cls, cfg: AlgebraConfig, i: int, j: int, power: int = 1) -> Element:
+        """``t[i,j]**power``, reduced: at n = 1 it is ``D**power`` under ``gl``."""
         check_gen((i, j), cfg.n)
         exps = [0] * (cfg.n * cfg.n)
-        exps[(i - 1) * cfg.n + (j - 1)] = 1
-        return cls(cfg, {NormalMonomial(tuple(exps)): cfg.ring.one()}, _raw=True)
+        exps[(i - 1) * cfg.n + (j - 1)] = power
+        return cls.monomial(cfg, NormalMonomial(tuple(exps)))
 
     @classmethod
     def d_power(cls, cfg: AlgebraConfig, z: int) -> Element:

@@ -370,3 +370,71 @@ class TestMain:
         with self.spawn("det", "--n", "2") as child:
             out, err = child.communicate(timeout=60)
         assert (child.returncode, out, err) == (0, b"t[1,1] t[2,2] - q t[1,2] t[2,1]\n", b"")
+
+
+class TestTables:
+    """A generator prints as its normal form; ``run`` refuses ``--n`` above
+    ``MAX_N`` and a shared flag that a suite does not read."""
+
+    @pytest.mark.parametrize("flavor", ["standard", "opposite"])
+    @pytest.mark.parametrize("variant", ["gl", "sl"])
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_a_generator_prints_as_its_normal_form(self, capsys, n, variant, flavor):
+        from qcoord.rewrite import normalize
+
+        cfg = make_config(n, variant, flavor=flavor)
+        order = "rowmajor" if flavor == "standard" else "opposite"
+        flags = ["--n", str(n), "--variant", variant, "--order", order]
+        for i in range(1, n + 1):
+            for j in range(1, n + 1):
+                t = Element.generator(cfg, i, j)
+                assert t == normalize(t)
+                printed = []
+                for spelling in (f"t[{i},{j}]", f"t[{i},{j}] * 1"):
+                    assert run(["nf", spelling, *flags]) == 0
+                    if variant == "gl":
+                        assert run(["phi", spelling, "--ell", "3", *flags]) == 0
+                    printed.append(capsys.readouterr().out)
+                assert printed[0] == printed[1]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["nf", "t[2,2] t[1,1]"], ["basis", "--ell", "3"], ["check", "central"]],
+    )
+    def test_n_above_max_n_is_refused_before_anything_is_built(self, capsys, monkeypatch, argv):
+        from qcoord import cli
+        from qcoord.monomial import GenOrder
+
+        def never(self):
+            pytest.fail("a generator order was built")
+
+        monkeypatch.setattr(GenOrder, "__post_init__", never)
+        assert run([*argv, "--n", "100000"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: --n 100000 is too large; commands are limited to n <= {cli.MAX_N}\n"
+
+    @pytest.mark.parametrize(
+        "argv,builder,flag",
+        [
+            ("check nakayama --ell 3 --variant gl", "frobext.check_nakayama", "variant"),
+            ("check central --order opposite", "detloc.check_central", "order"),
+            ("check iso --ell 3", "detloc.check_sl_gl_iso", "ell"),
+        ],
+    )
+    def test_check_refuses_a_flag_its_suite_does_not_read(
+        self, capsys, monkeypatch, argv, builder, flag
+    ):
+        from qcoord import cli
+
+        def never(*args):
+            pytest.fail("the suite ran")
+
+        module, name = builder.split(".")
+        monkeypatch.setattr(getattr(cli, module), name, never)
+        assert run(argv.split()) == 2
+        assert capsys.readouterr() == ("", f"check {argv.split()[1]} does not take --{flag}\n")
+
+    def test_check_accepts_the_default_of_a_flag_it_does_not_read(self, capsys):
+        assert run(["check", "identities", "--variant", "m", "--order", "rowmajor"]) == 0
+        assert capsys.readouterr().out == "check identities (n=2): PASS (7 cases)\n"
