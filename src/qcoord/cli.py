@@ -17,11 +17,12 @@ Two tables drive the command line: ``COMMANDS``, and ``SUITES`` for the
 code; :func:`run` alone checks the shared flags, prints and maps errors.
 
 Exit codes: 0 success, 1 failed check, 2 usage, parse or input error (also
-``--n`` above ``MAX_N``, or a suite given a non-default flag it does not
-read), or a command too large to finish (out of memory, recursion limit,
-``basis --json`` above ``MAX_BASIS_JSON`` keys, or a quantum determinant
-expanded at ``n`` above ``rewrite.MAX_DET_N``), and ``EXIT_BROKEN_PIPE``
-when standard output is closed before the command has written it all.
+``--n`` above ``MAX_N``, ``--ell`` above ``MAX_ELL``, or a suite given a
+non-default flag it does not read), or a command too large to finish (out
+of memory, recursion limit, ``basis --json`` above ``MAX_BASIS_JSON`` keys,
+or a quantum determinant expanded at ``n`` above ``rewrite.MAX_DET_N``),
+and ``EXIT_BROKEN_PIPE`` when standard output is closed before the command
+has written it all.
 """
 
 from __future__ import annotations
@@ -50,6 +51,12 @@ MAX_BASIS_JSON = 2**22
 # table has n*n entries, so this keeps a mistyped size a usage error, not an
 # out-of-memory kill.
 MAX_N = 1000
+
+# Largest ``--ell`` any command accepts.  Building ``phi_l`` and the ``l``
+# powers of its root of unity grow with ``l``: ``nf``, ``phi`` and
+# ``nakayama`` take at most 0.6 s at 999, but ``nf q --ell 9993`` takes 18 s
+# and ``nf 't[1,1]' --ell 100001`` 27 s (Python 3.11, 2 cores).
+MAX_ELL = 999
 
 # Exit code when the reader of standard output goes away (``qcoord basis |
 # head``): 128 + SIGPIPE, what a shell reports for a process SIGPIPE ends.
@@ -360,10 +367,12 @@ def _nakayama(args) -> tuple:
 
 def _basis(args) -> tuple:
     cfg = _algebra(args)
-    keys = args.ell ** (args.n**2 + (args.variant == "gl"))
-    if args.json and keys > MAX_BASIS_JSON:
+    k = args.n**2 + (args.variant == "gl")
+    # l**k keys; past the bit length of the cap any l > 1 exceeds it, so a
+    # huge power is never formed.
+    if args.json and args.ell ** min(k, MAX_BASIS_JSON.bit_length()) > MAX_BASIS_JSON:
         raise ValueError(
-            f"basis --json would list {keys} keys, more than {MAX_BASIS_JSON}; "
+            f"basis --json would list {args.ell}^{k} keys, more than {MAX_BASIS_JSON}; "
             "text output streams"
         )
     basis = rootspec.enumerate_basis(args.n, args.ell, args.variant)
@@ -452,6 +461,10 @@ def run(argv) -> int:
     name = f"check {args.suite}" if suite else args.command
     if args.n > MAX_N:
         return _fail(f"error: --n {args.n} is too large; commands are limited to n <= {MAX_N}")
+    if args.ell is not None and args.ell > MAX_ELL:
+        return _fail(
+            f"error: --ell {args.ell} is too large; commands are limited to ell <= {MAX_ELL}"
+        )
     if name in NEEDS_ELL and args.ell is None:
         return _fail(f"{name} requires --ell")
     for flag in ("variant", "ell", "order") if suite else ():

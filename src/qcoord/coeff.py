@@ -10,8 +10,8 @@ Two ground rings are supported:
 
 Laurent polynomials, algebra elements (``rewrite.Element``) and classical
 coefficients (``rootspec.ClassicalPoly``) are all finite sparse
-combinations; :class:`Combination` holds their additive arithmetic once.
-The dense ``Z_eps(l)`` residues stay outside it.
+combinations, and so are the ``Z_eps(l)`` residues (:class:`CycloElem`);
+:class:`Combination` holds the additive arithmetic of all four once.
 
 Everything here is exact integer arithmetic; there is no floating point.
 
@@ -149,8 +149,10 @@ class LaurentPoly(Combination):
         return cls({1: 1, -1: -1})
 
     def __mul__(self, other) -> LaurentPoly:
-        if isinstance(other, int):
-            return self.scale(other)
+        if type(other) is not LaurentPoly:
+            if isinstance(other, int):
+                return self.scale(other)
+            other = self._operand(other)
         prod: dict[int, int] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
@@ -168,9 +170,9 @@ class LaurentPoly(Combination):
         return result
 
     def __str__(self) -> str:
-        from .render import format_qpoly
+        from .render import coeff_pairs, format_qpoly
 
-        return format_qpoly(sorted(self.terms.items()))
+        return format_qpoly(coeff_pairs(self))
 
     def __repr__(self) -> str:
         return f"LaurentPoly('{self}')"
@@ -192,17 +194,6 @@ def _trim(coeffs: list[int]) -> tuple[int, ...]:
     while end and coeffs[end - 1] == 0:
         end -= 1
     return tuple(coeffs[:end])
-
-
-def _dense_mul(a, b) -> tuple[int, ...]:
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                out[i + j] += ca * cb
-    return _trim(out)
 
 
 def _dense_divmod(num, den) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -258,75 +249,54 @@ def cyclotomic(ell: int) -> CyclotomicModulus:
     return CyclotomicModulus(ell, poly)
 
 
-class CycloElem:
-    """An element of ``Z[q] / (phi_l(q))``, stored as the canonical residue.
-
-    The residue is a dense coefficient tuple of length ``degree(phi_l)``.
+class CycloElem(Combination):
+    """An element of ``Z[q] / (phi_l(q))``, stored as the canonical residue:
+    ``terms`` maps each exponent below ``deg phi_l`` to a nonzero integer,
+    and ``space`` is ``l``.
     """
 
-    __slots__ = ("residue", "modulus")
+    __slots__ = ("space",)
 
     def __init__(self, residue, modulus: CyclotomicModulus):
-        deg = modulus.degree
-        res = list(residue[:deg]) + [0] * max(deg - len(residue), 0)
-        if len(residue) > deg:
+        if len(residue) > modulus.degree:
             raise ValueError("residue degree must be below the modulus degree")
-        self.residue = tuple(res)
-        self.modulus = modulus
+        self.terms = {e: c for e, c in enumerate(residue) if c}
+        self.space = modulus.ell
 
-    def is_zero(self) -> bool:
-        return not any(self.residue)
+    def _like(self, terms: dict[int, int]) -> CycloElem:
+        out = CycloElem.__new__(CycloElem)
+        out.terms = terms
+        out.space = self.space
+        return out
 
-    def __bool__(self) -> bool:
-        return any(self.residue)
+    def _scalar(self, k: int) -> CycloElem:
+        return self._like({0: k} if k else {})
 
-    def _check(self, other: CycloElem) -> None:
-        if self.modulus.ell != other.modulus.ell:
-            raise ValueError("mixed cyclotomic moduli")
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, int):
-            return self == CycloElem((other,), self.modulus)
-        if not isinstance(other, CycloElem):
-            return NotImplemented
-        return self.modulus.ell == other.modulus.ell and self.residue == other.residue
-
-    def __hash__(self) -> int:
-        return hash((self.modulus.ell, self.residue))
-
-    def __add__(self, other) -> CycloElem:
-        if isinstance(other, int):
-            other = CycloElem((other,), self.modulus)
-        self._check(other)
-        return CycloElem([a + b for a, b in zip(self.residue, other.residue)], self.modulus)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> CycloElem:
-        return CycloElem([-a for a in self.residue], self.modulus)
-
-    def __sub__(self, other) -> CycloElem:
-        if isinstance(other, int):
-            other = CycloElem((other,), self.modulus)
-        return self + (-other)
+    @property
+    def residue(self) -> tuple[int, ...]:
+        """The canonical residue as the dense tuple of length ``deg phi_l``
+        that the constructor takes."""
+        return tuple(self.terms.get(e, 0) for e in range(cyclotomic(self.space).degree))
 
     def __mul__(self, other) -> CycloElem:
-        if isinstance(other, int):
-            return CycloElem([a * other for a in self.residue], self.modulus)
-        self._check(other)
-        prod = _dense_mul(self.residue, other.residue)
-        _, rem = _dense_divmod(prod, self.modulus.phi)
-        return CycloElem(rem, self.modulus)
+        if type(other) is not CycloElem or other.space != self.space:
+            if isinstance(other, int):
+                return self.scale(other)
+            other = self._operand(other)
+        phi = cyclotomic(self.space).phi
+        prod = [0] * (2 * len(phi) - 3)  # degrees below 2 deg(phi_l) - 1
+        for e1, c1 in self.terms.items():
+            for e2, c2 in other.terms.items():
+                prod[e1 + e2] += c1 * c2
+        _, rem = _dense_divmod(prod, phi)
+        return self._like({e: c for e, c in enumerate(rem) if c})
 
     __rmul__ = __mul__
 
-    def __str__(self) -> str:
-        from .render import format_qpoly
-
-        return format_qpoly([(e, c) for e, c in enumerate(self.residue) if c])
+    __str__ = LaurentPoly.__str__
 
     def __repr__(self) -> str:
-        return f"CycloElem('{self}' mod phi_{self.modulus.ell})"
+        return f"CycloElem('{self}' mod phi_{self.space})"
 
 
 def reduce_mod(p: LaurentPoly, m: CyclotomicModulus) -> CycloElem:
@@ -447,7 +417,7 @@ class CycloRing:
 
     def coerce(self, value) -> CycloElem:
         if isinstance(value, CycloElem):
-            if value.modulus.ell != self.ell:
+            if value.space != self.ell:
                 raise ValueError("mixed cyclotomic moduli")
             return value
         if isinstance(value, int):

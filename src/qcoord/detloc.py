@@ -153,7 +153,7 @@ def from_wedge_key(m: NormalMonomial) -> NormalMonomial:
 
 
 def gl_config_like(cfg: AlgebraConfig) -> AlgebraConfig:
-    return AlgebraConfig(cfg.n, "gl", cfg.order, cfg.ring, cfg.flavor)
+    return AlgebraConfig(cfg.n, "gl", cfg.order, cfg.ring)
 
 
 def _iso_image_of_word(cfg_gl: AlgebraConfig, word, xpow: int, coeff) -> Element:
@@ -259,7 +259,7 @@ def check_identities(n: int) -> CheckReport:
 
     for flavor in ("standard", "opposite"):
         cfg_gl = make_config(n, "gl", flavor=flavor)
-        cfg_flat = AlgebraConfig(n, "m", cfg_gl.order, cfg_gl.ring, flavor)
+        cfg_flat = AlgebraConfig(n, "m", cfg_gl.order, cfg_gl.ring)
         for mon in _reduction_targets(n, flavor):
             step = diagonal_reduction(cfg_gl, mon)
             recombined = _expand_determinant_powers(cfg_flat, step)

@@ -108,7 +108,7 @@ class FrobeniusContext:
 
     @cached_property
     def config(self) -> AlgebraConfig:
-        return AlgebraConfig(self.n, self.variant, self.order, CycloRing(self.ell), "standard")
+        return AlgebraConfig(self.n, self.variant, self.order, CycloRing(self.ell))
 
     @property
     def ring(self) -> CycloRing:
@@ -121,7 +121,7 @@ class FrobeniusContext:
 
     @cached_property
     def _flat_config(self) -> AlgebraConfig:
-        return AlgebraConfig(self.n, "m", self.order, CycloRing(self.ell), "standard")
+        return AlgebraConfig(self.n, "m", self.order, CycloRing(self.ell))
 
     # -- the functional and the pairing --------------------------------------
 

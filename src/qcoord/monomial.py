@@ -26,8 +26,8 @@ GenIndex = tuple[int, int]
 Word = tuple[GenIndex, ...]
 Weight = tuple[int, ...]
 
-STANDARD_KIND = "standard-any"
-OPPOSITE_KIND = "opposite-constrained"
+# The two flavors of normal form, each with its kind of generator order.
+FLAVORS = ("standard", "opposite")
 
 
 def check_gen(g: GenIndex, n: int) -> None:
@@ -151,10 +151,10 @@ class GenOrder:
     """A total order on the generator indices.
 
     ``seq`` lists all ``n*n`` index pairs from smallest to largest rank.
-    ``kind`` is ``"standard-any"`` for a free choice of order, or
-    ``"opposite-constrained"`` when the order must list every generator
-    above the antidiagonal before every antidiagonal one, which in turn
-    precede all those below it.
+    ``kind`` is the flavor of normal form the order serves:
+    ``"standard"`` for a free choice of order, or ``"opposite"`` when the
+    order must list every generator above the antidiagonal before every
+    antidiagonal one, which in turn precede all those below it.
 
     ``relations`` belongs to the straightener (``rewrite._rewrite``): the
     commutation relation of each pair of ranks it has met, filled on demand,
@@ -164,7 +164,7 @@ class GenOrder:
 
     n: int
     seq: tuple[GenIndex, ...]
-    kind: str = STANDARD_KIND
+    kind: str = "standard"
     _rank: dict = field(init=False, repr=False, compare=False, default=None)
     relations: dict = field(init=False, repr=False, compare=False, default=None)
 
@@ -172,9 +172,9 @@ class GenOrder:
         n = self.n
         if sorted(self.seq) != [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]:
             raise ValueError("order must list every generator index exactly once")
-        if self.kind not in (STANDARD_KIND, OPPOSITE_KIND):
+        if self.kind not in FLAVORS:
             raise ValueError(f"unknown order kind {self.kind!r}")
-        if self.kind == OPPOSITE_KIND:
+        if self.kind == "opposite":
             regions = [antidiag_region(n, g) for g in self.seq]
             if regions != sorted(regions):
                 raise ValueError(
@@ -196,14 +196,14 @@ class GenOrder:
 def row_major_order(n: int) -> GenOrder:
     """The default order: ``(1,1) < (1,2) < ... < (n,n)``."""
     seq = tuple((i, j) for i in range(1, n + 1) for j in range(1, n + 1))
-    return GenOrder(n, seq, STANDARD_KIND)
+    return GenOrder(n, seq)
 
 
 def make_opposite_order(n: int) -> GenOrder:
     """Build an order satisfying the antidiagonal block constraint: the
     three regions in turn, row-major within each."""
     gens = sorted(row_major_order(n).seq, key=lambda g: antidiag_region(n, g))
-    return GenOrder(n, tuple(gens), OPPOSITE_KIND)
+    return GenOrder(n, tuple(gens), "opposite")
 
 
 class NormalMonomial(NamedTuple):

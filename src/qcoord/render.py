@@ -7,17 +7,12 @@ parenthesized.
 
 from __future__ import annotations
 
-from .coeff import CycloElem, LaurentPoly
 from .monomial import GenOrder, NormalMonomial
 
 
 def coeff_pairs(c) -> list[tuple[int, int]]:
     """(exponent, integer) pairs of a coefficient, ascending by exponent."""
-    if isinstance(c, LaurentPoly):
-        return sorted(c.terms.items())
-    if isinstance(c, CycloElem):
-        return [(e, v) for e, v in enumerate(c.residue) if v]
-    raise TypeError(f"not a coefficient: {c!r}")
+    return sorted(c.terms.items())
 
 
 def monomial_to_str(

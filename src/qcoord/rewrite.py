@@ -53,7 +53,7 @@ from math import factorial
 
 from .coeff import Combination, CycloElem, CycloRing, LaurentPoly, LaurentRing, _merge
 from .monomial import (
-    OPPOSITE_KIND,
+    FLAVORS,
     GenIndex,
     GenOrder,
     NormalMonomial,
@@ -69,7 +69,6 @@ from .monomial import (
 )
 
 VARIANTS = ("m", "gl", "sl")
-FLAVORS = ("standard", "opposite")
 
 # The ring every straightening and reduction step computes in.
 _ZQ = LaurentRing()
@@ -91,29 +90,27 @@ class AlgebraConfig:
 
     ``variant`` selects the plain matrix algebra (``"m"``), its localization
     at the quantum determinant (``"gl"``) or the quotient by ``D - 1``
-    (``"sl"``).  ``flavor`` selects which normal-form constraint applies to
-    the localized variants: ``"standard"`` keys on the diagonal exponents,
-    ``"opposite"`` on the antidiagonal ones (and requires a block-compatible
-    generator order).
+    (``"sl"``).  The order's ``kind`` is the ``flavor``, which selects the
+    normal-form constraint of the localized variants: ``"standard"`` keys on
+    the diagonal exponents, ``"opposite"`` on the antidiagonal ones.
     """
 
     n: int
     variant: str
     order: GenOrder
     ring: LaurentRing | CycloRing
-    flavor: str = "standard"
 
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("dimension must be at least 1")
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}")
-        if self.flavor not in FLAVORS:
-            raise ValueError(f"unknown basis flavor {self.flavor!r}")
         if self.order.n != self.n:
             raise ValueError("generator order has the wrong dimension")
-        if self.flavor == "opposite" and self.order.kind != OPPOSITE_KIND:
-            raise ValueError("opposite flavor requires an opposite-constrained order")
+
+    @property
+    def flavor(self) -> str:
+        return self.order.kind
 
 
 def make_config(
@@ -121,13 +118,19 @@ def make_config(
     variant: str = "m",
     *,
     ell: int | None = None,
-    flavor: str = "standard",
+    flavor: str | None = None,
     order: GenOrder | None = None,
 ) -> AlgebraConfig:
+    """The algebra of ``n``, ``variant`` and ``ell``; ``flavor`` picks the
+    order when none is given, and must otherwise agree with its kind."""
+    if flavor not in (None, *FLAVORS):
+        raise ValueError(f"unknown basis flavor {flavor!r}")
     if order is None:
-        order = row_major_order(n) if flavor == "standard" else make_opposite_order(n)
+        order = make_opposite_order(n) if flavor == "opposite" else row_major_order(n)
+    elif flavor not in (None, order.kind):
+        raise ValueError(f"the {flavor} flavor needs an order of that kind, not {order.kind}")
     ring = LaurentRing() if ell is None else CycloRing(ell)
-    return AlgebraConfig(n, variant, order, ring, flavor)
+    return AlgebraConfig(n, variant, order, ring)
 
 
 def _relation(x: GenIndex, y: GenIndex):
@@ -304,7 +307,7 @@ def _lift(cfg: AlgebraConfig, value) -> LaurentPoly:
     """A coefficient of ``cfg.ring`` as a Laurent polynomial; the residue of a
     root-of-unity coefficient is read as a polynomial in ``q``."""
     c = cfg.ring.coerce(value)
-    return LaurentPoly(dict(enumerate(c.residue))) if isinstance(c, CycloElem) else c
+    return LaurentPoly(c.terms) if isinstance(c, CycloElem) else c
 
 
 def _project(cfg: AlgebraConfig, terms: dict) -> dict:

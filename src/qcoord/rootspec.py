@@ -107,7 +107,7 @@ def specialize(e: Element, ell: int) -> Element:
     cfg = e.config
     if isinstance(cfg.ring, CycloRing):
         raise ValueError("element is already specialized")
-    target = AlgebraConfig(cfg.n, cfg.variant, cfg.order, CycloRing(ell), cfg.flavor)
+    target = AlgebraConfig(cfg.n, cfg.variant, cfg.order, CycloRing(ell))
     return Element(target, _project(target, e.terms), _raw=True)
 
 

@@ -292,13 +292,16 @@ class TestRun:
         monkeypatch.setattr(cli.rootspec, "enumerate_basis", never)
         assert run(["basis", "--n", "4", "--ell", "3", "--json"]) == 2
         assert capsys.readouterr().err == (
-            f"error: basis --json would list {3**16} keys, more than {cli.MAX_BASIS_JSON}; "
+            f"error: basis --json would list 3^16 keys, more than {cli.MAX_BASIS_JSON}; "
             "text output streams\n"
         )
+        # 3^10000 has 4,772 digits, past the integer-to-text limit of Python
+        assert run(["basis", "--n", "100", "--ell", "3", "--json"]) == 2
+        assert capsys.readouterr().err.startswith("error: basis --json would list 3^10000 keys,")
         # gl adds a determinant residue: l^(n*n) * l keys
         monkeypatch.setattr(cli, "MAX_BASIS_JSON", 8)
         assert run(["basis", "--n", "1", "--ell", "3", "--variant", "gl", "--json"]) == 2
-        assert "would list 9 keys, more than 8" in capsys.readouterr().err
+        assert "would list 3^2 keys, more than 8" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [["det", "--n", "9"], ["check", "iso", "--n", "9"]])
     def test_determinant_above_size_limit_exits_two(self, capsys, argv):
@@ -374,7 +377,8 @@ class TestMain:
 
 class TestTables:
     """A generator prints as its normal form; ``run`` refuses ``--n`` above
-    ``MAX_N`` and a shared flag that a suite does not read."""
+    ``MAX_N``, ``--ell`` above ``MAX_ELL`` and a shared flag that a suite
+    does not read."""
 
     @pytest.mark.parametrize("flavor", ["standard", "opposite"])
     @pytest.mark.parametrize("variant", ["gl", "sl"])
@@ -434,6 +438,23 @@ class TestTables:
         monkeypatch.setattr(getattr(cli, module), name, never)
         assert run(argv.split()) == 2
         assert capsys.readouterr() == ("", f"check {argv.split()[1]} does not take --{flag}\n")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["nf", "q"], ["nakayama", "t[1,1]"], ["basis"], ["check", "nakayama"]],
+    )
+    def test_ell_above_max_ell_is_refused_before_anything_is_built(self, capsys, monkeypatch, argv):
+        from qcoord import cli
+        from qcoord.coeff import CycloRing
+
+        def never(self):
+            pytest.fail("a cyclotomic ring was built")
+
+        monkeypatch.setattr(CycloRing, "__post_init__", never)
+        assert run([*argv, "--ell", "1001"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: --ell 1001 is too large; commands are limited to ell <= {cli.MAX_ELL}\n"
 
     def test_check_accepts_the_default_of_a_flag_it_does_not_read(self, capsys):
         assert run(["check", "identities", "--variant", "m", "--order", "rowmajor"]) == 0

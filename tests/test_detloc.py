@@ -136,7 +136,7 @@ class TestDiagonalReduction:
         # oracle: expand the freed determinant powers back into actual
         # determinant products inside the plain algebra
         cfg_gl = make_config(n, "gl", flavor=flavor)
-        cfg_m = AlgebraConfig(n, "m", cfg_gl.order, cfg_gl.ring, flavor)
+        cfg_m = AlgebraConfig(n, "m", cfg_gl.order, cfg_gl.ring)
         rng = random.Random(37)
         monomials = [NormalMonomial((1,) * (n * n))]
         for _ in range(4):
@@ -202,7 +202,7 @@ class TestCanonicalForms:
         for key in prod.terms:
             assert key.min_diag() == 0
         back = _expand_determinant_powers(
-            AlgebraConfig(2, "m", cfg.order, cfg.ring, "standard"), prod
+            AlgebraConfig(2, "m", cfg.order, cfg.ring), prod
         )
         assert back == multiply(
             Element.generator(make_config(2), 1, 1), Element.generator(make_config(2), 2, 2)
@@ -327,7 +327,7 @@ class TestEnforcementStress:
         # then expand every power into actual determinant products
         rng = random.Random(8888)
         cfg = make_config(n, "gl", ell=ell, flavor=flavor)
-        cfg_m = AlgebraConfig(n, "m", cfg.order, cfg.ring, flavor)
+        cfg_m = AlgebraConfig(n, "m", cfg.order, cfg.ring)
         for _ in range(25):
             exps = tuple(rng.randint(0, max_exp) for _ in range(n * n))
             dp = rng.randint(-2, 2)

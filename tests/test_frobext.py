@@ -5,9 +5,10 @@ import random
 import pytest
 
 from qcoord import frobext
+from qcoord.cli import evaluate, run
 from qcoord.frobext import FrobeniusContext, check_nakayama, nakayama_exponent
-from qcoord.monomial import NormalMonomial, bidegree
-from qcoord.rewrite import Element, multiply
+from qcoord.monomial import NormalMonomial, bidegree, make_opposite_order
+from qcoord.rewrite import Element, make_config, multiply
 from qcoord.rootspec import (
     ClassicalMonomial,
     ClassicalPoly,
@@ -364,3 +365,19 @@ class TestLocalizedPairing:
                 [(NormalMonomial(tuple(rng.randint(0, 3) for _ in range(4)), rng.randint(-1, 1)), 1)],
             )
             assert ctx.phi(multiply(z, e)) == d_bar * ctx.phi(e)
+
+    @pytest.mark.parametrize(
+        "expr", ["t[1,2] t[2,1] t[1,1] t[2,2]", "t[1,1]^2 t[2,2] + q t[1,2] D^-1", "t[2,2] t[1,1] D"]
+    )
+    def test_opposite_order_pairs_in_the_opposite_flavor(self, capsys, expr):
+        """The order's kind is the flavor: the pairing context of an opposite
+        order is the opposite-flavor algebra, and its twist keeps normal forms."""
+        ctx = FrobeniusContext(2, 3, "gl", make_opposite_order(2))
+        cfg = make_config(2, "gl", ell=3, flavor="opposite")
+        assert ctx.config == cfg
+        ctx.phi(evaluate(expr, cfg))  # accepted, not "outside this pairing context"
+        flags = ["--ell", "3", "--variant", "gl", "--order", "opposite"]
+        assert run(["nakayama", expr, *flags]) == 0
+        twisted = capsys.readouterr().out
+        assert run(["nf", twisted.strip(), *flags]) == 0
+        assert capsys.readouterr().out == twisted

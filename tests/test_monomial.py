@@ -121,7 +121,7 @@ class TestOrders:
     def test_violating_order_rejected(self):
         seq = list(row_major_order(2).seq)  # (1,1) first: upper block is not
         with pytest.raises(ValueError):
-            GenOrder(2, tuple(seq), "opposite-constrained")
+            GenOrder(2, tuple(seq), "opposite")
 
     def test_incomplete_order_rejected(self):
         with pytest.raises(ValueError):

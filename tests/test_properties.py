@@ -1,9 +1,12 @@
 """Property tests for the sparse-combination arithmetic, the textual form,
 the multiplication and the bigrading behind the pairing.
 
-The additive laws are checked on all three kinds of combination: Laurent
-polynomials, algebra elements at n=2 in every variant and flavor over
-``Z_q`` and ``Z_eps(3)``, and classical coefficients.  The print, parse,
+The additive laws are checked on all four kinds of combination: Laurent
+polynomials, ``Z_eps(3)`` and ``Z_eps(5)`` residues, algebra elements at n=2
+in every variant and flavor over ``Z_q`` and ``Z_eps(3)``, and classical
+coefficients.  The residue product is checked against the Laurent product
+reduced mod ``phi_l``, and for commutativity, associativity and
+distributivity.  The print, parse,
 print round trip runs at n=2 and n=3 over ``Z_q``, ``Z_eps(3)`` and
 ``Z_eps(5)``.  Multiplication is checked for associativity, and for keeping
 the bidegree (row sums and column sums plus the determinant power); the
@@ -95,6 +98,27 @@ def test_element_additive_laws(cfg, data):
 @given(classical, classical, classical, laurent.map(ELL3.coerce))
 def test_classical_additive_laws(a, b, c, s):
     check_additive_laws(a, b, c, s)
+
+
+@pytest.mark.parametrize("ring", [ELL3, CycloRing(5)], ids=lambda r: r.name)
+@SETTINGS
+@given(data=st.data())
+def test_cyclotomic_additive_laws(ring, data):
+    a, b, c = (data.draw(laurent.map(ring.coerce)) for _ in range(3))
+    check_additive_laws(a, b, c, data.draw(st.integers(-3, 3)))
+
+
+@pytest.mark.parametrize("ring", [ELL3, CycloRing(5)], ids=lambda r: r.name)
+@SETTINGS
+@given(laurent, laurent, laurent)
+def test_cyclotomic_product_laws(ring, p, r, s):
+    """``reduce_mod`` is a ring homomorphism, so the product of Laurent
+    polynomials, reduced, is an independent oracle for the residue product."""
+    a, b, c = map(ring.coerce, (p, r, s))
+    assert a * b == ring.coerce(p * r)
+    assert a * b == b * a
+    assert (a * b) * c == a * (b * c)
+    assert a * (b + c) == a * b + a * c
 
 
 @pytest.mark.parametrize("cfg", _configs((2, 3), (None, 3, 5)), ids=_config_id)

@@ -7,7 +7,7 @@ import pytest
 
 from qcoord import rewrite
 from qcoord.coeff import CycloRing, LaurentPoly, LaurentRing, specialize_at_one
-from qcoord.monomial import GenOrder, NormalMonomial, row_major_order, weight
+from qcoord.monomial import GenOrder, NormalMonomial, make_opposite_order, row_major_order, weight
 from qcoord.rewrite import (
     Element,
     _relation,
@@ -138,6 +138,23 @@ class TestMultiply:
         b = Element.one(make_config(3))
         with pytest.raises(ValueError):
             multiply(a, b)
+
+
+class TestFlavor:
+    def test_the_order_kind_is_the_flavor(self):
+        assert make_config(2, "gl", flavor="opposite").flavor == "opposite"
+        assert make_config(2, "gl", order=make_opposite_order(2)) == make_config(
+            2, "gl", flavor="opposite"
+        )
+        assert make_config(2, "gl").order.kind == "standard"
+
+    @pytest.mark.parametrize(
+        "flavor,order",
+        [("standard", make_opposite_order(2)), ("opposite", row_major_order(2)), ("diagonal", None)],
+    )
+    def test_make_config_refuses_a_flavor_its_order_does_not_have(self, flavor, order):
+        with pytest.raises(ValueError):
+            make_config(2, "gl", flavor=flavor, order=order)
 
 
 class TestTerminationMeasure:
