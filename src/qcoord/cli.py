@@ -20,7 +20,8 @@ Exit codes: 0 success, 1 failed check, 2 usage, parse or input error (also
 ``--n`` above ``MAX_N``, ``--ell`` above ``MAX_ELL``, or a suite given a
 non-default flag it does not read), or a command too large to finish (out
 of memory, recursion limit, ``basis --json`` above ``MAX_BASIS_JSON`` keys,
-or a quantum determinant expanded at ``n`` above ``rewrite.MAX_DET_N``),
+a quantum determinant expanded at ``n`` above ``rewrite.MAX_DET_N``, or a
+word longer than ``rewrite.MAX_WORD_LEN`` letters, refused before it is built),
 and ``EXIT_BROKEN_PIPE`` when standard output is closed before the command
 has written it all.
 """
@@ -52,10 +53,10 @@ MAX_BASIS_JSON = 2**22
 # out-of-memory kill.
 MAX_N = 1000
 
-# Largest ``--ell`` any command accepts.  Building ``phi_l`` and the ``l``
-# powers of its root of unity grow with ``l``: ``nf``, ``phi`` and
-# ``nakayama`` take at most 0.6 s at 999, but ``nf q --ell 9993`` takes 18 s
-# and ``nf 't[1,1]' --ell 100001`` 27 s (Python 3.11, 2 cores).
+# Largest ``--ell`` any command accepts.  Building ``phi_l`` grows with
+# ``l``: ``nf``, ``phi`` and ``nakayama`` take at most 0.2 s at 999, but
+# ``nf q --ell 9993`` takes 1.6 s and ``nf 't[1,1]' --ell 100001`` 27 s
+# (Python 3.11, 2 cores).
 MAX_ELL = 999
 
 # Exit code when the reader of standard output goes away (``qcoord basis |

@@ -28,6 +28,9 @@ from functools import lru_cache
 
 # Bound on the per-root-order caches; a process uses a handful of orders.
 _ORDER_CACHE = 64
+# Bound on the cached powers of the root of unity: every power of a few
+# orders up to ``l = 999``.
+_POWER_CACHE = 1 << 12
 
 
 def _merge(bucket: dict, key, coeff) -> None:
@@ -380,10 +383,14 @@ class LaurentRing:
         return LaurentPoly({-e: sign})
 
 
-@lru_cache(maxsize=_ORDER_CACHE)
-def _eps_powers(ell: int) -> tuple[CycloElem, ...]:
+@lru_cache(maxsize=_POWER_CACHE)
+def _eps_power(ell: int, k: int) -> CycloElem:
+    """``eps**k`` for ``0 <= k < l``, reduced on demand: below ``deg phi_l``
+    the power ``q**k`` is already its own residue."""
     m = cyclotomic(ell)
-    return tuple(reduce_mod(LaurentPoly.q_power(k), m) for k in range(ell))
+    if k < m.degree:
+        return CycloElem((0,) * k + (1,), m)
+    return reduce_mod(LaurentPoly.q_power(k), m)
 
 
 @dataclass(frozen=True)
@@ -413,7 +420,7 @@ class CycloRing:
         return CycloElem((k,), self.modulus)
 
     def q_power(self, k: int) -> CycloElem:
-        return _eps_powers(self.ell)[k % self.ell]
+        return _eps_power(self.ell, k % self.ell)
 
     def coerce(self, value) -> CycloElem:
         if isinstance(value, CycloElem):
@@ -428,7 +435,8 @@ class CycloRing:
 
     def unit_power(self, c: CycloElem) -> tuple[int, int] | None:
         """Return ``(sign, k)`` when ``c == sign * eps**k``, else ``None``."""
-        for k, p in enumerate(_eps_powers(self.ell)):
+        for k in range(self.ell):
+            p = self.q_power(k)
             if c == p:
                 return 1, k
             if c == -p:

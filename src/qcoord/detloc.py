@@ -17,9 +17,11 @@ from .report import CheckReport
 from .rewrite import (
     AlgebraConfig,
     Element,
+    _det_inserted,
     _det_terms,
     _det_word_pairs,
     _dpower,
+    _lift,
     _project,
     _reduction_step,
     _target_positions,
@@ -41,12 +43,20 @@ def quantum_determinant(cfg: AlgebraConfig) -> Element:
 
 def _times_determinant(e: Element, k: int) -> Element:
     """``e * D**k`` with the ``k >= 0`` determinant factors multiplied out in
-    ``e``'s algebra; ``e`` itself for ``k = 0``, with no determinant built."""
-    if k == 0:
-        return e
-    det = quantum_determinant(e.config)
+    ``e``'s plain algebra, whose keys carry no ``D`` power; ``e`` itself for
+    ``k = 0``, with no determinant built.
+
+    Each factor is one straightening of every term's ordered word with
+    ``D``'s words inserted mid-word at one split (:func:`_det_inserted`),
+    which is exact because ``D`` is central and normal forms are unique.
+    """
+    cfg = e.config
     for _ in range(k):
-        e = multiply(e, det)
+        entries = []
+        for key, coeff in e.terms.items():
+            coeff = _lift(cfg, coeff)
+            entries += [(word, coeff * c) for word, c in _det_inserted(cfg, key.exps)]
+        e = Element.from_words(cfg, entries)
     return e
 
 

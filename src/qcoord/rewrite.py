@@ -36,6 +36,14 @@ to ``c m + rest`` with ``c`` a unit and ``rest`` strictly smaller, so
 ``m = c**-1 (t0 D - rest)`` trades one target factor per position for a
 determinant factor.
 
+This reduction step, and ``detloc``'s multiplication by determinant powers,
+insert ``D``'s words inside an ordered word ``w`` instead of after it
+(:func:`_det_inserted`).  Centrality gives ``w[:p] D w[p:] = w D`` for every
+split ``p``, and normal forms are unique, so the result is the same to the
+byte, while ``D``'s letters cross few letters of ``w`` rather than nearly
+all of them.  One split serves all of ``D``'s words, since a single term of
+``D`` is not central.
+
 Both phases compute over ``Z_q`` only.  A root-of-unity configuration is the
 base change of the ``Z_q`` form along ``reduce_mod``, a ring homomorphism,
 so its coefficients are lifted into ``Z_q`` on the way in (:func:`_lift`),
@@ -45,7 +53,7 @@ once at the end (:func:`_project`).
 
 from __future__ import annotations
 
-from bisect import insort
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations
@@ -82,6 +90,18 @@ _REDUCTION_CACHE = 1 << 14
 # terms, and straightening it at n = 8 takes about 2 s (Python 3.11, 2 cores)
 # while each further dimension multiplies the term count by n.
 MAX_DET_N = 8
+
+# Longest word the engine builds, checked before the word exists.  A word of
+# 10**6 letters with no swap to make (``nf 't[1,1]^999999 t[1,1]'``) takes
+# about 1 s (Python 3.11, 2 cores), while one of 10**8 runs out of memory.
+MAX_WORD_LEN = 10**6
+
+
+def _check_word_len(length: int) -> None:
+    if length > MAX_WORD_LEN:
+        raise ValueError(
+            f"a word of {length} letters is too long; words are limited to {MAX_WORD_LEN} letters"
+        )
 
 
 @dataclass(frozen=True)
@@ -356,6 +376,31 @@ def _det_terms(cfg: AlgebraConfig) -> dict:
     return _rewrite(cfg, dict(_det_word_pairs(cfg.n)))
 
 
+def _det_inserted(cfg: AlgebraConfig, exps: tuple[int, ...]) -> list[tuple[Word, LaurentPoly]]:
+    """The entries ``word[:p] + d + word[p:]`` with ``d``'s coefficient, one
+    per term ``d`` of ``D`` written as an ordered word, for ``word`` the
+    ordered word of ``exps``: ``word * D``, with ``D`` inserted where it
+    sorts best.
+
+    ``D`` is central, so ``word[:p] D word[p:]`` is ``word D`` for every
+    ``p``, and normal forms are unique, so the straightened sum does not
+    depend on ``p``.  One ``p`` serves all of ``D``'s words: a single term
+    of ``D`` is not central.  A letter ``g`` of ``D`` inserted at ``p``
+    meets about ``|p - c_g|`` inversions, with ``c_g`` the letters of
+    ``word`` ranked below ``g``, so the best ``p`` is a median of the
+    ``c_g``: that of the median letter, as ``c_g`` grows with ``g``'s rank.
+    """
+    _check_word_len(sum(exps) + cfg.n)
+    order = cfg.order
+    rank = order.rank_map
+    word = NormalMonomial(exps).word(order)
+    det = [(NormalMonomial(e).word(order), c) for e, c in _det_terms(cfg).items()]
+    letters = sorted(rank[g] for d, _ in det for g in d)
+    p = bisect_left([rank[g] for g in word], letters[len(letters) // 2])
+    head, tail = word[:p], word[p:]
+    return [(head + d + tail, c) for d, c in det]
+
+
 def _target_positions(cfg: AlgebraConfig) -> tuple[int, ...]:
     n = cfg.n
     if cfg.flavor == "standard":
@@ -382,14 +427,16 @@ def _reduction_step(cfg: AlgebraConfig, exps: tuple[int, ...]):
 
     ``t0`` is ``m`` with one factor taken off at each target.  A single
     straightening of ``t0 D`` gives ``c m + rest`` with ``c`` a unit, so
-    ``m = c**-1 (t0 D - rest)``.  Returns entries ``(exps', dshift, coeff)``:
-    ``(t0, 1, c**-1)`` carries the freed determinant factor, and each term
-    ``c2 e2`` of ``rest`` gives ``(e2, 0, -c**-1 c2)``.  All emitted
+    ``m = c**-1 (t0 D - rest)``.  ``D``'s words go inside ``t0``'s ordered
+    word, at the one split :func:`_det_inserted` picks for all of them:
+    exact, as ``D`` is central and normal forms are unique.  Returns
+    entries ``(exps', dshift, coeff)``: ``(t0, 1, c**-1)`` carries the freed
+    determinant factor, and each term ``c2 e2`` of ``rest`` gives
+    ``(e2, 0, -c**-1 c2)``.  All emitted
     monomials are strictly smaller than the input in the flavor's reduction
     measure; that descent is what makes iterated enforcement terminate, so
     it is checked here rather than assumed.
     """
-    order = cfg.order
     targets = _target_positions(cfg)
     if not _violates(exps, targets):
         raise ValueError("reduction requires every target exponent to be positive")
@@ -398,10 +445,7 @@ def _reduction_step(cfg: AlgebraConfig, exps: tuple[int, ...]):
     for t in targets:
         t0[t] -= 1
     t0 = tuple(t0)
-    t0_word = NormalMonomial(t0).word(order)
-    product = _rewrite(
-        cfg, {t0_word + NormalMonomial(e).word(order): c for e, c in _det_terms(cfg).items()}
-    )
+    product = _rewrite(cfg, dict(_det_inserted(cfg, t0)))
     inv = _ZQ.invert_unit(product.pop(exps, _ZQ.zero()))
     neg_inv = -inv
     out = [(t0, 1, inv)] + [(e2, 0, neg_inv * c2) for e2, c2 in product.items()]
@@ -551,6 +595,7 @@ class Element(Combination):
             word, coeff = entry[0], entry[1]
             dpower = _dpower(cfg, entry[2] if len(entry) > 2 else 0)
             word = tuple(word)
+            _check_word_len(len(word))
             for g in word:
                 check_gen(g, cfg.n)
             _merge(groups.setdefault(dpower, {}), word, _lift(cfg, coeff))
@@ -609,6 +654,10 @@ def normalize(e: Element) -> Element:
 def multiply(a: Element, b: Element) -> Element:
     """Product of two elements, returned in normal form."""
     b = a._operand(b)
+    _check_word_len(
+        max(map(NormalMonomial.degree, a.terms), default=0)
+        + max(map(NormalMonomial.degree, b.terms), default=0)
+    )
     cfg = a.config
     order = cfg.order
     entries = []

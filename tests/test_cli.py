@@ -3,6 +3,7 @@
 import json
 import os
 import random
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -369,6 +370,28 @@ class TestMain:
             assert child.wait(timeout=60) == EXIT_BROKEN_PIPE
             assert child.stderr.read() == b""
 
+    def test_a_long_product_word_exits_two_within_seconds(self):
+        # under a 1 GB address-space limit, so that a regression ends in a
+        # MemoryError in the child, not in memory taken from the machine
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        env = dict(os.environ, PYTHONPATH=str(Path(qcoord.__file__).parents[1]))
+        argv = ["nf", "t[2,2]^100000000 t[1,1]"]
+        child = subprocess.run(
+            [sys.executable, "-c", "from qcoord.cli import main; main()", *argv],
+            capture_output=True,
+            env=env,
+            timeout=60,
+            preexec_fn=limit,
+        )
+        assert (child.returncode, child.stdout, child.stderr) == (
+            2,
+            b"",
+            b"error: a word of 100000001 letters is too long; "
+            b"words are limited to 1000000 letters\n",
+        )
+
     def test_exit_code_is_kept_when_output_is_read(self):
         with self.spawn("det", "--n", "2") as child:
             out, err = child.communicate(timeout=60)
@@ -455,6 +478,32 @@ class TestTables:
         out, err = capsys.readouterr()
         assert out == ""
         assert err == f"error: --ell 1001 is too large; commands are limited to ell <= {cli.MAX_ELL}\n"
+
+    @pytest.mark.parametrize(
+        "argv,letters",
+        [
+            (["nf", "t[2,2]^9 t[1,1]"], 10),
+            (["nf", "(t[1,1]^5 + 1) t[2,2]^5"], 10),
+            (["nf", "t[1,1]^13", "--n", "1", "--variant", "gl"], 13),
+        ],
+    )
+    def test_a_word_above_max_word_len_is_refused_before_it_is_straightened(
+        self, capsys, monkeypatch, argv, letters
+    ):
+        from qcoord import rewrite
+
+        def never(*args):
+            pytest.fail("a word was straightened")
+
+        monkeypatch.setattr(rewrite, "MAX_WORD_LEN", 8)
+        monkeypatch.setattr(rewrite, "_rewrite", never)
+        assert run(argv) == 2
+        assert capsys.readouterr() == (
+            "",
+            f"error: a word of {letters} letters is too long; words are limited to 8 letters\n",
+        )
+        with pytest.raises(ValueError, match="a word of 9 letters"):
+            Element.from_words(make_config(2), [(((1, 1),) * 9, 1)])
 
     def test_check_accepts_the_default_of_a_flag_it_does_not_read(self, capsys):
         assert run(["check", "identities", "--variant", "m", "--order", "rowmajor"]) == 0

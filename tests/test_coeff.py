@@ -176,6 +176,28 @@ class TestUnits:
         assert ring.unit_power(-eps2) == (-1, 2)
         assert ring.unit_power(ring.from_int(2)) is None
 
+    @pytest.mark.parametrize("ell", [1, 3, 9, 15])
+    def test_root_powers_are_the_reduced_q_powers(self, ell):
+        ring = CycloRing(ell)
+        for k in range(-2 * ell, 2 * ell):
+            assert ring.q_power(k) == reduce_mod(LaurentPoly.q_power(k), ring.modulus)
+
+    def test_a_root_power_reduces_only_itself(self, monkeypatch):
+        from qcoord import coeff
+
+        reduced = []
+
+        def counted(p, m):
+            reduced.append(p)
+            return reduce_mod(p, m)
+
+        monkeypatch.setattr(coeff, "reduce_mod", counted)
+        ring = CycloRing(997)  # prime: phi has degree 996
+        assert ring.q_power(5) == CycloElem((0,) * 5 + (1,), ring.modulus)
+        assert reduced == []
+        assert ring.q_power(996 + 997) == ring.q_power(-1)
+        assert reduced == [LaurentPoly.q_power(996)]
+
     def test_minus_one_is_not_a_root_power(self):
         # for odd order, -1 never equals a power of the root
         ring = CycloRing(5)

@@ -274,7 +274,7 @@ class TestIso:
 
 
 class TestIdentitySuite:
-    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
     def test_identities_pass(self, n):
         report = check_identities(n)
         assert report.passed, report.failures()

@@ -9,7 +9,9 @@ reduced mod ``phi_l``, and for commutativity, associativity and
 distributivity.  The print, parse,
 print round trip runs at n=2 and n=3 over ``Z_q``, ``Z_eps(3)`` and
 ``Z_eps(5)``.  Multiplication is checked for associativity, and for keeping
-the bidegree (row sums and column sums plus the determinant power); the
+the bidegree (row sums and column sums plus the determinant power).  The
+determinant inserted into an ordered word at any split must give the product
+with it appended.  The
 pairing, which skips the component pairs that grading proves null, is
 checked against ``phi`` of the full product, and ``phi``, which multiplies
 out the determinant once per ``divmod(z, l)`` group of determinant powers
@@ -26,7 +28,15 @@ from qcoord.coeff import CycloRing, LaurentPoly
 from qcoord.detloc import quantum_determinant
 from qcoord.frobext import FrobeniusContext
 from qcoord.monomial import NormalMonomial, bidegree
-from qcoord.rewrite import FLAVORS, VARIANTS, Element, make_config, multiply
+from qcoord.rewrite import (
+    FLAVORS,
+    VARIANTS,
+    Element,
+    _det_inserted,
+    _det_terms,
+    make_config,
+    multiply,
+)
 from qcoord.rootspec import ClassicalMonomial, ClassicalPoly, module_expand
 
 SETTINGS = settings(derandomize=True, deadline=None, database=None, max_examples=12)
@@ -153,6 +163,26 @@ def test_products_keep_the_bidegree(cfg, data):
     for key in product.terms:
         shifts = {g - e for g, e in zip(bidegree(key), expected)}
         assert shifts == {0} or (cfg.variant == "sl" and len(shifts) == 1)
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [make_config(n, ell=ell, flavor=f) for n in (2, 3) for f in FLAVORS for ell in (None, 3)],
+    ids=_config_id,
+)
+@settings(SETTINGS, max_examples=24)
+@given(data=st.data())
+def test_determinant_inserted_mid_word_equals_appended(cfg, data):
+    """``D`` is central, so ``w[:p] D w[p:]`` straightens to ``w D`` for
+    every split ``p`` of an ordered word ``w``, and so do the entries of
+    ``_det_inserted``, whose one split is chosen for all of ``D``'s words."""
+    m = data.draw(monomials(cfg))
+    w = m.word(cfg.order)
+    det = [(NormalMonomial(e).word(cfg.order), c) for e, c in _det_terms(cfg).items()]
+    appended = Element.from_words(cfg, [(w + d, c) for d, c in det])
+    for p in range(len(w) + 1):
+        assert Element.from_words(cfg, [(w[:p] + d + w[p:], c) for d, c in det]) == appended
+    assert Element.from_words(cfg, _det_inserted(cfg, m.exps)) == appended
 
 
 def pairing_operands(ctx):

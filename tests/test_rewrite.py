@@ -350,9 +350,49 @@ class TestOperationCounts:
         heavy = NormalMonomial((3, 1, 0, 0, 3, 1, 1, 0, 3))
         e = Element.from_monomials(make_config(3, "gl"), [(heavy, 1)])
         branches = sum(kind == "branch" for _src, produced in trace for _w, kind in produced)
-        assert (len(trace), len(shifts), branches) == (4703, 2199, 582)
+        assert (len(trace), len(shifts), branches) == (958, 614, 32)
         assert rewrite._reduction_step.cache_info().misses == 28
         assert len(e.terms) == 55
+
+
+def reduction_step_appended(cfg, exps):
+    """The determinant reduction step with ``D``'s words appended after the
+    whole ordered word of ``t0``, as it was first computed: the reference
+    for the mid-word insertion of ``_det_inserted``."""
+    targets = rewrite._target_positions(cfg)
+    t0 = tuple(e - (k in targets) for k, e in enumerate(exps))
+    t0_word = NormalMonomial(t0).word(cfg.order)
+    product = rewrite._rewrite(
+        cfg,
+        {
+            t0_word + NormalMonomial(e).word(cfg.order): c
+            for e, c in rewrite._det_terms(cfg).items()
+        },
+    )
+    inv = LaurentRing().invert_unit(product.pop(exps))
+    return [(t0, 1, inv)] + [(e2, 0, -inv * c2) for e2, c2 in product.items()]
+
+
+class TestReductionStep:
+    """``_reduction_step`` inserts ``D`` mid-word; the result must be the
+    end-appended computation's, entry for entry."""
+
+    @pytest.mark.parametrize("flavor", ["standard", "opposite"])
+    @pytest.mark.parametrize("variant", ["gl", "sl"])
+    @pytest.mark.parametrize("n, cases, max_exp", [(2, 12, 3), (3, 12, 2), (4, 6, 1)])
+    def test_matches_the_end_appended_reference(self, n, cases, max_exp, variant, flavor):
+        cfg = make_config(n, variant, flavor=flavor)
+        targets = rewrite._target_positions(cfg)
+        rng = random.Random(n * 100 + len(variant) + len(flavor))
+        for _ in range(cases):
+            exps = tuple(
+                rng.randint(1 if k in targets else 0, max_exp + (k in targets))
+                for k in range(n * n)
+            )
+            step = rewrite._reduction_step.__wrapped__(cfg, exps)
+            expected = reduction_step_appended(cfg, exps)
+            assert {(e, d): c for e, d, c in step} == {(e, d): c for e, d, c in expected}
+            assert len(step) == len(expected) > 1
 
 
 class TestRelationTable:
