@@ -67,6 +67,7 @@ DIGESTS = {
     "check nakayama --n 2 --ell 3 --json": "c2d58306b7af90a72dd7aea9c4357817f7655a742d44c729104220da42a739b3",
     "check nakayama --n 2 --ell 5 --json": "daff1568519698da4c4ffb2c4bca4434a27660fc68959b128f685ea3e210a7fe",
     "check identities --n 5 --json": "5d094791d73cfd27d6614c1a5bdef83ca56fe22340a34953d121e335e0b2954a",
+    "check iso --n 3 --json": "063c2f6bfa17fa39cd5196f1399ffc318036b26cc049bb411406d55d0719538e",
 }
 
 
