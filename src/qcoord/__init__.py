@@ -37,7 +37,6 @@ from .monomial import (
     Weight,
     Word,
     antidiag_region,
-    lex_compare,
     make_opposite_order,
     row_major_order,
     weight,
@@ -93,7 +92,6 @@ __all__ = [
     "enumerate_basis",
     "frobenius_image",
     "from_wedge_key",
-    "lex_compare",
     "make_config",
     "make_opposite_order",
     "module_expand",

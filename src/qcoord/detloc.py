@@ -9,6 +9,8 @@ lets the special variant substitute ``D = 1``.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from .coeff import LaurentPoly, _merge
 from .monomial import NormalMonomial, check_gen, word_exponents
 from .monomial import Permutation  # noqa: F401  (re-exported)
@@ -38,7 +40,7 @@ def quantum_determinant(cfg: AlgebraConfig) -> Element:
     Under the localized (resp. special) variant the normal form collapses
     to the pure determinant key ``D`` (resp. to ``1``).
     """
-    return Element(cfg, {NormalMonomial(exps): c for exps, c in _det_terms(cfg).items()})
+    return Element.from_monomials(cfg, [(NormalMonomial(e), c) for e, c in _det_terms(cfg).items()])
 
 
 def _times_determinant(e: Element, k: int) -> Element:
@@ -105,7 +107,7 @@ def diagonal_reduction(cfg: AlgebraConfig, m: NormalMonomial) -> Element | None:
     terms = {}
     for exps, dshift, coeff in _reduction_step(cfg, m.exps):
         _merge(terms, NormalMonomial(exps, _dpower(cfg, m.dpower + dshift)), coeff)
-    return Element(cfg, _project(cfg, terms), _raw=True)
+    return Element(cfg, _project(cfg, terms))
 
 
 # ---------------------------------------------------------------------------
@@ -163,37 +165,33 @@ def from_wedge_key(m: NormalMonomial) -> NormalMonomial:
 
 
 def gl_config_like(cfg: AlgebraConfig) -> AlgebraConfig:
-    return AlgebraConfig(cfg.n, "gl", cfg.order, cfg.ring)
+    return replace(cfg, variant="gl")
 
 
-def _iso_image_of_word(cfg_gl: AlgebraConfig, word, xpow: int, coeff) -> Element:
-    row_one = sum(1 for i, _ in word if i == 1)
-    return Element.from_words(cfg_gl, [(word, coeff, xpow - row_one)])
+def _iso_entry(word, xpow: int, coeff) -> tuple:
+    """The ``from_words`` entry of the image of ``word (x) x**xpow``: one
+    ``D**-1`` per letter in row 1."""
+    return word, coeff, xpow - sum(1 for i, _ in word if i == 1)
 
 
 def sl_gl_iso(cfg_sl: AlgebraConfig, terms) -> Element:
     """Map an element of the special variant tensored with ``x`` powers.
 
-    ``terms`` is an iterable of ``(monomial, xpow, coeff)`` (or a mapping
-    ``(monomial, xpow) -> coeff``).  Each generator goes to
-    ``D**(-1 if row == 1 else 0) t[i,j]``, each ``x`` power to a
+    ``terms`` is an iterable of ``(monomial, xpow, coeff)``.  Each generator
+    goes to ``D**(-1 if row == 1 else 0) t[i,j]``, each ``x`` power to a
     determinant power, extended multiplicatively and linearly.
     """
     if cfg_sl.variant != "sl":
         raise ValueError("domain elements must use the sl variant")
-    cfg_gl = gl_config_like(cfg_sl)
-    if hasattr(terms, "items"):
-        terms = [(m, xpow, c) for (m, xpow), c in terms.items()]
-    out = Element.zero(cfg_gl)
-    for m, xpow, coeff in terms:
-        out = out + _iso_image_of_word(cfg_gl, m.word(cfg_sl.order), xpow, coeff)
-    return out
+    order = cfg_sl.order
+    return Element.from_words(
+        gl_config_like(cfg_sl), [_iso_entry(m.word(order), xpow, c) for m, xpow, c in terms]
+    )
 
 
 def iso_generator_image(cfg_sl: AlgebraConfig, i: int, j: int, xpow: int = 0) -> Element:
     check_gen((i, j), cfg_sl.n)
-    cfg_gl = gl_config_like(cfg_sl)
-    return _iso_image_of_word(cfg_gl, ((i, j),), xpow, cfg_sl.ring.one())
+    return Element.from_words(gl_config_like(cfg_sl), [_iso_entry(((i, j),), xpow, 1)])
 
 
 def check_sl_gl_iso(n: int) -> CheckReport:
@@ -207,24 +205,21 @@ def check_sl_gl_iso(n: int) -> CheckReport:
     cfg_sl = make_config(n, "sl")
     cfg_gl = gl_config_like(cfg_sl)
     report = CheckReport("iso", n)
-    one = cfg_sl.ring.one()
     gens = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
 
     for x in gens:
         for y in gens:
             if x == y:
                 continue
-            residual = _iso_image_of_word(cfg_gl, (x, y), 0, one)
-            for word, coeff in swap_adjacent(x, y):
-                residual = residual - _iso_image_of_word(cfg_gl, word, 0, coeff)
+            entries = [_iso_entry((x, y), 0, 1)]
+            entries += [_iso_entry(word, 0, -coeff) for word, coeff in swap_adjacent(x, y)]
+            residual = Element.from_words(cfg_gl, entries)
             report.add_residual(f"t[{x[0]},{x[1]}] t[{y[0]},{y[1]}] relation", residual)
 
-    det_image = Element.zero(cfg_gl)
-    for word, coeff in det_words:
-        det_image = det_image + _iso_image_of_word(cfg_gl, word, 0, coeff)
+    det_image = Element.from_words(cfg_gl, [_iso_entry(word, 0, c) for word, c in det_words])
     report.add_residual("determinant maps to 1", det_image - Element.one(cfg_gl))
 
-    x_image = sl_gl_iso(cfg_sl, [(NormalMonomial((0,) * (n * n)), 1, one)])
+    x_image = sl_gl_iso(cfg_sl, [(NormalMonomial((0,) * (n * n)), 1, 1)])
     for i, j in gens:
         t_image = iso_generator_image(cfg_sl, i, j)
         report.add_residual(
@@ -269,7 +264,7 @@ def check_identities(n: int) -> CheckReport:
 
     for flavor in ("standard", "opposite"):
         cfg_gl = make_config(n, "gl", flavor=flavor)
-        cfg_flat = AlgebraConfig(n, "m", cfg_gl.order, cfg_gl.ring)
+        cfg_flat = replace(cfg_gl, variant="m")
         for mon in _reduction_targets(n, flavor):
             step = diagonal_reduction(cfg_gl, mon)
             recombined = _expand_determinant_powers(cfg_flat, step)

@@ -27,7 +27,7 @@ is exact, not an approximation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 
 from .coeff import CycloElem, CycloRing, _merge
@@ -121,7 +121,7 @@ class FrobeniusContext:
 
     @cached_property
     def _flat_config(self) -> AlgebraConfig:
-        return AlgebraConfig(self.n, "m", self.order, CycloRing(self.ell))
+        return replace(self.config, variant="m")
 
     # -- the functional and the pairing --------------------------------------
 
@@ -145,7 +145,7 @@ class FrobeniusContext:
             groups.setdefault(divmod(key.dpower, self.ell), {})[NormalMonomial(key.exps)] = coeff
         total: dict[ClassicalMonomial, CycloElem] = {}
         for (d_quot, d_res), terms in groups.items():
-            flat = _times_determinant(Element(self._flat_config, terms, _raw=True), d_res)
+            flat = _times_determinant(Element(self._flat_config, terms), d_res)
             part = module_expand(flat).entries.get(self.top)
             if part is not None:
                 for cm, coeff in part.terms.items():  # part * Dbar**d_quot
@@ -165,7 +165,7 @@ class FrobeniusContext:
         groups: dict[tuple[int, ...], dict] = {}
         for key, coeff in e.terms.items():
             groups.setdefault(_grade(key, self.ell), {})[key] = coeff
-        return {grade: Element(self.config, terms, _raw=True) for grade, terms in groups.items()}
+        return {grade: Element(self.config, terms) for grade, terms in groups.items()}
 
     def bform(self, x: Element, y: Element) -> ClassicalPoly:
         """The pairing ``B(x, y) = phi(x y)``.
@@ -188,7 +188,7 @@ class FrobeniusContext:
         return total
 
     def element(self, m: NormalMonomial) -> Element:
-        return Element.from_monomials(self.config, [(m, 1)])
+        return Element.monomial(self.config, m)
 
     # -- witnesses ------------------------------------------------------------
 
@@ -245,7 +245,7 @@ class FrobeniusContext:
             c = coeff * self.ring.q_power(flip * _twist_exponent(self.n, key.exps))
             if c:
                 out[key] = c
-        return Element(self.config, out, _raw=True)
+        return Element(self.config, out)
 
 
 def default_symmetry_pairs(n: int, ell: int, limit: int = 500):

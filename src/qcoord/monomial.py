@@ -82,17 +82,6 @@ def bidegree(m) -> tuple[int, ...]:
     return tuple([sum(row) + z for row in rows] + [sum(col) + z for col in zip(*rows)])
 
 
-def lex_compare(a: Weight, b: Weight) -> int:
-    """Lexicographic comparison; returns -1, 0 or 1."""
-    if len(a) != len(b):
-        raise ValueError(f"weights of different dimension: {len(a)} vs {len(b)}")
-    if a < b:
-        return -1
-    if a > b:
-        return 1
-    return 0
-
-
 @dataclass(frozen=True)
 class Permutation:
     """A permutation of ``{1..n}`` together with its inversion count."""
@@ -118,15 +107,6 @@ class Permutation:
 
     def __call__(self, i: int) -> int:
         return self.images[i - 1]
-
-    @classmethod
-    def identity(cls, n: int) -> Permutation:
-        return cls(tuple(range(1, n + 1)))
-
-    @classmethod
-    def reversal(cls, n: int) -> Permutation:
-        """``i -> n + 1 - i``, the longest element."""
-        return cls(tuple(range(n, 0, -1)))
 
 
 def antidiag_region(n: int, g: GenIndex) -> int:

@@ -503,61 +503,46 @@ def _enforce(cfg: AlgebraConfig, terms: dict) -> dict:
 
 
 class Element(Combination):
-    """A finite linear combination of normal monomials, always reduced.
+    """A finite linear combination of normal monomials.
 
-    Construction goes through :meth:`from_words` or :meth:`from_monomials`,
-    which straighten and apply the basis constraint; arithmetic keeps the
-    result in normal form.  ``terms`` maps normal monomials to coefficients
-    of ``config.ring``; operands must share ``config``.
+    ``Element(config, terms)`` trusts its input: ``terms`` must already be
+    in normal form, mapping normal monomials to nonzero coefficients of
+    ``config.ring``.  The normalizing constructors are :meth:`from_monomials`
+    and :meth:`from_words`, which straighten, apply the basis constraint and
+    project into the ring; arithmetic keeps the result in normal form.
+    Operands must share ``config``.
     """
 
     __slots__ = ("config",)
 
-    def __init__(self, config: AlgebraConfig, terms: dict | None = None, *, _raw: bool = False):
+    def __init__(self, config: AlgebraConfig, terms: dict | None = None):
         self.config = config
-        if terms is None:
-            terms = {}
-        if not _raw:
-            terms = _project(config, _enforce(config, self._validate(config, terms)))
-        self.terms = terms
+        self.terms = {} if terms is None else terms
 
     @property
     def space(self) -> AlgebraConfig:
         return self.config
 
     def _like(self, terms: dict) -> Element:
-        return Element(self.config, terms, _raw=True)
+        return Element(self.config, terms)
 
     def _scalar(self, k: int) -> Element:
         return Element.scalar(self.config, k)
-
-    @staticmethod
-    def _validate(cfg: AlgebraConfig, terms: dict) -> dict:
-        size = cfg.n * cfg.n
-        out: dict[NormalMonomial, LaurentPoly] = {}
-        for key, coeff in terms.items():
-            exps = key.exps
-            if len(exps) != size or any(e < 0 for e in exps):
-                raise ValueError(f"bad exponent table {exps}")
-            _merge(out, NormalMonomial(tuple(exps), _dpower(cfg, key.dpower)), _lift(cfg, coeff))
-        return out
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def zero(cls, cfg: AlgebraConfig) -> Element:
-        return cls(cfg, {}, _raw=True)
+        return cls(cfg)
 
     @classmethod
     def one(cls, cfg: AlgebraConfig) -> Element:
-        return cls(cfg, {NormalMonomial((0,) * (cfg.n * cfg.n)): cfg.ring.one()}, _raw=True)
+        return cls.scalar(cfg, 1)
 
     @classmethod
     def scalar(cls, cfg: AlgebraConfig, value) -> Element:
         c = cfg.ring.coerce(value)
-        if not c:
-            return cls.zero(cfg)
-        return cls(cfg, {NormalMonomial((0,) * (cfg.n * cfg.n)): c}, _raw=True)
+        return cls(cfg, {NormalMonomial((0,) * (cfg.n * cfg.n)): c} if c else {})
 
     @classmethod
     def generator(cls, cfg: AlgebraConfig, i: int, j: int, power: int = 1) -> Element:
@@ -571,10 +556,8 @@ class Element(Combination):
     def d_power(cls, cfg: AlgebraConfig, z: int) -> Element:
         """The central determinant power ``D**z``: one under ``sl``, and
         under ``m`` only ``z = 0`` is defined."""
-        z = _dpower(cfg, z)
-        if z == 0:
-            return cls.one(cfg)
-        return cls(cfg, {NormalMonomial((0,) * (cfg.n * cfg.n), z): cfg.ring.one()}, _raw=True)
+        key = NormalMonomial((0,) * (cfg.n * cfg.n), _dpower(cfg, z))
+        return cls(cfg, {key: cfg.ring.one()})
 
     @classmethod
     def monomial(cls, cfg: AlgebraConfig, m: NormalMonomial, coeff=1) -> Element:
@@ -582,10 +565,15 @@ class Element(Combination):
 
     @classmethod
     def from_monomials(cls, cfg: AlgebraConfig, pairs) -> Element:
-        acc: dict[NormalMonomial, object] = {}
+        """Build from ``(monomial, coeff)`` pairs, each checked and lifted once."""
+        size = cfg.n * cfg.n
+        terms: dict[NormalMonomial, LaurentPoly] = {}
         for m, coeff in pairs:
-            _merge(acc, m, cfg.ring.coerce(coeff))
-        return cls(cfg, acc)
+            exps = m.exps
+            if len(exps) != size or any(e < 0 for e in exps):
+                raise ValueError(f"bad exponent table {exps}")
+            _merge(terms, NormalMonomial(tuple(exps), _dpower(cfg, m.dpower)), _lift(cfg, coeff))
+        return cls._normalized(cfg, terms)
 
     @classmethod
     def from_words(cls, cfg: AlgebraConfig, entries, strategy: str = "leftmost") -> Element:
@@ -603,7 +591,12 @@ class Element(Combination):
         for dpower, words in groups.items():
             for exps, coeff in _rewrite(cfg, words, strategy).items():
                 _merge(terms, NormalMonomial(exps, dpower), coeff)
-        return cls(cfg, _project(cfg, _enforce(cfg, terms)), _raw=True)
+        return cls._normalized(cfg, terms)
+
+    @classmethod
+    def _normalized(cls, cfg: AlgebraConfig, terms: dict) -> Element:
+        """``Z_q`` terms under the variant's constraint, projected into ``cfg.ring``."""
+        return cls(cfg, _project(cfg, _enforce(cfg, terms)))
 
     # -- queries -----------------------------------------------------------
 
@@ -648,7 +641,7 @@ class Element(Combination):
 
 def normalize(e: Element) -> Element:
     """Re-reduce an element; the identity on anything already in normal form."""
-    return Element(e.config, dict(e.terms))
+    return Element.from_monomials(e.config, e.terms.items())
 
 
 def multiply(a: Element, b: Element) -> Element:

@@ -11,7 +11,7 @@ recombines exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import product
 from math import isqrt
 from typing import Iterator, NamedTuple
@@ -107,8 +107,8 @@ def specialize(e: Element, ell: int) -> Element:
     cfg = e.config
     if isinstance(cfg.ring, CycloRing):
         raise ValueError("element is already specialized")
-    target = AlgebraConfig(cfg.n, cfg.variant, cfg.order, CycloRing(ell))
-    return Element(target, _project(target, e.terms), _raw=True)
+    target = replace(cfg, ring=CycloRing(ell))
+    return Element(target, _project(target, e.terms))
 
 
 def _require_cyclo(cfg: AlgebraConfig) -> CycloRing:
@@ -132,7 +132,7 @@ def frobenius_image(c: ClassicalMonomial, cfg: AlgebraConfig) -> Element:
     if c.dpower and cfg.variant != "gl":
         raise ValueError("classical determinant powers need the localized variant")
     key = NormalMonomial(tuple(ell * a for a in c.exps), ell * c.dpower)
-    return Element.from_monomials(cfg, [(key, 1)])
+    return Element.monomial(cfg, key)
 
 
 def frobenius_image_poly(p: ClassicalPoly, cfg: AlgebraConfig) -> Element:
@@ -174,7 +174,7 @@ class ModuleExpansion:
     def recombine(self) -> Element:
         out = Element.zero(self.config)
         for key, cpoly in self.entries.items():
-            residue = Element.from_monomials(self.config, [(key, 1)])
+            residue = Element.monomial(self.config, key)
             for cm, coeff in cpoly.terms.items():
                 out = out + multiply(frobenius_image(cm, self.config), residue).scale(coeff)
         return out

@@ -47,7 +47,7 @@ EXPORTS = [
     "LaurentRing", "ModuleExpansion", "NormalMonomial", "Permutation", "Weight", "Witness",
     "Word", "antidiag_region", "check_central", "check_frobenius_central", "check_identities",
     "check_nakayama", "check_sl_gl_iso", "cyclotomic", "diagonal_reduction", "enumerate_basis",
-    "frobenius_image", "from_wedge_key", "lex_compare", "make_config", "make_opposite_order",
+    "frobenius_image", "from_wedge_key", "make_config", "make_opposite_order",
     "module_expand", "multiply", "nakayama_exponent", "normal_form_of_word", "normalize",
     "quantum_determinant", "quantum_determinant_reversed", "reduce_mod", "row_major_order",
     "sl_gl_iso", "specialize", "specialize_at_one", "swap_adjacent", "to_wedge_key", "weight",

@@ -9,7 +9,6 @@ from qcoord.monomial import (
     NormalMonomial,
     antidiag_degree,
     antidiag_region,
-    lex_compare,
     make_opposite_order,
     row_major_order,
     weight,
@@ -49,36 +48,6 @@ class TestWeight:
     def test_out_of_range_letter(self):
         with pytest.raises(ValueError):
             weight(((3, 1),), 2)
-
-
-class TestLexCompare:
-    def test_first_slot_dominates(self):
-        assert lex_compare((2, 1, 1, 0, 0), (2, 0, 2, 0, 0)) == 1
-
-    def test_degree_dominates(self):
-        assert lex_compare((1, 1, 0, 0, 0), (2, 0, 0, 0, 0)) == -1
-
-    def test_equal(self):
-        assert lex_compare((2, 1, 1, 0, 0), (2, 1, 1, 0, 0)) == 0
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            lex_compare((1, 0), (1, 0, 0))
-
-    def test_total_order(self):
-        rng = random.Random(9)
-        vecs = [tuple(rng.randint(0, 3) for _ in range(5)) for _ in range(30)]
-        for a in vecs:
-            for b in vecs:
-                cab = lex_compare(a, b)
-                assert cab == -lex_compare(b, a)
-                if cab == 0:
-                    assert a == b
-        for a in vecs:
-            for b in vecs:
-                for c in vecs:
-                    if lex_compare(a, b) <= 0 and lex_compare(b, c) <= 0:
-                        assert lex_compare(a, c) <= 0
 
 
 class TestOrders:

@@ -4,7 +4,10 @@ the multiplication and the bigrading behind the pairing.
 The additive laws are checked on all four kinds of combination: Laurent
 polynomials, ``Z_eps(3)`` and ``Z_eps(5)`` residues, algebra elements at n=2
 in every variant and flavor over ``Z_q`` and ``Z_eps(3)``, and classical
-coefficients.  The residue product is checked against the Laurent product
+coefficients.  The two normalizing constructors of an element, from
+monomials and from words, must agree on unreduced input, and an element
+they return must be fixed by ``normalize`` and by the trusted constructor.
+The residue product is checked against the Laurent product
 reduced mod ``phi_l``, and for commutativity, associativity and
 distributivity.  The print, parse,
 print round trip runs at n=2 and n=3 over ``Z_q``, ``Z_eps(3)`` and
@@ -36,6 +39,7 @@ from qcoord.rewrite import (
     _det_terms,
     make_config,
     multiply,
+    normalize,
 )
 from qcoord.rootspec import ClassicalMonomial, ClassicalPoly, module_expand
 
@@ -102,6 +106,17 @@ def test_laurent_additive_laws(a, b, c, s):
 def test_element_additive_laws(cfg, data):
     a, b, c = (data.draw(elements(cfg)) for _ in range(3))
     check_additive_laws(a, b, c, data.draw(laurent))
+
+
+@pytest.mark.parametrize("cfg", _configs((2, 3), (None, 3)), ids=_config_id)
+@SETTINGS
+@given(data=st.data())
+def test_monomials_and_words_normalize_alike(cfg, data):
+    pairs = data.draw(st.lists(st.tuples(monomials(cfg), laurent), max_size=3))
+    e = Element.from_monomials(cfg, pairs)
+    words = [(m.word(cfg.order), c, m.dpower) for m, c in pairs]
+    assert Element.from_words(cfg, words) == e
+    assert normalize(e) == e == Element(cfg, dict(e.terms))
 
 
 @SETTINGS
