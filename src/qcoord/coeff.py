@@ -164,14 +164,6 @@ class LaurentPoly(Combination):
 
     __rmul__ = __mul__
 
-    def __pow__(self, k: int) -> LaurentPoly:
-        if k < 0:
-            raise ValueError("negative powers are defined only for units")
-        result = LaurentPoly(1)
-        for _ in range(k):
-            result = result * self
-        return result
-
     def __str__(self) -> str:
         from .render import coeff_pairs, format_qpoly
 
@@ -274,12 +266,6 @@ class CycloElem(Combination):
 
     def _scalar(self, k: int) -> CycloElem:
         return self._like({0: k} if k else {})
-
-    @property
-    def residue(self) -> tuple[int, ...]:
-        """The canonical residue as the dense tuple of length ``deg phi_l``
-        that the constructor takes."""
-        return tuple(self.terms.get(e, 0) for e in range(cyclotomic(self.space).degree))
 
     def __mul__(self, other) -> CycloElem:
         if type(other) is not CycloElem or other.space != self.space:
@@ -416,9 +402,6 @@ class CycloRing:
     def one(self) -> CycloElem:
         return CycloElem((1,), self.modulus)
 
-    def from_int(self, k: int) -> CycloElem:
-        return CycloElem((k,), self.modulus)
-
     def q_power(self, k: int) -> CycloElem:
         return _eps_power(self.ell, k % self.ell)
 
@@ -428,7 +411,7 @@ class CycloRing:
                 raise ValueError("mixed cyclotomic moduli")
             return value
         if isinstance(value, int):
-            return self.from_int(value)
+            return CycloElem((value,), self.modulus)
         if isinstance(value, LaurentPoly):
             return reduce_mod(value, self.modulus)
         raise TypeError(f"cannot coerce {value!r} into {self.name}")

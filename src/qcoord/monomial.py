@@ -101,10 +101,6 @@ class Permutation:
         )
         object.__setattr__(self, "length", inv)
 
-    @property
-    def n(self) -> int:
-        return len(self.images)
-
     def __call__(self, i: int) -> int:
         return self.images[i - 1]
 
@@ -136,16 +132,16 @@ class GenOrder:
     order must list every generator above the antidiagonal before every
     antidiagonal one, which in turn precede all those below it.
 
-    ``relations`` belongs to the straightener (``rewrite._rewrite``): the
-    commutation relation of each pair of ranks it has met, filled on demand,
-    so it holds at most ``n**4`` entries.  It takes no part in equality or
-    hashing.
+    ``rank_map`` maps each index pair to its rank.  ``relations`` belongs to
+    the straightener (``rewrite._rewrite``): the commutation relation of each
+    pair of ranks it has met, filled on demand, so it holds at most ``n**4``
+    entries.  Neither takes part in equality or hashing.
     """
 
     n: int
     seq: tuple[GenIndex, ...]
     kind: str = "standard"
-    _rank: dict = field(init=False, repr=False, compare=False, default=None)
+    rank_map: dict = field(init=False, repr=False, compare=False, default=None)
     relations: dict = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
@@ -161,15 +157,8 @@ class GenOrder:
                     "opposite-constrained order must rank the upper antidiagonal "
                     "block first, then the antidiagonal, then the lower block"
                 )
-        object.__setattr__(self, "_rank", {g: r for r, g in enumerate(self.seq)})
+        object.__setattr__(self, "rank_map", {g: r for r, g in enumerate(self.seq)})
         object.__setattr__(self, "relations", {})
-
-    def rank(self, g: GenIndex) -> int:
-        return self._rank[g]
-
-    @property
-    def rank_map(self) -> dict[GenIndex, int]:
-        return self._rank
 
 
 @lru_cache(maxsize=16)

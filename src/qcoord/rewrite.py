@@ -600,9 +600,6 @@ class Element(Combination):
 
     # -- queries -----------------------------------------------------------
 
-    def coefficient(self, m: NormalMonomial):
-        return self.terms.get(m, self.config.ring.zero())
-
     def sorted_terms(self) -> list:
         """Terms sorted by :func:`canonical_key`, largest first."""
         return sorted(self.terms.items(), key=lambda kv: canonical_key(kv[0]), reverse=True)
@@ -611,14 +608,6 @@ class Element(Combination):
 
     def scale(self, value) -> Element:
         return super().scale(self.config.ring.coerce(value))
-
-    def __mul__(self, other) -> Element:
-        if isinstance(other, Element):
-            return multiply(self, other)
-        return self.scale(other)
-
-    def __rmul__(self, other) -> Element:
-        return self.scale(other)
 
     def __pow__(self, k: int) -> Element:
         if k < 0:

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from itertools import product
-from math import isqrt
 from typing import Iterator, NamedTuple
 
 from .coeff import Combination, CycloElem, CycloRing, _merge
@@ -28,10 +27,6 @@ class ClassicalMonomial(NamedTuple):
 
     exps: tuple[int, ...]
     dpower: int = 0
-
-    @property
-    def n(self) -> int:
-        return isqrt(len(self.exps))
 
 
 class ClassicalPoly(Combination):
@@ -172,11 +167,10 @@ class ModuleExpansion:
         return sorted(self.entries.items(), key=lambda kv: canonical_key(kv[0]), reverse=True)
 
     def recombine(self) -> Element:
-        out = Element.zero(self.config)
+        cfg = self.config
+        out = Element.zero(cfg)
         for key, cpoly in self.entries.items():
-            residue = Element.monomial(self.config, key)
-            for cm, coeff in cpoly.terms.items():
-                out = out + multiply(frobenius_image(cm, self.config), residue).scale(coeff)
+            out = out + multiply(frobenius_image_poly(cpoly, cfg), Element.monomial(cfg, key))
         return out
 
 

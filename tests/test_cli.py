@@ -242,6 +242,23 @@ class TestRun:
         assert run(["nf", "t[1,2]^-1"]) == 2
         assert "parse error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["nf", "t[1,1]", "--n", "0"], "error: dimension must be at least 1"),
+            (["nf", "t[1 1]"], "parse error at offset 4: found '1' (expected ,)"),
+            (["nf", "(t[1,1]"], "parse error at offset 7: input ended (expected ))"),
+            (["nf", "t[1,1]^q"], "parse error at offset 7: found 'q' (expected integer exponent)"),
+            (
+                ["nf", "(t[1,1] + 1)^-1"],
+                "parse error at offset 14: negative power is allowed only on q and D",
+            ),
+        ],
+    )
+    def test_bad_input_is_one_line_and_exit_two(self, capsys, argv, message):
+        assert run(argv) == 2
+        assert capsys.readouterr().err == message + "\n"
+
     def test_unknown_subcommand(self, capsys):
         assert run(["bogus"]) == 2
 

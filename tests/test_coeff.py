@@ -107,7 +107,7 @@ class TestReduceMod:
         m = cyclotomic(3)
         for p in (LaurentPoly.q_power(2), LaurentPoly({2: 1, 1: 1, 0: 1})):
             res = reduce_mod(p, m)
-            assert len(res.residue) == m.degree
+            assert all(0 <= e < m.degree for e in res.terms)
 
 
 class TestSpecializeAtOne:
@@ -174,7 +174,7 @@ class TestUnits:
         eps2 = ring.q_power(2)
         assert ring.unit_power(eps2) == (1, 2)
         assert ring.unit_power(-eps2) == (-1, 2)
-        assert ring.unit_power(ring.from_int(2)) is None
+        assert ring.unit_power(ring.coerce(2)) is None
 
     @pytest.mark.parametrize("ell", [1, 3, 9, 15])
     def test_root_powers_are_the_reduced_q_powers(self, ell):
@@ -201,9 +201,9 @@ class TestUnits:
     def test_minus_one_is_not_a_root_power(self):
         # for odd order, -1 never equals a power of the root
         ring = CycloRing(5)
-        assert ring.unit_power(ring.from_int(-1)) == (-1, 0)
+        assert ring.unit_power(ring.coerce(-1)) == (-1, 0)
         for k in range(1, 5):
-            assert ring.q_power(k) != ring.from_int(-1)
+            assert ring.q_power(k) != ring.coerce(-1)
 
 
 class TestRendering:

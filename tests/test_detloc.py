@@ -14,10 +14,8 @@ from qcoord.detloc import (
     check_sl_gl_iso,
     diagonal_reduction,
     from_wedge_key,
-    gl_config_like,
     is_vee_key,
     is_wedge_key,
-    iso_generator_image,
     quantum_determinant,
     quantum_determinant_reversed,
     sl_gl_iso,
@@ -244,9 +242,10 @@ class TestKeyBijection:
 class TestIso:
     def test_generator_images(self):
         cfg_sl = make_config(2, "sl")
-        cfg_gl = gl_config_like(cfg_sl)
-        assert iso_generator_image(cfg_sl, 2, 2) == Element.generator(cfg_gl, 2, 2)
-        assert iso_generator_image(cfg_sl, 1, 1).terms == {
+        t22 = sl_gl_iso(cfg_sl, [(NormalMonomial((0, 0, 0, 1)), 0, 1)])
+        t11 = sl_gl_iso(cfg_sl, [(NormalMonomial((1, 0, 0, 0)), 0, 1)])
+        assert t22 == Element.generator(make_config(2, "gl"), 2, 2)
+        assert t11.terms == {
             NormalMonomial((1, 0, 0, 0), -1): ONE
         }
 

@@ -43,7 +43,16 @@ from qcoord.rewrite import (
 )
 from qcoord.rootspec import ClassicalMonomial, ClassicalPoly, module_expand
 
-SETTINGS = settings(derandomize=True, deadline=None, database=None, max_examples=12)
+# Shrinking is left out: a failing example at n=3 is reported as drawn in
+# seconds rather than minimized for minutes, and derandomized draws keep
+# pass/fail the same.
+SETTINGS = settings(
+    derandomize=True,
+    deadline=None,
+    database=None,
+    max_examples=12,
+    phases=[Phase.explicit, Phase.generate],
+)
 
 laurent = st.dictionaries(st.integers(-4, 4), st.integers(-5, 5), max_size=4).map(LaurentPoly)
 
@@ -220,12 +229,12 @@ def pairing_operands(ctx):
     ).map(build)
 
 
-def check_bform_against_phi(ctx, config=SETTINGS):
+def check_bform_against_phi(ctx):
     """Assert ``bform(x, y) == phi(multiply(x, y))`` on drawn operands and
     return the pairings."""
     values = []
 
-    @config
+    @SETTINGS
     @given(pairing_operands(ctx))
     def check(operands):
         x, y = operands
@@ -248,9 +257,8 @@ def test_bform_differential_catches_a_mutated_target():
     ctx = FrobeniusContext(2, 3)
     grade = ctx._top_grade
     ctx.__dict__["_top_grade"] = ((grade[0] + 1) % ctx.ell,) + grade[1:]
-    no_shrinking = settings(SETTINGS, phases=[Phase.generate])
     with pytest.raises(AssertionError):
-        check_bform_against_phi(ctx, no_shrinking)
+        check_bform_against_phi(ctx)
 
 
 def phi_operands(ctx):
