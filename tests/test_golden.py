@@ -68,6 +68,8 @@ DIGESTS = {
     "check nakayama --n 2 --ell 5 --json": "daff1568519698da4c4ffb2c4bca4434a27660fc68959b128f685ea3e210a7fe",
     "check identities --n 5 --json": "5d094791d73cfd27d6614c1a5bdef83ca56fe22340a34953d121e335e0b2954a",
     "check iso --n 3 --json": "063c2f6bfa17fa39cd5196f1399ffc318036b26cc049bb411406d55d0719538e",
+    # 13 terms whose coefficients reach 100 terms and |c| = 504.
+    "nf 't[2,2]^12 t[1,1]^12' --n 2": "e061c2c6740124ba98c4e97a03d879b12c36162e25610e1cf55bd1b1d78b810c",
 }
 
 
