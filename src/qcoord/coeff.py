@@ -335,23 +335,6 @@ class LaurentRing:
             return LaurentPoly(value)
         raise TypeError(f"cannot coerce {value!r} into {self.name}")
 
-    def shift(self, c: LaurentPoly, k: int) -> LaurentPoly:
-        """``q**k * c``, built directly: this runs once per q-shifting swap
-        of the straightener, and is the one place ``q``-shifts are written."""
-        out = LaurentPoly.__new__(LaurentPoly)
-        out.terms = {e + k: v for e, v in c.terms.items()}
-        return out
-
-    def qdiff_mul(self, c: LaurentPoly, sign: int) -> LaurentPoly:
-        """``sign * (q - q^-1) * c``, built in one pass over ``c``: this runs
-        once per nested-corner swap of the straightener."""
-        out: dict[int, int] = {}
-        for e, v in c.terms.items():
-            v *= sign
-            _merge(out, e + 1, v)
-            _merge(out, e - 1, -v)
-        return c._like(out)
-
     def unit_power(self, c: LaurentPoly) -> tuple[int, int] | None:
         """Return ``(sign, k)`` when ``c == sign * q**k``, else ``None``."""
         if len(c.terms) != 1:

@@ -27,6 +27,15 @@ branch ``x y -> u v`` moves one count from each of the slots of ``x`` and
 from its parent's without recounting, and an ordered word's exponent table
 is the tail of its class key.
 
+While a straightening runs, each coefficient is packed into one integer,
+its value at ``q = 2**64`` (Kronecker substitution), next to its lowest
+exponent and a bound on its l1 norm.  A q-shift then changes only the
+exponent, the factor ``q - q^-1`` of a branch is a shift and a subtraction,
+and a sum is one integer addition.  The results are read back in signed
+base-``2**64`` digits, which is exact once the bounds are below ``2**63``;
+a straightening whose bounds pass that is redone with wider digits
+(:func:`_rewrite`).
+
 For the localized and special variants, a second reduction phase enforces
 the normal-form constraint that the minimal diagonal (antidiagonal, under
 the opposite flavor) exponent be zero.  If ``m`` has every such target
@@ -80,6 +89,9 @@ VARIANTS = ("m", "gl", "sl")
 
 # The ring every straightening and reduction step computes in.
 _ZQ = LaurentRing()
+_ONE = _ZQ.one()
+# Wraps terms that hold no zero as a Laurent polynomial, unfiltered.
+_laurent = _ONE._like
 
 # Cache bounds: a process meets a handful of dimensions and configurations,
 # and about 1,500 distinct reduction-step monomials in a mixed gl/sl workload.
@@ -95,6 +107,11 @@ MAX_DET_N = 8
 # 10**6 letters with no swap to make (``nf 't[1,1]^999999 t[1,1]'``) takes
 # about 1 s (Python 3.11, 2 cores), while one of 10**8 runs out of memory.
 MAX_WORD_LEN = 10**6
+
+# Digit width, in bits, of the straightener's packed coefficients
+# (:func:`_straighten`).  A pass whose l1 bounds reach 2**63 is redone wider;
+# among the documented probes only t[2,2]^16 t[1,1]^16 at n = 2 needs it.
+_PACK_WIDTH = 64
 
 
 def _check_word_len(length: int) -> None:
@@ -214,6 +231,47 @@ def _spans(k: int, rightmost: bool) -> tuple[range, ...]:
     return tuple(range(s, k - 1) for s in range(k - 1)) or (range(0),)
 
 
+def _pack(c: LaurentPoly, width: int) -> tuple[int, int, int]:
+    """``c`` as a packed triple ``(v, lo, bound)``: ``v`` is
+    ``sum c_e * 2**(width * (e - lo))`` and ``bound`` is the l1 norm of ``c``."""
+    terms = c.terms
+    if len(terms) == 1:
+        ((lo, v),) = terms.items()
+        return v, lo, abs(v)
+    lo = min(terms)
+    v = sum([c_e << width * (e - lo) for e, c_e in terms.items()])
+    return v, lo, sum(map(abs, terms.values()))
+
+
+def _unpack(v: int, lo: int, width: int) -> LaurentPoly:
+    """The Laurent polynomial of a packed ``(v, lo)``, read in signed digits
+    of base ``2**width``: exact when every coefficient has |c| < 2**(width - 1)."""
+    half = 1 << (width - 1)
+    if -half <= v < half:
+        return _laurent({lo: v})
+    mask = (1 << width) - 1
+    terms = {}
+    while v:
+        d = v & mask
+        v >>= width
+        if d >= half:
+            # The digit is d - 2**width: carry one into the rest.
+            terms[lo] = d - mask - 1
+            v += 1
+        elif d:
+            terms[lo] = d
+        lo += 1
+    return _laurent(terms)
+
+
+def _add(c: tuple[int, int, int], v: int, lo: int, bound: int, width: int) -> tuple[int, int, int]:
+    """The packed sum of ``c`` and ``(v, lo, bound)``, aligned at the lower ``lo``."""
+    cv, clo, cbound = c
+    if clo <= lo:
+        return cv + (v << width * (lo - clo)), clo, cbound + bound
+    return v + (cv << width * (clo - lo)), lo, cbound + bound
+
+
 def _rewrite(cfg: AlgebraConfig, pending: dict, strategy: str = "leftmost", trace=None) -> dict:
     """Straighten a coefficient-weighted set of words.
 
@@ -231,31 +289,69 @@ def _rewrite(cfg: AlgebraConfig, pending: dict, strategy: str = "leftmost", trac
     ``y`` to those of ``u`` and ``v``, so exponents are counted once per
     input word.  ``trace``, if given, receives one ``(word, produced)``
     entry per swap, with words in generator letters.
+
+    Coefficients are packed (:func:`_straighten`) at the digit width
+    ``_PACK_WIDTH`` and decoded once per class total, after the pass has
+    certified that every l1 bound it tested stays below ``2**(width - 1)``,
+    which makes the decoding exact.  Otherwise the pass is redone at the
+    narrowest width that certifies its largest bound, with the trace
+    entries of the discarded pass removed.  That redo is the only one
+    unless the discarded pass met a cancellation it could not certify; the
+    width then grows with each pass, so the loop ends.
     """
     if strategy not in ("leftmost", "rightmost"):
         raise ValueError(f"unknown strategy {strategy!r}")
-    order = cfg.order
+    mark = 0 if trace is None else len(trace)
+    width = _PACK_WIDTH
+    while True:
+        totals, bound = _straighten(cfg.order, pending, strategy == "rightmost", width, trace)
+        if bound < 1 << (width - 1):
+            return {exps: _unpack(v, lo, width) for exps, (v, lo) in totals.items()}
+        if trace is not None:
+            del trace[mark:]
+        width = bound.bit_length() + 1
+
+
+def _straighten(
+    order: GenOrder, pending: dict, rightmost: bool, width: int, trace
+) -> tuple[dict, int]:
+    """The pass of :func:`_rewrite` at one digit width.
+
+    Each pending coefficient ``c`` is a triple ``(v, lo, bound)`` with
+    ``v = sum c_e * 2**(width * (e - lo))`` and ``bound`` an upper bound on
+    the l1 norm of ``c``.  A q-shift adds to ``lo``; ``sign (q - q^-1) c``
+    is ``sign ((v << 2 width) - v)`` at ``lo - 1`` with the bound doubled;
+    a sum is one integer addition aligned at the lower ``lo``, with the
+    bounds added.  ``v`` is always the exact value of ``q**-lo c`` at
+    ``q = 2**width``, so only the zero tests and the final decoding need
+    small digits: a coefficient whose bound is below ``2**(width - 1)``
+    has such digits, is zero exactly when ``v`` is, and decodes exactly.
+    Returns the class totals as ``(v, lo)`` by exponent table, and the
+    largest bound among the totals and the sums that vanished.
+
+    The current word is a list swapped in place; a tuple of it is built
+    only to look it up in a non-empty bucket, and for an emitted branch.
+    """
     n = order.n
     size = n * n
     rank = order.rank_map
     relations = order.relations
-    shift = _ZQ.shift
-    qdiff_mul = _ZQ.qdiff_mul
-    rightmost = strategy == "rightmost"
-
-    classes: dict[tuple, dict] = {}
+    wide = 2 * width
+    worst = 0
+    packed: dict[tuple, dict] = {}
     for word, coeff in pending.items():
         if coeff:
             key = (len(word), *word_exponents(word, n))
-            _merge(classes.setdefault(key, {}), tuple([rank[g] for g in word]), coeff)
-    # The open class keys, ascending and kept in step with ``classes``, so
+            # Distinct words have distinct rank words: nothing to merge.
+            packed.setdefault(key, {})[tuple([rank[g] for g in word])] = _pack(coeff, width)
+    # The open class keys, ascending and kept in step with ``packed``, so
     # the last one is the largest.
-    queue = sorted(classes) if len(classes) > 1 else list(classes)
+    queue = sorted(packed) if len(packed) > 1 else list(packed)
 
-    result: dict[tuple[int, ...], LaurentPoly] = {}
+    totals: dict[tuple[int, ...], tuple[int, int]] = {}
     while queue:
         key = queue.pop()
-        bucket = classes.pop(key)
+        bucket = packed.pop(key)
         k = key[0]
         spans = _spans(k, rightmost)
         first = spans[-1] if rightmost else spans[0]
@@ -263,64 +359,86 @@ def _rewrite(cfg: AlgebraConfig, pending: dict, strategy: str = "leftmost", trac
         # no other class reaches: sum them and store the total once.
         total = None
         while bucket:
-            word, coeff = bucket.popitem()
+            word, (v, lo, bound) = bucket.popitem()
+            word = list(word)
             span = first
             while True:
                 for p in span:
                     if word[p] > word[p + 1]:
                         break
                 else:
-                    total = coeff if total is None else total + coeff
+                    total = (v, lo, bound) if total is None else _add(total, v, lo, bound, width)
                     break
                 x = word[p]
                 y = word[p + 1]
                 qexp, branch = relations.get(x * size + y) or _rank_relation(order, x, y)
-                head = word[:p]
-                tail = word[p + 2:]
-                swapped = head + (y, x) + tail
+                if trace is not None:
+                    seq = order.seq
+                    src = tuple([seq[r] for r in word])
+                    head, tail = src[:p], src[p + 2 :]
+                    produced = [(head + (seq[y], seq[x]) + tail, "swap")]
+                    if branch is not None:
+                        produced.append((head + (seq[branch[0]], seq[branch[1]]) + tail, "branch"))
+                    trace.append((src, produced))
                 if branch is not None:
-                    u, v, sign, sx, sy, su, sv = branch
-                    branched = head + (u, v) + tail
+                    u, w, sign, sx, sy, su, sv = branch
+                    word[p] = u
+                    word[p + 1] = w
+                    branched = tuple(word)
                     slots = list(key)
                     slots[sx] -= 1
                     slots[sy] -= 1
                     slots[su] += 1
                     slots[sv] += 1
                     bkey = tuple(slots)
-                    target = classes.get(bkey)
+                    target = packed.get(bkey)
                     if target is None:
-                        target = classes[bkey] = {}
+                        target = packed[bkey] = {}
                         insort(queue, bkey)
-                    _merge(target, branched, qdiff_mul(coeff, sign))
-                if trace is not None:
-                    seq = order.seq
-                    produced = [(tuple([seq[r] for r in swapped]), "swap")]
-                    if branch is not None:
-                        produced.append((tuple([seq[r] for r in branched]), "branch"))
-                    trace.append((tuple([seq[r] for r in word]), produced))
-                if qexp:
-                    coeff = shift(coeff, qexp)
-                cur = bucket.get(swapped)
-                if cur is None:
-                    # A new entry would be the next one ``popitem`` returns:
-                    # carry on with it without the round trip.
-                    word = swapped
-                    # A swap at ``p`` leaves no inversion before ``p - 1``
-                    # (leftmost) or after ``p + 1`` (rightmost).
-                    if rightmost:
-                        span = spans[p + 1 if p < k - 2 else p]
+                    bv = (v << wide) - v
+                    if sign < 0:
+                        bv = -bv
+                    cur = target.get(branched)
+                    if cur is None:
+                        target[branched] = bv, lo - 1, 2 * bound
                     else:
-                        span = spans[p - 1 if p else 0]
-                    continue
-                cur = cur + coeff
-                if cur.terms:
-                    bucket[swapped] = cur
+                        cur = _add(cur, bv, lo - 1, 2 * bound, width)
+                        if cur[0]:
+                            target[branched] = cur
+                        else:
+                            del target[branched]
+                            if cur[2] > worst:
+                                worst = cur[2]
+                word[p] = y
+                word[p + 1] = x
+                lo += qexp
+                if bucket:
+                    swapped = tuple(word)
+                    cur = bucket.get(swapped)
+                    if cur is not None:
+                        cur = _add(cur, v, lo, bound, width)
+                        if cur[0]:
+                            bucket[swapped] = cur
+                        else:
+                            del bucket[swapped]
+                            if cur[2] > worst:
+                                worst = cur[2]
+                        break
+                # The swapped word would be the next one ``popitem`` returns:
+                # carry on with it without the round trip.  A swap at ``p``
+                # leaves no inversion before ``p - 1`` (leftmost) or after
+                # ``p + 1`` (rightmost).
+                if rightmost:
+                    span = spans[p + 1 if p < k - 2 else p]
                 else:
-                    del bucket[swapped]
-                break
-        if total:
-            result[key[1:]] = total
-    return result
+                    span = spans[p - 1 if p else 0]
+        if total is not None:
+            v, lo, bound = total
+            if bound > worst:
+                worst = bound
+            if v:
+                totals[key[1:]] = v, lo
+    return totals, worst
 
 
 def _lift(cfg: AlgebraConfig, value) -> LaurentPoly:
@@ -343,7 +461,7 @@ def normal_form_of_word(cfg: AlgebraConfig, word: Word, strategy: str = "leftmos
     """Exponent-table expansion of a single word (no determinant reduction)."""
     for g in word:
         check_gen(g, cfg.n)
-    return _project(cfg, _rewrite(cfg, {tuple(word): LaurentPoly(1)}, strategy, trace))
+    return _project(cfg, _rewrite(cfg, {tuple(word): _ONE}, strategy, trace))
 
 
 # ---------------------------------------------------------------------------
@@ -376,6 +494,17 @@ def _det_terms(cfg: AlgebraConfig) -> dict:
     return _rewrite(cfg, dict(_det_word_pairs(cfg.n)))
 
 
+@lru_cache(maxsize=_SMALL_CACHE)
+def _det_words(cfg: AlgebraConfig) -> tuple[tuple[tuple[Word, LaurentPoly], ...], int]:
+    """``D``'s terms as ordered words with their coefficients, and the
+    median rank of their letters, where :func:`_det_inserted` splits."""
+    order = cfg.order
+    rank = order.rank_map
+    det = tuple((NormalMonomial(e).word(order), c) for e, c in _det_terms(cfg).items())
+    letters = sorted(rank[g] for d, _ in det for g in d)
+    return det, letters[len(letters) // 2]
+
+
 def _det_inserted(cfg: AlgebraConfig, exps: tuple[int, ...]) -> list[tuple[Word, LaurentPoly]]:
     """The entries ``word[:p] + d + word[p:]`` with ``d``'s coefficient, one
     per term ``d`` of ``D`` written as an ordered word, for ``word`` the
@@ -394,9 +523,8 @@ def _det_inserted(cfg: AlgebraConfig, exps: tuple[int, ...]) -> list[tuple[Word,
     order = cfg.order
     rank = order.rank_map
     word = NormalMonomial(exps).word(order)
-    det = [(NormalMonomial(e).word(order), c) for e, c in _det_terms(cfg).items()]
-    letters = sorted(rank[g] for d, _ in det for g in d)
-    p = bisect_left([rank[g] for g in word], letters[len(letters) // 2])
+    det, median = _det_words(cfg)
+    p = bisect_left([rank[g] for g in word], median)
     head, tail = word[:p], word[p:]
     return [(head + d + tail, c) for d, c in det]
 

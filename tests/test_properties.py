@@ -14,7 +14,8 @@ print round trip runs at n=2 and n=3 over ``Z_q``, ``Z_eps(3)`` and
 ``Z_eps(5)``.  Multiplication is checked for associativity, and for keeping
 the bidegree (row sums and column sums plus the determinant power).  The
 determinant inserted into an ordered word at any split must give the product
-with it appended.  The
+with it appended.  Straightening a word of up to 8 letters, in either
+strategy, must give the independent reference straightener's result.  The
 pairing, which skips the component pairs that grading proves null, is
 checked against ``phi`` of the full product, and ``phi``, which multiplies
 out the determinant once per ``divmod(z, l)`` group of determinant powers
@@ -39,9 +40,11 @@ from qcoord.rewrite import (
     _det_terms,
     make_config,
     multiply,
+    normal_form_of_word,
     normalize,
 )
 from qcoord.rootspec import ClassicalMonomial, ClassicalPoly, module_expand
+from test_oracle import reference_normal_form
 
 # Shrinking is left out: a failing example at n=3 is reported as drawn in
 # seconds rather than minimized for minutes, and derandomized draws keep
@@ -207,6 +210,23 @@ def test_determinant_inserted_mid_word_equals_appended(cfg, data):
     for p in range(len(w) + 1):
         assert Element.from_words(cfg, [(w[:p] + d + w[p:], c) for d, c in det]) == appended
     assert Element.from_words(cfg, _det_inserted(cfg, m.exps)) == appended
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [make_config(n, ell=ell, flavor=f) for n in (2, 3) for f in FLAVORS for ell in (None, 3)],
+    ids=_config_id,
+)
+@SETTINGS
+@given(data=st.data())
+def test_straightening_matches_the_reference(cfg, data):
+    """Both strategies of the packed straightener give the coefficients of
+    the independent reference straightener, word for word."""
+    gens = [(i, j) for i in range(1, cfg.n + 1) for j in range(1, cfg.n + 1)]
+    word = tuple(data.draw(st.lists(st.sampled_from(gens), max_size=8)))
+    expected = reference_normal_form(cfg, word)
+    for strategy in ("leftmost", "rightmost"):
+        assert normal_form_of_word(cfg, word, strategy) == expected, strategy
 
 
 def pairing_operands(ctx):

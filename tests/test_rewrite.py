@@ -311,33 +311,30 @@ class TestElementBasics:
 
 
 class TestOperationCounts:
-    """The counts the benchmark's layer probes report, read through the same
-    hooks: ``trace=`` entries (one per swap, a ``"branch"`` product per
-    nested-corner swap), calls of ``LaurentRing.shift`` (one per q-shift) and
-    misses of the ``_reduction_step`` cache."""
+    """The counts the benchmark's layer probes report: ``trace=`` entries
+    (one per swap, a ``"branch"`` product per nested-corner swap), the swaps
+    among them whose relation shifts by a power of ``q``, and misses of the
+    ``_reduction_step`` cache."""
 
     @staticmethod
-    def count_shifts(monkeypatch) -> list:
-        calls = []
-        shift = LaurentRing.shift
+    def counts(trace) -> tuple[int, int, int]:
+        """Swaps, q-shifts and branches of a trace.  A swap's position is
+        where its source and swapped words first differ."""
+        qshifts = branches = 0
+        for src, produced in trace:
+            swapped = produced[0][0]
+            p = next(i for i, (a, b) in enumerate(zip(src, swapped)) if a != b)
+            qshifts += _relation(src[p], src[p + 1])[0] != 0
+            branches += len(produced) > 1
+        return len(trace), qshifts, branches
 
-        def counted(self, c, k):
-            calls.append(k)
-            return shift(self, c, k)
-
-        monkeypatch.setattr(LaurentRing, "shift", counted)
-        return calls
-
-    def test_diagonal_word_k8(self, monkeypatch):
-        shifts = self.count_shifts(monkeypatch)
+    def test_diagonal_word_k8(self):
         trace = []
         nf = normal_form_of_word(make_config(2), ((2, 2),) * 8 + ((1, 1),) * 8, trace=trace)
-        branches = sum(kind == "branch" for _src, produced in trace for _w, kind in produced)
-        assert (len(trace), len(shifts), branches) == (7036, 3444, 3256)
+        assert self.counts(trace) == (7036, 3444, 3256)
         assert len(nf) == 9
 
     def test_gl_enforcement(self, monkeypatch):
-        shifts = self.count_shifts(monkeypatch)
         trace = []
         straighten = rewrite._rewrite
 
@@ -349,10 +346,60 @@ class TestOperationCounts:
         rewrite._reduction_step.cache_clear()
         heavy = NormalMonomial((3, 1, 0, 0, 3, 1, 1, 0, 3))
         e = Element.from_monomials(make_config(3, "gl"), [(heavy, 1)])
-        branches = sum(kind == "branch" for _src, produced in trace for _w, kind in produced)
-        assert (len(trace), len(shifts), branches) == (958, 614, 32)
+        assert self.counts(trace) == (958, 614, 32)
         assert rewrite._reduction_step.cache_info().misses == 28
         assert len(e.terms) == 55
+
+
+class TestPackWidth:
+    """The straightener packs each coefficient into one integer with digits
+    of ``_PACK_WIDTH`` bits, and decodes only results whose l1 bounds stay
+    below ``2**(width - 1)``; a pass past that is redone wider.
+
+    At the default width of 64 bits, t[2,2]^16 t[1,1]^16 at n = 2 needs one
+    redo: its l1 bound passes 2**63 while its largest coefficient is 10,338.
+    A start width of 3 bits makes k8 and the heavy ``gl`` monomial overflow."""
+
+    K8 = ((2, 2),) * 8 + ((1, 1),) * 8
+    HEAVY = NormalMonomial((3, 1, 0, 0, 3, 1, 1, 0, 3))
+
+    @staticmethod
+    def fresh_heavy():
+        for cache in (rewrite._det_terms, rewrite._det_words, rewrite._reduction_step):
+            cache.cache_clear()
+        return Element.from_monomials(make_config(3, "gl"), [(TestPackWidth.HEAVY, 1)])
+
+    def test_narrow_start_width_is_redone_to_the_same_result(self, monkeypatch):
+        cfg = make_config(2)
+        trace = []
+        expected = normal_form_of_word(cfg, self.K8, trace=trace)
+        heavy = self.fresh_heavy()
+        widths = []
+        straighten = rewrite._straighten
+
+        def recorded(order, pending, rightmost, width, trace):
+            widths.append(width)
+            return straighten(order, pending, rightmost, width, trace)
+
+        monkeypatch.setattr(rewrite, "_straighten", recorded)
+        monkeypatch.setattr(rewrite, "_PACK_WIDTH", 3)
+        narrow_trace = []
+        assert normal_form_of_word(cfg, self.K8, trace=narrow_trace) == expected
+        assert narrow_trace == trace
+        assert widths[0] == 3 and len(widths) == 2 and widths[1] > 3
+        widths.clear()
+        assert self.fresh_heavy() == heavy
+        assert widths.count(3) < len(widths)
+
+    def test_a_sum_that_vanishes_only_when_packed_is_not_trusted(self, monkeypatch):
+        # t[1,2] t[1,1] = q^-1 t[1,1] t[1,2], so the two entries sum to
+        # -4 + q, which is 0 at q = 2**2: a 2-bit pass drops the word.
+        cfg = make_config(2)
+        pending = {((1, 1), (1, 2)): LaurentPoly(-4), ((1, 2), (1, 1)): LaurentPoly.q_power(2)}
+        expected = {(1, 1, 0, 0): LaurentPoly({0: -4, 1: 1})}
+        assert rewrite._rewrite(cfg, pending) == expected
+        monkeypatch.setattr(rewrite, "_PACK_WIDTH", 2)
+        assert rewrite._rewrite(cfg, pending) == expected
 
 
 def reduction_step_appended(cfg, exps):
