@@ -70,6 +70,14 @@ DIGESTS = {
     "check iso --n 3 --json": "063c2f6bfa17fa39cd5196f1399ffc318036b26cc049bb411406d55d0719538e",
     # 13 terms whose coefficients reach 100 terms and |c| = 504.
     "nf 't[2,2]^12 t[1,1]^12' --n 2": "e061c2c6740124ba98c4e97a03d879b12c36162e25610e1cf55bd1b1d78b810c",
+    # n = 3 products that take several determinant reduction steps: 29, 29
+    # and 11 misses of the reduction-step cache.
+    "mul 't[1,1]^2 t[2,3] t[3,3] t[2,2]' 't[2,2] t[3,3] t[1,1] t[3,2]^2' --n 3 --variant gl"
+    " --order opposite": "69e399a772146d3259de8aca557ac8fdcead7e7385a23c936371ffe3ae91eb7e",
+    "mul 't[1,3]^2 t[2,2] t[3,1] t[2,1]' 't[1,3] t[2,2]^2 t[3,1]^2 t[1,2]' --n 3 --variant sl"
+    " --order opposite": "3e8a810bb27f9d0ccda286ad365ade882d6cbd056fdf3606d1dc75063f5f9461",
+    "mul 't[1,1]^2 t[2,2] t[3,3] t[2,1]' 't[1,1] t[2,2]^2 t[3,3] t[1,3]' --n 3 --variant gl"
+    " --json": "b9db888ee0fa2434e5c4193cc57edca9f863eb66e0709f3f19c15d2ae25e90d7",
 }
 
 
