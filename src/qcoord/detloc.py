@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-from .coeff import LaurentPoly, _merge
+from .coeff import LaurentPoly
 from .monomial import NormalMonomial, word_exponents
 from .monomial import Permutation  # noqa: F401  (re-exported)
 from .render import monomial_to_str
@@ -19,12 +19,15 @@ from .report import CheckReport
 from .rewrite import (
     AlgebraConfig,
     Element,
+    _certified,
+    _decode,
     _det_inserted,
     _det_terms,
     _det_word_pairs,
     _dpower,
-    _lift,
-    _project,
+    _normalized,
+    _pack,
+    _put,
     _reduction_step,
     _target_positions,
     _violates,
@@ -54,11 +57,19 @@ def _times_determinant(e: Element, k: int) -> Element:
     """
     cfg = e.config
     for _ in range(k):
-        entries = []
-        for key, coeff in e.terms.items():
-            coeff = _lift(cfg, coeff)
-            entries += [(word, coeff * c) for word, c in _det_inserted(cfg, key.exps)]
-        e = Element.from_words(cfg, entries)
+
+        def run(width, terms=e.terms):
+            classes: dict[tuple, dict] = {}
+            worst = 0
+            for key, coeff in terms.items():
+                v, lo, bound = _pack(coeff, width)
+                for ckey, word, (dv, dlo, dbound) in _det_inserted(cfg, key.exps, width):
+                    bucket = classes.setdefault(ckey, {})
+                    vanished = _put(bucket, word, (v * dv, lo + dlo, bound * dbound), width)
+                    worst = max(worst, vanished)
+            return _normalized(cfg, {0: classes}, worst, width)
+
+        e = Element(cfg, _decode(cfg.ring, *_certified(run)))
     return e
 
 
@@ -104,10 +115,12 @@ def diagonal_reduction(cfg: AlgebraConfig, m: NormalMonomial) -> Element | None:
         raise ValueError("determinant reduction applies to the gl and sl variants")
     if not _violates(m.exps, _target_positions(cfg)):
         return None
-    terms = {}
-    for exps, dshift, coeff in _reduction_step(cfg, m.exps):
-        _merge(terms, NormalMonomial(exps, _dpower(cfg, m.dpower + dshift)), coeff)
-    return Element(cfg, _project(cfg, terms))
+
+    def run(width):
+        entries, worst = _reduction_step(cfg, m.exps, width)
+        return {NormalMonomial(e, _dpower(cfg, m.dpower + d)): c for e, d, c in entries}, worst
+
+    return Element(cfg, _decode(cfg.ring, *_certified(run)))
 
 
 # ---------------------------------------------------------------------------

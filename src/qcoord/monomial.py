@@ -118,8 +118,9 @@ def antidiag_region(n: int, g: GenIndex) -> int:
 
 
 def antidiag_degree(n: int, exps: tuple[int, ...]) -> int:
-    """Total exponent carried by the antidiagonal generators."""
-    return sum(exps[(i - 1) * n + (n - i)] for i in range(1, n + 1))
+    """Total exponent carried by the antidiagonal generators, at the
+    row-major positions ``i * (n - 1)`` for ``i = 1 .. n``."""
+    return sum(exps[n - 1 : n * n - 1 : n - 1]) if n > 1 else exps[0]
 
 
 @dataclass(frozen=True)
@@ -132,16 +133,18 @@ class GenOrder:
     order must list every generator above the antidiagonal before every
     antidiagonal one, which in turn precede all those below it.
 
-    ``rank_map`` maps each index pair to its rank.  ``relations`` belongs to
+    ``rank_map`` maps each index pair to its rank, and ``slots`` lists the
+    row-major position of each rank's pair.  ``relations`` belongs to
     the straightener (``rewrite._rewrite``): the commutation relation of each
     pair of ranks it has met, filled on demand, so it holds at most ``n**4``
-    entries.  Neither takes part in equality or hashing.
+    entries.  None of the three takes part in equality or hashing.
     """
 
     n: int
     seq: tuple[GenIndex, ...]
     kind: str = "standard"
     rank_map: dict = field(init=False, repr=False, compare=False, default=None)
+    slots: tuple = field(init=False, repr=False, compare=False, default=None)
     relations: dict = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
@@ -158,6 +161,7 @@ class GenOrder:
                     "block first, then the antidiagonal, then the lower block"
                 )
         object.__setattr__(self, "rank_map", {g: r for r, g in enumerate(self.seq)})
+        object.__setattr__(self, "slots", tuple((i - 1) * n + (j - 1) for i, j in self.seq))
         object.__setattr__(self, "relations", {})
 
 

@@ -27,14 +27,18 @@ branch ``x y -> u v`` moves one count from each of the slots of ``x`` and
 from its parent's without recounting, and an ordered word's exponent table
 is the tail of its class key.
 
-While a straightening runs, each coefficient is packed into one integer,
-its value at ``q = 2**64`` (Kronecker substitution), next to its lowest
-exponent and a bound on its l1 norm.  A q-shift then changes only the
-exponent, the factor ``q - q^-1`` of a branch is a shift and a subtraction,
-and a sum is one integer addition.  The results are read back in signed
-base-``2**64`` digits, which is exact once the bounds are below ``2**63``;
-a straightening whose bounds pass that is redone with wider digits
-(:func:`_rewrite`).
+An operation -- a product, a constructor, a determinant multiple -- hands
+the straightener rank words already grouped by class key, built from
+exponent tables where the operands are ordered monomials, and each
+coefficient packed into one integer: its value at ``q = 2**64`` (Kronecker
+substitution), next to its lowest exponent and a bound on its l1 norm.  A
+q-shift then changes only the exponent, the factor ``q - q^-1`` of a branch
+is a shift and a subtraction, a sum is one integer addition and a product
+one integer multiplication.  The coefficients stay packed through the
+determinant enforcement below and are read back once, in signed
+base-``2**64`` digits, as the operation's result: exact once every bound
+the operation tested or decoded is below ``2**63``.  An operation whose
+bounds pass that is redone whole with wider digits (:func:`_certified`).
 
 For the localized and special variants, a second reduction phase enforces
 the normal-form constraint that the minimal diagonal (antidiagonal, under
@@ -53,11 +57,12 @@ byte, while ``D``'s letters cross few letters of ``w`` rather than nearly
 all of them.  One split serves all of ``D``'s words, since a single term of
 ``D`` is not central.
 
-Both phases compute over ``Z_q`` only.  A root-of-unity configuration is the
-base change of the ``Z_q`` form along ``reduce_mod``, a ring homomorphism,
-so its coefficients are lifted into ``Z_q`` on the way in (:func:`_lift`),
-straightened and reduced there, and projected into the configuration's ring
-once at the end (:func:`_project`).
+Both phases compute over ``Z_q`` only, in packed form.  A root-of-unity
+configuration is the base change of the ``Z_q`` form along ``reduce_mod``,
+a ring homomorphism, so its coefficients are lifted into ``Z_q`` as they
+are packed (a residue read as a polynomial in ``q``), straightened and
+reduced there, and decoded into the configuration's ring once at the end
+(:func:`_decode`).
 """
 
 from __future__ import annotations
@@ -67,8 +72,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations
 from math import factorial
+from operator import add
 
-from .coeff import Combination, CycloElem, CycloRing, LaurentPoly, LaurentRing, _merge
+from .coeff import Combination, CycloRing, LaurentPoly, LaurentRing
 from .monomial import (
     FLAVORS,
     GenIndex,
@@ -81,7 +87,6 @@ from .monomial import (
     check_gen,
     make_opposite_order,
     row_major_order,
-    weight_of_exponents,
     word_exponents,
 )
 
@@ -92,6 +97,9 @@ _ZQ = LaurentRing()
 _ONE = _ZQ.one()
 # Wraps terms that hold no zero as a Laurent polynomial, unfiltered.
 _laurent = _ONE._like
+# ``_new(NormalMonomial, (exps, dpower))`` builds the monomial without the
+# Python-level ``__new__`` of a named tuple, for the engine's inner loops.
+_new = tuple.__new__
 
 # Cache bounds: a process meets a handful of dimensions and configurations,
 # and about 1,500 distinct reduction-step monomials in a mixed gl/sl workload.
@@ -108,9 +116,9 @@ MAX_DET_N = 8
 # about 1 s (Python 3.11, 2 cores), while one of 10**8 runs out of memory.
 MAX_WORD_LEN = 10**6
 
-# Digit width, in bits, of the straightener's packed coefficients
-# (:func:`_straighten`).  A pass whose l1 bounds reach 2**63 is redone wider;
-# among the documented probes only t[2,2]^16 t[1,1]^16 at n = 2 needs it.
+# Digit width, in bits, that an operation packs its coefficients at first
+# (:func:`_certified`).  An operation whose l1 bounds reach 2**63 is redone
+# wider; among the documented probes only t[2,2]^16 t[1,1]^16 at n = 2 needs it.
 _PACK_WIDTH = 64
 
 
@@ -231,8 +239,9 @@ def _spans(k: int, rightmost: bool) -> tuple[range, ...]:
     return tuple(range(s, k - 1) for s in range(k - 1)) or (range(0),)
 
 
-def _pack(c: LaurentPoly, width: int) -> tuple[int, int, int]:
-    """``c`` as a packed triple ``(v, lo, bound)``: ``v`` is
+def _pack(c, width: int) -> tuple[int, int, int]:
+    """A nonzero coefficient, of ``Z_q`` or a residue read as a polynomial in
+    ``q``, as a packed triple ``(v, lo, bound)``: ``v`` is
     ``sum c_e * 2**(width * (e - lo))`` and ``bound`` is the l1 norm of ``c``."""
     terms = c.terms
     if len(terms) == 1:
@@ -272,52 +281,43 @@ def _add(c: tuple[int, int, int], v: int, lo: int, bound: int, width: int) -> tu
     return v + (cv << width * (clo - lo)), lo, cbound + bound
 
 
-def _rewrite(cfg: AlgebraConfig, pending: dict, strategy: str = "leftmost", trace=None) -> dict:
-    """Straighten a coefficient-weighted set of words.
+def _put(bucket: dict, key, c: tuple[int, int, int], width: int) -> int:
+    """Add the packed ``c`` to ``bucket[key]``, dropping the key when the sum
+    vanishes; returns the bound of a sum that vanished, else 0."""
+    cur = bucket.get(key)
+    if cur is None:
+        bucket[key] = c
+        return 0
+    cur = _add(cur, *c, width)
+    if cur[0]:
+        bucket[key] = cur
+        return 0
+    del bucket[key]
+    return cur[2]
 
-    ``pending`` maps words to Laurent coefficients; the result maps
-    exponent tables of ordered monomials to Laurent coefficients.  Words are
-    processed one weight class at a time, largest first; within a class the
-    chosen adjacent inversion is the leftmost (or rightmost) one.
 
-    Inside, a word is the tuple of its letters' ranks in ``cfg.order``, so
-    an inversion is ``w[p] > w[p + 1]``, and the relation of a rank pair
+def _rewrite(cfg: AlgebraConfig, pending: tuple, strategy: str = "leftmost", trace=None):
+    """Straighten packed words: the one straightening pass of the engine.
+
+    ``pending`` is ``(width, classes)``: ``classes`` maps each class key
+    ``(length, *exps)`` to the rank words of that class, each with its
+    coefficient packed at ``width`` bits a digit (:func:`_pack`), and is
+    consumed.  Returns the exponent tables of the ordered monomials reached,
+    with their coefficients still packed, and the largest l1 bound among
+    them and among the sums that vanished.  Classes are processed largest
+    key first; within a class the chosen adjacent inversion is the leftmost
+    (or rightmost) one.
+
+    An inversion is ``w[p] > w[p + 1]``, and the relation of a rank pair
     comes from :func:`_rank_relation`, that is from :func:`_relation`.
-    Every word of a class shares its key ``(length, *exponent table)``: an
-    ordered word's exponent table is the key's tail, and a branch's key is
-    the parent's with one count moved from each of the slots of ``x`` and
-    ``y`` to those of ``u`` and ``v``, so exponents are counted once per
-    input word.  ``trace``, if given, receives one ``(word, produced)``
-    entry per swap, with words in generator letters.
+    Every word of a class shares its key ``(length, *exps)``: an ordered
+    word's exponent table is the key's tail, and a branch's key is the
+    parent's with one count moved from each of the slots of ``x`` and ``y``
+    to those of ``u`` and ``v``, so exponents are never recounted.
+    ``trace``, if given, receives one ``(word, produced)`` entry per swap,
+    with words in generator letters.
 
-    Coefficients are packed (:func:`_straighten`) at the digit width
-    ``_PACK_WIDTH`` and decoded once per class total, after the pass has
-    certified that every l1 bound it tested stays below ``2**(width - 1)``,
-    which makes the decoding exact.  Otherwise the pass is redone at the
-    narrowest width that certifies its largest bound, with the trace
-    entries of the discarded pass removed.  That redo is the only one
-    unless the discarded pass met a cancellation it could not certify; the
-    width then grows with each pass, so the loop ends.
-    """
-    if strategy not in ("leftmost", "rightmost"):
-        raise ValueError(f"unknown strategy {strategy!r}")
-    mark = 0 if trace is None else len(trace)
-    width = _PACK_WIDTH
-    while True:
-        totals, bound = _straighten(cfg.order, pending, strategy == "rightmost", width, trace)
-        if bound < 1 << (width - 1):
-            return {exps: _unpack(v, lo, width) for exps, (v, lo) in totals.items()}
-        if trace is not None:
-            del trace[mark:]
-        width = bound.bit_length() + 1
-
-
-def _straighten(
-    order: GenOrder, pending: dict, rightmost: bool, width: int, trace
-) -> tuple[dict, int]:
-    """The pass of :func:`_rewrite` at one digit width.
-
-    Each pending coefficient ``c`` is a triple ``(v, lo, bound)`` with
+    Each coefficient is a triple ``(v, lo, bound)`` with
     ``v = sum c_e * 2**(width * (e - lo))`` and ``bound`` an upper bound on
     the l1 norm of ``c``.  A q-shift adds to ``lo``; ``sign (q - q^-1) c``
     is ``sign ((v << 2 width) - v)`` at ``lo - 1`` with the bound doubled;
@@ -326,35 +326,35 @@ def _straighten(
     ``q = 2**width``, so only the zero tests and the final decoding need
     small digits: a coefficient whose bound is below ``2**(width - 1)``
     has such digits, is zero exactly when ``v`` is, and decodes exactly.
-    Returns the class totals as ``(v, lo)`` by exponent table, and the
-    largest bound among the totals and the sums that vanished.
+    Nothing is decoded here and no pass is redone: the returned bound joins
+    the operation's certificate (:func:`_certified`).
 
     The current word is a list swapped in place; a tuple of it is built
     only to look it up in a non-empty bucket, and for an emitted branch.
     """
-    n = order.n
-    size = n * n
-    rank = order.rank_map
+    if strategy not in ("leftmost", "rightmost"):
+        raise ValueError(f"unknown strategy {strategy!r}")
+    rightmost = strategy == "rightmost"
+    width, packed = pending
+    order = cfg.order
+    size = order.n * order.n
     relations = order.relations
     wide = 2 * width
     worst = 0
-    packed: dict[tuple, dict] = {}
-    for word, coeff in pending.items():
-        if coeff:
-            key = (len(word), *word_exponents(word, n))
-            # Distinct words have distinct rank words: nothing to merge.
-            packed.setdefault(key, {})[tuple([rank[g] for g in word])] = _pack(coeff, width)
     # The open class keys, ascending and kept in step with ``packed``, so
     # the last one is the largest.
     queue = sorted(packed) if len(packed) > 1 else list(packed)
 
-    totals: dict[tuple[int, ...], tuple[int, int]] = {}
+    totals: dict[tuple[int, ...], tuple[int, int, int]] = {}
+    k = None
     while queue:
         key = queue.pop()
         bucket = packed.pop(key)
-        k = key[0]
-        spans = _spans(k, rightmost)
-        first = spans[-1] if rightmost else spans[0]
+        if key[0] != k:
+            # Branches keep the length: most passes meet a single one.
+            k = key[0]
+            spans = _spans(k, rightmost)
+            first = spans[-1] if rightmost else spans[0]
         # The ordered words of a class all land on one exponent table, which
         # no other class reaches: sum them and store the total once.
         total = None
@@ -433,35 +433,120 @@ def _straighten(
                 else:
                     span = spans[p - 1 if p else 0]
         if total is not None:
-            v, lo, bound = total
-            if bound > worst:
-                worst = bound
-            if v:
-                totals[key[1:]] = v, lo
+            if total[2] > worst:
+                worst = total[2]
+            if total[0]:
+                totals[key[1:]] = total
     return totals, worst
 
 
-def _lift(cfg: AlgebraConfig, value) -> LaurentPoly:
-    """A coefficient of ``cfg.ring`` as a Laurent polynomial; the residue of a
-    root-of-unity coefficient is read as a polynomial in ``q``."""
-    c = cfg.ring.coerce(value)
-    return LaurentPoly(c.terms) if isinstance(c, CycloElem) else c
+def _certified(run, trace=None) -> tuple[dict, int]:
+    """The packed terms of one whole operation, and the width they are
+    packed at, certified.
+
+    ``run(width)`` computes the operation with every coefficient packed at
+    ``width`` bits a digit and returns its packed terms and the largest l1
+    bound among the sums it found vanished and the values it decoded.  The
+    width starts at ``_PACK_WIDTH``; when that bound or a term's passes
+    ``2**(width - 1)``, a zero test or a decoding may have been wrong, so
+    the whole operation is redone at the narrowest width that certifies the
+    bound, with the ``trace`` entries of the discarded pass removed.  That
+    redo is the only one unless the discarded pass dropped a sum it could
+    not certify; the width then grows with each pass, so the loop ends.
+    """
+    mark = 0 if trace is None else len(trace)
+    width = _PACK_WIDTH
+    while True:
+        terms, worst = run(width)
+        for _v, _lo, bound in terms.values():
+            if bound > worst:
+                worst = bound
+        if worst < 1 << (width - 1):
+            return terms, width
+        if trace is not None:
+            del trace[mark:]
+        width = worst.bit_length() + 1
 
 
-def _project(cfg: AlgebraConfig, terms: dict) -> dict:
-    """Map finished Laurent coefficients into ``cfg.ring``, dropping zeros.
-    Over ``Z_q`` they are final already: the engine never stores a zero."""
-    if isinstance(cfg.ring, LaurentRing):
-        return terms
-    coerce = cfg.ring.coerce
-    return {key: c for key, coeff in terms.items() if (c := coerce(coeff))}
+def _decode(ring: LaurentRing | CycloRing, terms: dict, width: int) -> dict:
+    """Certified packed terms as coefficients of ``ring``, each decoded once.
+    A root-of-unity coefficient is reduced and dropped if it vanishes; over
+    ``Z_q`` none does, as the engine never stores a zero."""
+    if isinstance(ring, LaurentRing):
+        return {key: _unpack(v, lo, width) for key, (v, lo, _bound) in terms.items()}
+    coerce = ring.coerce
+    return {key: c for key, (v, lo, _bound) in terms.items() if (c := coerce(_unpack(v, lo, width)))}
+
+
+def _word_item(cfg: AlgebraConfig, word: Word) -> tuple[tuple, tuple]:
+    """A word of generator letters, checked against ``cfg``, as its class key
+    and its rank word."""
+    _check_word_len(len(word))
+    n = cfg.n
+    rank = cfg.order.rank_map
+    ranks = tuple([rank.get(g) for g in word])
+    if None in ranks:
+        # ``rank_map`` holds exactly the generators of ``cfg``: name the
+        # first letter outside it.
+        for g in word:
+            check_gen(g, n)
+    return (len(word), *word_exponents(word, n)), ranks
+
+
+def _packed_classes(items, width: int) -> tuple[dict, int]:
+    """Pending classes of ``(dpower, key, rank word, coeff)`` items, by ``D``
+    power, the coefficients packed at ``width`` and summed per word, and the
+    largest bound of a sum that vanished."""
+    groups: dict[int, dict] = {}
+    worst = 0
+    for dpower, key, word, coeff in items:
+        classes = groups.get(dpower)
+        if classes is None:
+            classes = groups[dpower] = {}
+        bucket = classes.get(key)
+        if bucket is None:
+            bucket = classes[key] = {}
+        vanished = _put(bucket, word, _pack(coeff, width), width)
+        if vanished > worst:
+            worst = vanished
+    return groups, worst
+
+
+def _rank_word(order: GenOrder, exps: tuple[int, ...]) -> tuple[int, ...]:
+    """The ordered word of an exponent table, in letter ranks."""
+    word: list[int] = []
+    for r, slot in enumerate(order.slots):
+        e = exps[slot]
+        if e:
+            word += [r] * e
+    return tuple(word)
+
+
+def _normalized(cfg: AlgebraConfig, groups: dict, worst: int, width: int, strategy: str = "leftmost"):
+    """The packed normal form of pending classes, by ``D`` power, with
+    coefficients packed at ``width``: straightened, then under the variant's
+    constraint.  ``worst`` is the largest bound of a sum that vanished while
+    the classes were built; returns the terms and the largest bound of the
+    whole, for :func:`_certified`."""
+    terms = {}
+    for dpower, classes in groups.items():
+        totals, bound = _rewrite(cfg, (width, classes), strategy)
+        if bound > worst:
+            worst = bound
+        for exps, c in totals.items():
+            terms[_new(NormalMonomial, (exps, dpower))] = c
+    terms, bound = _enforce(cfg, terms, width)
+    return terms, max(worst, bound)
 
 
 def normal_form_of_word(cfg: AlgebraConfig, word: Word, strategy: str = "leftmost", trace=None) -> dict:
     """Exponent-table expansion of a single word (no determinant reduction)."""
-    for g in word:
-        check_gen(g, cfg.n)
-    return _project(cfg, _rewrite(cfg, {tuple(word): _ONE}, strategy, trace))
+    key, word = _word_item(cfg, tuple(word))
+
+    def run(width):
+        return _rewrite(cfg, (width, {key: {word: (1, 0, 1)}}), strategy, trace)
+
+    return _decode(cfg.ring, *_certified(run, trace))
 
 
 # ---------------------------------------------------------------------------
@@ -490,26 +575,35 @@ def _det_word_pairs(n: int) -> tuple[tuple[Word, LaurentPoly], ...]:
 
 @lru_cache(maxsize=_SMALL_CACHE)
 def _det_terms(cfg: AlgebraConfig) -> dict:
-    """Quantum determinant as ordered-monomial exponent tables (no D key)."""
-    return _rewrite(cfg, dict(_det_word_pairs(cfg.n)))
+    """Quantum determinant as ordered-monomial exponent tables with ``Z_q``
+    coefficients (no D key)."""
+    items = [(0, *_word_item(cfg, word), c) for word, c in _det_word_pairs(cfg.n)]
+
+    def run(width):
+        groups, worst = _packed_classes(items, width)
+        terms, bound = _rewrite(cfg, (width, groups[0]))
+        return terms, max(worst, bound)
+
+    return _decode(_ZQ, *_certified(run))
 
 
 @lru_cache(maxsize=_SMALL_CACHE)
-def _det_words(cfg: AlgebraConfig) -> tuple[tuple[tuple[Word, LaurentPoly], ...], int]:
-    """``D``'s terms as ordered words with their coefficients, and the
-    median rank of their letters, where :func:`_det_inserted` splits."""
+def _det_words(cfg: AlgebraConfig, width: int) -> tuple[tuple[tuple, tuple, tuple], int]:
+    """``D``'s terms as ``(exps, ordered rank word, coefficient packed at
+    width)``, and the median rank of their letters, where
+    :func:`_det_inserted` splits."""
     order = cfg.order
-    rank = order.rank_map
-    det = tuple((NormalMonomial(e).word(order), c) for e, c in _det_terms(cfg).items())
-    letters = sorted(rank[g] for d, _ in det for g in d)
+    det = tuple((e, _rank_word(order, e), _pack(c, width)) for e, c in _det_terms(cfg).items())
+    letters = sorted(r for _e, d, _c in det for r in d)
     return det, letters[len(letters) // 2]
 
 
-def _det_inserted(cfg: AlgebraConfig, exps: tuple[int, ...]) -> list[tuple[Word, LaurentPoly]]:
-    """The entries ``word[:p] + d + word[p:]`` with ``d``'s coefficient, one
-    per term ``d`` of ``D`` written as an ordered word, for ``word`` the
-    ordered word of ``exps``: ``word * D``, with ``D`` inserted where it
-    sorts best.
+def _det_inserted(cfg: AlgebraConfig, exps: tuple[int, ...], width: int) -> list[tuple]:
+    """The pending items ``(key, word[:p] + d + word[p:], c)``, one per term
+    ``c d`` of ``D`` with ``d`` an ordered rank word and ``c`` packed at
+    ``width``, for ``word`` the ordered rank word of ``exps``: ``word * D``,
+    with ``D`` inserted where it sorts best.  Each item is alone in its
+    class.
 
     ``D`` is central, so ``word[:p] D word[p:]`` is ``word D`` for every
     ``p``, and normal forms are unique, so the straightened sum does not
@@ -520,13 +614,12 @@ def _det_inserted(cfg: AlgebraConfig, exps: tuple[int, ...]) -> list[tuple[Word,
     ``c_g``: that of the median letter, as ``c_g`` grows with ``g``'s rank.
     """
     _check_word_len(sum(exps) + cfg.n)
-    order = cfg.order
-    rank = order.rank_map
-    word = NormalMonomial(exps).word(order)
-    det, median = _det_words(cfg)
-    p = bisect_left([rank[g] for g in word], median)
+    word = _rank_word(cfg.order, exps)
+    det, median = _det_words(cfg, width)
+    p = bisect_left(word, median)
     head, tail = word[:p], word[p:]
-    return [(head + d + tail, c) for d, c in det]
+    length = len(word) + cfg.n
+    return [((length, *map(add, exps, e)), head + d + tail, c) for e, d, c in det]
 
 
 def _target_positions(cfg: AlgebraConfig) -> tuple[int, ...]:
@@ -543,27 +636,35 @@ def _violates(exps: tuple[int, ...], targets: tuple[int, ...]) -> bool:
 
 
 def _reduction_measure(cfg: AlgebraConfig, exps: tuple[int, ...]):
-    if cfg.flavor == "standard":
-        return weight_of_exponents(exps)
-    return (antidiag_degree(cfg.n, exps),) + weight_of_exponents(exps)
+    """The weight of ``exps``, led by its antidiagonal degree under the
+    opposite flavor."""
+    if cfg.order.kind == "standard":
+        return (sum(exps), *exps)
+    return (antidiag_degree(cfg.n, exps), sum(exps), *exps)
 
 
 @lru_cache(maxsize=_REDUCTION_CACHE)
-def _reduction_step(cfg: AlgebraConfig, exps: tuple[int, ...]):
+def _reduction_step(cfg: AlgebraConfig, exps: tuple[int, ...], width: int):
     """Trade one determinant factor out of a monomial ``m`` with every
-    target exponent positive.
+    target exponent positive, with coefficients packed at ``width``.
 
     ``t0`` is ``m`` with one factor taken off at each target.  A single
     straightening of ``t0 D`` gives ``c m + rest`` with ``c`` a unit, so
     ``m = c**-1 (t0 D - rest)``.  ``D``'s words go inside ``t0``'s ordered
     word, at the one split :func:`_det_inserted` picks for all of them:
-    exact, as ``D`` is central and normal forms are unique.  Returns
-    entries ``(exps', dshift, coeff)``: ``(t0, 1, c**-1)`` carries the freed
+    exact, as ``D`` is central and normal forms are unique.  Returns the
+    entries ``(exps', dshift, coeff)``, ``coeff`` packed, and the largest
+    bound of the straightening.  ``(t0, 1, c**-1)`` carries the freed
     determinant factor, and each term ``c2 e2`` of ``rest`` gives
-    ``(e2, 0, -c**-1 c2)``.  All emitted
-    monomials are strictly smaller than the input in the flavor's reduction
-    measure; that descent is what makes iterated enforcement terminate, so
-    it is checked here rather than assumed.
+    ``(e2, 0, -c**-1 c2)``; ``c = sign q**k`` is the only value decoded,
+    and its inverse is applied to ``rest`` as a sign and a shift of ``lo``.
+
+    When the bound passes ``2**(width - 1)`` nothing is trusted: no entry
+    is returned, and the bound makes the caller's operation redo itself
+    wider (:func:`_certified`), with a step of its own at that width.  All
+    emitted monomials are strictly smaller than the input in the flavor's
+    reduction measure; that descent is what makes iterated enforcement
+    terminate, so it is checked here rather than assumed.
     """
     targets = _target_positions(cfg)
     if not _violates(exps, targets):
@@ -573,10 +674,15 @@ def _reduction_step(cfg: AlgebraConfig, exps: tuple[int, ...]):
     for t in targets:
         t0[t] -= 1
     t0 = tuple(t0)
-    product = _rewrite(cfg, dict(_det_inserted(cfg, t0)))
-    inv = _ZQ.invert_unit(product.pop(exps, _ZQ.zero()))
-    neg_inv = -inv
-    out = [(t0, 1, inv)] + [(e2, 0, neg_inv * c2) for e2, c2 in product.items()]
+    classes = {key: {word: c} for key, word, c in _det_inserted(cfg, t0, width)}
+    product, worst = _rewrite(cfg, (width, classes))
+    if worst >= 1 << (width - 1):
+        return (), worst
+    total = product.pop(exps, None)
+    c = _ZQ.zero() if total is None else _unpack(total[0], total[1], width)
+    ((k, sign),) = _ZQ.invert_unit(c).terms.items()
+    out = [(t0, 1, (sign, k, 1))]
+    out += [(e2, 0, (-sign * v2, lo2 + k, b2)) for e2, (v2, lo2, b2) in product.items()]
 
     bound = _reduction_measure(cfg, exps)
     for e2, _dshift, _c in out:
@@ -584,7 +690,7 @@ def _reduction_step(cfg: AlgebraConfig, exps: tuple[int, ...]):
             raise ArithmeticError(
                 "determinant reduction emitted a monomial that does not descend"
             )
-    return tuple(out)
+    return tuple(out), worst
 
 
 def _dpower(cfg: AlgebraConfig, z: int) -> int:
@@ -595,34 +701,53 @@ def _dpower(cfg: AlgebraConfig, z: int) -> int:
     return z if cfg.variant == "gl" else 0
 
 
-def _enforce(cfg: AlgebraConfig, terms: dict) -> dict:
-    """Apply the variant's minimal-exponent-zero constraint to Laurent terms."""
+def _enforce(cfg: AlgebraConfig, terms: dict, width: int) -> tuple[dict, int]:
+    """Apply the variant's minimal-exponent-zero constraint to packed terms.
+
+    ``terms`` maps normal monomials to coefficients packed at ``width``;
+    under ``m`` it is returned as it is.  Each monomial that breaks the
+    constraint is replaced by its reduction step, largest in the reduction
+    measure first: a packed product per entry, ``(v * v2, lo + lo2, bound *
+    b2)``, the bounds multiplied.  Returns the packed result and the largest
+    bound among the sums that vanished and the steps' own; the caller
+    decodes the result once and certifies the whole operation
+    (:func:`_certified`).
+    """
     if cfg.variant == "m":
-        return terms
+        return terms, 0
     targets = _target_positions(cfg)
-    result: dict[NormalMonomial, LaurentPoly] = {}
+    gl = cfg.variant == "gl"
+    result: dict[NormalMonomial, tuple[int, int, int]] = {}
     classes: dict[tuple, dict] = {}
     queue: list[tuple] = []
+    worst = 0
 
-    def add(key: NormalMonomial, coeff: LaurentPoly) -> None:
-        if not _violates(key.exps, targets):
-            _merge(result, key, coeff)
-            return
-        measure = _reduction_measure(cfg, key.exps)
-        bucket = classes.get(measure)
-        if bucket is None:
-            bucket = classes[measure] = {}
-            insort(queue, measure)
-        _merge(bucket, key, coeff)
+    def bucket_of(exps: tuple[int, ...]) -> dict:
+        if all(exps[t] >= 1 for t in targets):  # the monomial violates the constraint
+            measure = _reduction_measure(cfg, exps)
+            bucket = classes.get(measure)
+            if bucket is None:
+                bucket = classes[measure] = {}
+                insort(queue, measure)
+            return bucket
+        return result
 
-    for key, coeff in terms.items():
-        add(key, coeff)
+    # The keys of ``terms`` are distinct, so nothing merges yet.
+    for key, c in terms.items():
+        bucket_of(key.exps)[key] = c
     # ``queue`` holds the open measures, ascending: the last is the largest.
     while queue:
-        for key, coeff in classes.pop(queue.pop()).items():
-            for e2, dshift, c2 in _reduction_step(cfg, key.exps):
-                add(NormalMonomial(e2, _dpower(cfg, key.dpower + dshift)), coeff * c2)
-    return result
+        for key, (v, lo, bound) in classes.pop(queue.pop()).items():
+            entries, step_worst = _reduction_step(cfg, key.exps, width)
+            if step_worst > worst:
+                worst = step_worst
+            dpower = key.dpower
+            for e2, dshift, (v2, lo2, b2) in entries:
+                key2 = _new(NormalMonomial, (e2, dpower + dshift if gl else 0))
+                vanished = _put(bucket_of(e2), key2, (v * v2, lo + lo2, bound * b2), width)
+                if vanished > worst:
+                    worst = vanished
+    return result, worst
 
 
 # ---------------------------------------------------------------------------
@@ -637,7 +762,7 @@ class Element(Combination):
     in normal form, mapping normal monomials to nonzero coefficients of
     ``config.ring``.  The normalizing constructors are :meth:`from_monomials`
     and :meth:`from_words`, which straighten, apply the basis constraint and
-    project into the ring; arithmetic keeps the result in normal form.
+    decode into the ring; arithmetic keeps the result in normal form.
     Operands must share ``config``.
     """
 
@@ -693,38 +818,47 @@ class Element(Combination):
 
     @classmethod
     def from_monomials(cls, cfg: AlgebraConfig, pairs) -> Element:
-        """Build from ``(monomial, coeff)`` pairs, each checked and lifted once."""
+        """Build from ``(monomial, coeff)`` pairs, each checked and coerced
+        once; no word is built unless a determinant reduction needs one."""
         size = cfg.n * cfg.n
-        terms: dict[NormalMonomial, LaurentPoly] = {}
+        coerce = cfg.ring.coerce
+        items = []
         for m, coeff in pairs:
             exps = m.exps
             if len(exps) != size or any(e < 0 for e in exps):
                 raise ValueError(f"bad exponent table {exps}")
-            _merge(terms, NormalMonomial(tuple(exps), _dpower(cfg, m.dpower)), _lift(cfg, coeff))
-        return cls._normalized(cfg, terms)
+            key = NormalMonomial(tuple(exps), _dpower(cfg, m.dpower))
+            if c := coerce(coeff):
+                items.append((key, c))
+
+        def run(width):
+            terms: dict[NormalMonomial, tuple[int, int, int]] = {}
+            worst = 0
+            for key, c in items:
+                vanished = _put(terms, key, _pack(c, width), width)
+                if vanished > worst:
+                    worst = vanished
+            terms, enforced = _enforce(cfg, terms, width)
+            return terms, max(worst, enforced)
+
+        return cls(cfg, _decode(cfg.ring, *_certified(run)))
 
     @classmethod
     def from_words(cls, cfg: AlgebraConfig, entries, strategy: str = "leftmost") -> Element:
-        """Build from ``(word, coeff)`` or ``(word, coeff, dpower)`` entries."""
-        groups: dict[int, dict[Word, LaurentPoly]] = {}
+        """Build from ``(word, coeff)`` or ``(word, coeff, dpower)`` entries,
+        each checked and converted to a rank word once."""
+        coerce = cfg.ring.coerce
+        items = []
         for entry in entries:
-            word, coeff = entry[0], entry[1]
             dpower = _dpower(cfg, entry[2] if len(entry) > 2 else 0)
-            word = tuple(word)
-            _check_word_len(len(word))
-            for g in word:
-                check_gen(g, cfg.n)
-            _merge(groups.setdefault(dpower, {}), word, _lift(cfg, coeff))
-        terms: dict[NormalMonomial, LaurentPoly] = {}
-        for dpower, words in groups.items():
-            for exps, coeff in _rewrite(cfg, words, strategy).items():
-                _merge(terms, NormalMonomial(exps, dpower), coeff)
-        return cls._normalized(cfg, terms)
+            key, word = _word_item(cfg, tuple(entry[0]))
+            if c := coerce(entry[1]):
+                items.append((dpower, key, word, c))
 
-    @classmethod
-    def _normalized(cls, cfg: AlgebraConfig, terms: dict) -> Element:
-        """``Z_q`` terms under the variant's constraint, projected into ``cfg.ring``."""
-        return cls(cfg, _project(cfg, _enforce(cfg, terms)))
+        def run(width):
+            return _normalized(cfg, *_packed_classes(items, width), width, strategy)
+
+        return cls(cfg, _decode(cfg.ring, *_certified(run)))
 
     # -- queries -----------------------------------------------------------
 
@@ -762,7 +896,14 @@ def normalize(e: Element) -> Element:
 
 
 def multiply(a: Element, b: Element) -> Element:
-    """Product of two elements, returned in normal form."""
+    """Product of two elements, returned in normal form.
+
+    No word of generator letters is built: each term's ordered rank word
+    comes from its exponent table, and a product of two terms is the
+    concatenation of their rank words, in the class whose key adds their
+    exponent tables, among the classes of the sum of their ``D`` powers,
+    with coefficient the product of the two packed coefficients.
+    """
     b = a._operand(b)
     _check_word_len(
         max(map(NormalMonomial.degree, a.terms), default=0)
@@ -770,9 +911,26 @@ def multiply(a: Element, b: Element) -> Element:
     )
     cfg = a.config
     order = cfg.order
-    entries = []
-    for k1, c1 in a.terms.items():
-        w1 = k1.word(order)
-        for k2, c2 in b.terms.items():
-            entries.append((w1 + k2.word(order), c1 * c2, k1.dpower + k2.dpower))
-    return Element.from_words(cfg, entries)
+    left = [(m.exps, _rank_word(order, m.exps), m.dpower, c) for m, c in a.terms.items()]
+    right = [(m.exps, _rank_word(order, m.exps), m.dpower, c) for m, c in b.terms.items()]
+
+    def run(width):
+        groups: dict[int, dict] = {}
+        worst = 0
+        packed = [(e2, w2, d2, _pack(c2, width)) for e2, w2, d2, c2 in right]
+        for e1, w1, d1, c1 in left:
+            v1, lo1, b1 = _pack(c1, width)
+            for e2, w2, d2, (v2, lo2, b2) in packed:
+                classes = groups.get(d1 + d2)
+                if classes is None:
+                    classes = groups[d1 + d2] = {}
+                key = (len(w1) + len(w2), *map(add, e1, e2))
+                bucket = classes.get(key)
+                if bucket is None:
+                    bucket = classes[key] = {}
+                vanished = _put(bucket, w1 + w2, (v1 * v2, lo1 + lo2, b1 * b2), width)
+                if vanished > worst:
+                    worst = vanished
+        return _normalized(cfg, groups, worst, width)
+
+    return Element(cfg, _decode(cfg.ring, *_certified(run)))

@@ -19,7 +19,7 @@ from .coeff import Combination, CycloElem, CycloRing, _merge
 from .monomial import NormalMonomial, canonical_key, row_major_order
 from .render import join_terms, monomial_to_str, term_to_str
 from .report import CheckReport
-from .rewrite import AlgebraConfig, Element, _project, make_config, multiply
+from .rewrite import AlgebraConfig, Element, make_config, multiply
 
 
 class ClassicalMonomial(NamedTuple):
@@ -102,8 +102,9 @@ def specialize(e: Element, ell: int) -> Element:
     cfg = e.config
     if isinstance(cfg.ring, CycloRing):
         raise ValueError("element is already specialized")
-    target = replace(cfg, ring=CycloRing(ell))
-    return Element(target, _project(target, e.terms))
+    ring = CycloRing(ell)
+    terms = {key: c for key, coeff in e.terms.items() if (c := ring.coerce(coeff))}
+    return Element(replace(cfg, ring=ring), terms)
 
 
 def _require_cyclo(cfg: AlgebraConfig) -> CycloRing:

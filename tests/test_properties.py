@@ -11,7 +11,8 @@ The residue product is checked against the Laurent product
 reduced mod ``phi_l``, and for commutativity, associativity and
 distributivity.  The print, parse,
 print round trip runs at n=2 and n=3 over ``Z_q``, ``Z_eps(3)`` and
-``Z_eps(5)``.  Multiplication is checked for associativity, and for keeping
+``Z_eps(5)``.  Multiplication is checked against straightening the
+concatenated words of every pair of terms, for associativity, and for keeping
 the bidegree (row sums and column sums plus the determinant power).  The
 determinant inserted into an ordered word at any split must give the product
 with it appended.  Straightening a word of up to 8 letters, in either
@@ -33,11 +34,13 @@ from qcoord.detloc import quantum_determinant
 from qcoord.frobext import FrobeniusContext
 from qcoord.monomial import NormalMonomial, bidegree
 from qcoord.rewrite import (
+    _PACK_WIDTH,
     FLAVORS,
     VARIANTS,
     Element,
     _det_inserted,
     _det_terms,
+    _unpack,
     make_config,
     multiply,
     normal_form_of_word,
@@ -80,8 +83,10 @@ def monomials(cfg, max_exp=2):
     return st.builds(NormalMonomial, st.tuples(*[st.integers(0, max_exp)] * size), dpower)
 
 
-def elements(cfg, max_exp=2, max_terms=3):
-    pairs = st.lists(st.tuples(monomials(cfg, max_exp), laurent), max_size=max_terms)
+def elements(cfg, max_exp=2, max_terms=3, min_terms=0):
+    pairs = st.lists(
+        st.tuples(monomials(cfg, max_exp), laurent), min_size=min_terms, max_size=max_terms
+    )
     return pairs.map(lambda p: Element.from_monomials(cfg, p))
 
 
@@ -177,6 +182,29 @@ def test_multiplication_is_associative(cfg, data):
     assert multiply(multiply(a, b), c) == multiply(a, multiply(b, c))
 
 
+@pytest.mark.parametrize(
+    "cfg",
+    [make_config(3, v, flavor=f) for v in ("gl", "sl") for f in FLAVORS]
+    + [make_config(2, v, ell=3, flavor=f) for v in ("m", "gl") for f in FLAVORS],
+    ids=_config_id,
+)
+@settings(SETTINGS, max_examples=8)
+@given(data=st.data())
+def test_products_match_the_word_path(cfg, data):
+    """``multiply`` builds no word of generator letters; straightening the
+    concatenated ordered words of every pair of terms, rightmost inversion
+    first, is an independent oracle for it (the benchmark's check)."""
+    max_exp = 1 if cfg.n == 3 else 2
+    a, b = (data.draw(elements(cfg, max_exp, max_terms=3, min_terms=2)) for _ in range(2))
+    order = cfg.order
+    entries = [
+        (ma.word(order) + mb.word(order), ca * cb, ma.dpower + mb.dpower)
+        for ma, ca in a.terms.items()
+        for mb, cb in b.terms.items()
+    ]
+    assert multiply(a, b) == Element.from_words(cfg, entries, strategy="rightmost")
+
+
 @pytest.mark.parametrize("cfg", _configs((2, 3), (None, 3)), ids=_config_id)
 @SETTINGS
 @given(data=st.data())
@@ -209,7 +237,12 @@ def test_determinant_inserted_mid_word_equals_appended(cfg, data):
     appended = Element.from_words(cfg, [(w + d, c) for d, c in det])
     for p in range(len(w) + 1):
         assert Element.from_words(cfg, [(w[:p] + d + w[p:], c) for d, c in det]) == appended
-    assert Element.from_words(cfg, _det_inserted(cfg, m.exps)) == appended
+    seq = cfg.order.seq
+    inserted = [
+        (tuple([seq[r] for r in word]), _unpack(v, lo, _PACK_WIDTH))
+        for _key, word, (v, lo, _bound) in _det_inserted(cfg, m.exps, _PACK_WIDTH)
+    ]
+    assert Element.from_words(cfg, inserted) == appended
 
 
 @pytest.mark.parametrize(

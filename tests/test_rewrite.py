@@ -1,6 +1,7 @@
 """Tests for the straightening engine and element arithmetic."""
 
 import random
+from dataclasses import replace
 from itertools import product
 
 import pytest
@@ -352,9 +353,11 @@ class TestOperationCounts:
 
 
 class TestPackWidth:
-    """The straightener packs each coefficient into one integer with digits
-    of ``_PACK_WIDTH`` bits, and decodes only results whose l1 bounds stay
-    below ``2**(width - 1)``; a pass past that is redone wider.
+    """An operation packs each coefficient into one integer with digits of
+    ``_PACK_WIDTH`` bits, from its input through straightening and
+    determinant enforcement, and decodes only results whose l1 bounds, and
+    those of the sums it found vanished, stay below ``2**(width - 1)``; an
+    operation past that is redone whole, wider.
 
     At the default width of 64 bits, t[2,2]^16 t[1,1]^16 at n = 2 needs one
     redo: its l1 bound passes 2**63 while its largest coefficient is 10,338.
@@ -375,13 +378,13 @@ class TestPackWidth:
         expected = normal_form_of_word(cfg, self.K8, trace=trace)
         heavy = self.fresh_heavy()
         widths = []
-        straighten = rewrite._straighten
+        straighten = rewrite._rewrite
 
-        def recorded(order, pending, rightmost, width, trace):
-            widths.append(width)
-            return straighten(order, pending, rightmost, width, trace)
+        def recorded(cfg, pending, strategy="leftmost", trace=None):
+            widths.append(pending[0])
+            return straighten(cfg, pending, strategy, trace)
 
-        monkeypatch.setattr(rewrite, "_straighten", recorded)
+        monkeypatch.setattr(rewrite, "_rewrite", recorded)
         monkeypatch.setattr(rewrite, "_PACK_WIDTH", 3)
         narrow_trace = []
         assert normal_form_of_word(cfg, self.K8, trace=narrow_trace) == expected
@@ -395,11 +398,65 @@ class TestPackWidth:
         # t[1,2] t[1,1] = q^-1 t[1,1] t[1,2], so the two entries sum to
         # -4 + q, which is 0 at q = 2**2: a 2-bit pass drops the word.
         cfg = make_config(2)
-        pending = {((1, 1), (1, 2)): LaurentPoly(-4), ((1, 2), (1, 1)): LaurentPoly.q_power(2)}
-        expected = {(1, 1, 0, 0): LaurentPoly({0: -4, 1: 1})}
-        assert rewrite._rewrite(cfg, pending) == expected
+        entries = [(((1, 1), (1, 2)), LaurentPoly(-4)), (((1, 2), (1, 1)), LaurentPoly.q_power(2))]
+        expected = {NormalMonomial((1, 1, 0, 0)): LaurentPoly({0: -4, 1: 1})}
+        assert Element.from_words(cfg, entries).terms == expected
         monkeypatch.setattr(rewrite, "_PACK_WIDTH", 2)
-        assert rewrite._rewrite(cfg, pending) == expected
+        assert Element.from_words(cfg, entries).terms == expected
+
+    @staticmethod
+    def record_passes(monkeypatch):
+        """Clear the determinant caches and record each ``_rewrite`` call as
+        ``(width, worst)`` and each ``_enforce`` call as ``(width, worst,
+        largest bound of a returned term)``."""
+        for cache in (rewrite._det_terms, rewrite._det_words, rewrite._reduction_step):
+            cache.cache_clear()
+        passes = {"rewrite": [], "enforce": []}
+        straighten, enforce = rewrite._rewrite, rewrite._enforce
+
+        def recorded_rewrite(cfg, pending, strategy="leftmost", trace=None):
+            out = straighten(cfg, pending, strategy, trace)
+            passes["rewrite"].append((pending[0], out[1]))
+            return out
+
+        def recorded_enforce(cfg, terms, width):
+            out = enforce(cfg, terms, width)
+            passes["enforce"].append((width, out[1], max(c[2] for c in out[0].values())))
+            return out
+
+        monkeypatch.setattr(rewrite, "_rewrite", recorded_rewrite)
+        monkeypatch.setattr(rewrite, "_enforce", recorded_enforce)
+        return passes
+
+    def test_a_product_bound_that_overflows_only_in_enforcement_is_redone(self, monkeypatch):
+        # The reduction steps of t11 t22^2 t33 straighten with l1 bounds of
+        # at most 3, below 2**2, but emit a coefficient of bound 3, which
+        # times the input's bound of 2 passes 2**2 in ``_enforce``.
+        cfg = make_config(3, "gl")
+        m = NormalMonomial((1, 0, 0, 0, 2, 0, 0, 0, 1))
+        expected = Element.from_monomials(cfg, [(m, 2)])
+        passes = self.record_passes(monkeypatch)
+        monkeypatch.setattr(rewrite, "_PACK_WIDTH", 3)
+        assert Element.from_monomials(cfg, [(m, 2)]) == expected
+        assert all(worst < 4 for width, worst in passes["rewrite"] if width == 3)
+        (width, _worst, largest), redo = passes["enforce"]
+        assert width == 3 and largest >= 4 and redo[0] > 3
+
+    def test_a_sum_that_vanishes_only_when_packed_in_enforcement_is_redone(self, monkeypatch):
+        # t[1,1] t[2,2] = D + q t[1,2] t[2,1], so with -4 t[1,2] t[2,1]
+        # beside it the coefficient of t[1,2] t[2,1] is q - 4, which is 0 at
+        # q = 2**2: a 2-bit pass drops it in ``_enforce``, not in a
+        # straightening.
+        cfg = make_config(2, "gl")
+        pairs = [(NormalMonomial((1, 0, 0, 1)), 1), (NormalMonomial((0, 1, 1, 0)), -4)]
+        expected = Element.from_monomials(cfg, pairs)
+        assert expected.terms[NormalMonomial((0, 1, 1, 0))] == LaurentPoly({0: -4, 1: 1})
+        passes = self.record_passes(monkeypatch)
+        monkeypatch.setattr(rewrite, "_PACK_WIDTH", 2)
+        assert Element.from_monomials(cfg, pairs) == expected
+        assert all(worst < 2 for width, worst in passes["rewrite"] if width == 2)
+        (width, worst, _largest), redo = passes["enforce"]
+        assert (width, worst) == (2, 5) and redo[0] > 2
 
 
 def reduction_step_appended(cfg, exps):
@@ -409,13 +466,14 @@ def reduction_step_appended(cfg, exps):
     targets = rewrite._target_positions(cfg)
     t0 = tuple(e - (k in targets) for k, e in enumerate(exps))
     t0_word = NormalMonomial(t0).word(cfg.order)
-    product = rewrite._rewrite(
-        cfg,
-        {
-            t0_word + NormalMonomial(e).word(cfg.order): c
+    product = Element.from_words(
+        replace(cfg, variant="m"),
+        [
+            (t0_word + NormalMonomial(e).word(cfg.order), c)
             for e, c in rewrite._det_terms(cfg).items()
-        },
+        ],
     )
+    product = {m.exps: c for m, c in product.terms.items()}
     inv = LaurentRing().invert_unit(product.pop(exps))
     return [(t0, 1, inv)] + [(e2, 0, -inv * c2) for e2, c2 in product.items()]
 
@@ -430,13 +488,16 @@ class TestReductionStep:
     def test_matches_the_end_appended_reference(self, n, cases, max_exp, variant, flavor):
         cfg = make_config(n, variant, flavor=flavor)
         targets = rewrite._target_positions(cfg)
+        width = rewrite._PACK_WIDTH
         rng = random.Random(n * 100 + len(variant) + len(flavor))
         for _ in range(cases):
             exps = tuple(
                 rng.randint(1 if k in targets else 0, max_exp + (k in targets))
                 for k in range(n * n)
             )
-            step = rewrite._reduction_step.__wrapped__(cfg, exps)
+            step, worst = rewrite._reduction_step.__wrapped__(cfg, exps, width)
+            assert worst < 1 << (width - 1)
+            step = [(e, d, rewrite._unpack(v, lo, width)) for e, d, (v, lo, _bound) in step]
             expected = reduction_step_appended(cfg, exps)
             assert {(e, d): c for e, d, c in step} == {(e, d): c for e, d, c in expected}
             assert len(step) == len(expected) > 1
