@@ -25,9 +25,7 @@ from .rewrite import (
     _det_terms,
     _det_word_pairs,
     _dpower,
-    _normalized,
-    _pack,
-    _put,
+    _reduced,
     _reduction_step,
     _target_positions,
     _violates,
@@ -57,19 +55,12 @@ def _times_determinant(e: Element, k: int) -> Element:
     """
     cfg = e.config
     for _ in range(k):
-
-        def run(width, terms=e.terms):
-            classes: dict[tuple, dict] = {}
-            worst = 0
-            for key, coeff in terms.items():
-                v, lo, bound = _pack(coeff, width)
-                for ckey, word, (dv, dlo, dbound) in _det_inserted(cfg, key.exps, width):
-                    bucket = classes.setdefault(ckey, {})
-                    vanished = _put(bucket, word, (v * dv, lo + dlo, bound * dbound), width)
-                    worst = max(worst, vanished)
-            return _normalized(cfg, {0: classes}, worst, width)
-
-        e = Element(cfg, _decode(cfg.ring, *_certified(run)))
+        items = [
+            (0, key, word, coeff, c)
+            for m, coeff in e.terms.items()
+            for key, word, c in _det_inserted(cfg, m.exps)
+        ]
+        e = Element(cfg, _reduced(cfg, items))
     return e
 
 

@@ -494,19 +494,22 @@ def _word_item(cfg: AlgebraConfig, word: Word) -> tuple[tuple, tuple]:
 
 
 def _packed_classes(items, width: int) -> tuple[dict, int]:
-    """Pending classes of ``(dpower, key, rank word, coeff)`` items, by ``D``
-    power, the coefficients packed at ``width`` and summed per word, and the
-    largest bound of a sum that vanished."""
+    """Pending classes, by ``D`` power, of ``(dpower, key, rank word, c1,
+    c2)`` items: each word with the product of ``c1`` and ``c2`` packed at
+    ``width``, one integer multiplication with the bounds multiplied, summed
+    per word; and the largest bound of a sum that vanished."""
     groups: dict[int, dict] = {}
     worst = 0
-    for dpower, key, word, coeff in items:
+    for dpower, key, word, c1, c2 in items:
         classes = groups.get(dpower)
         if classes is None:
             classes = groups[dpower] = {}
         bucket = classes.get(key)
         if bucket is None:
             bucket = classes[key] = {}
-        vanished = _put(bucket, word, _pack(coeff, width), width)
+        v1, lo1, b1 = _pack(c1, width)
+        v2, lo2, b2 = _pack(c2, width)
+        vanished = _put(bucket, word, (v1 * v2, lo1 + lo2, b1 * b2), width)
         if vanished > worst:
             worst = vanished
     return groups, worst
@@ -522,21 +525,24 @@ def _rank_word(order: GenOrder, exps: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(word)
 
 
-def _normalized(cfg: AlgebraConfig, groups: dict, worst: int, width: int, strategy: str = "leftmost"):
-    """The packed normal form of pending classes, by ``D`` power, with
-    coefficients packed at ``width``: straightened, then under the variant's
-    constraint.  ``worst`` is the largest bound of a sum that vanished while
-    the classes were built; returns the terms and the largest bound of the
-    whole, for :func:`_certified`."""
-    terms = {}
-    for dpower, classes in groups.items():
-        totals, bound = _rewrite(cfg, (width, classes), strategy)
-        if bound > worst:
-            worst = bound
-        for exps, c in totals.items():
-            terms[_new(NormalMonomial, (exps, dpower))] = c
-    terms, bound = _enforce(cfg, terms, width)
-    return terms, max(worst, bound)
+def _reduced(cfg: AlgebraConfig, items, strategy: str = "leftmost") -> dict:
+    """The normal form of pending items (:func:`_packed_classes`), as
+    coefficients of ``cfg.ring``: straightened, under the variant's
+    constraint and decoded once, all one certified operation."""
+
+    def run(width):
+        groups, worst = _packed_classes(items, width)
+        terms = {}
+        for dpower, classes in groups.items():
+            totals, bound = _rewrite(cfg, (width, classes), strategy)
+            if bound > worst:
+                worst = bound
+            for exps, c in totals.items():
+                terms[_new(NormalMonomial, (exps, dpower))] = c
+        terms, bound = _enforce(cfg, terms, width)
+        return terms, max(worst, bound)
+
+    return _decode(cfg.ring, *_certified(run))
 
 
 def normal_form_of_word(cfg: AlgebraConfig, word: Word, strategy: str = "leftmost", trace=None) -> dict:
@@ -577,7 +583,7 @@ def _det_word_pairs(n: int) -> tuple[tuple[Word, LaurentPoly], ...]:
 def _det_terms(cfg: AlgebraConfig) -> dict:
     """Quantum determinant as ordered-monomial exponent tables with ``Z_q``
     coefficients (no D key)."""
-    items = [(0, *_word_item(cfg, word), c) for word, c in _det_word_pairs(cfg.n)]
+    items = [(0, *_word_item(cfg, word), c, _ONE) for word, c in _det_word_pairs(cfg.n)]
 
     def run(width):
         groups, worst = _packed_classes(items, width)
@@ -588,22 +594,19 @@ def _det_terms(cfg: AlgebraConfig) -> dict:
 
 
 @lru_cache(maxsize=_SMALL_CACHE)
-def _det_words(cfg: AlgebraConfig, width: int) -> tuple[tuple[tuple, tuple, tuple], int]:
-    """``D``'s terms as ``(exps, ordered rank word, coefficient packed at
-    width)``, and the median rank of their letters, where
-    :func:`_det_inserted` splits."""
-    order = cfg.order
-    det = tuple((e, _rank_word(order, e), _pack(c, width)) for e, c in _det_terms(cfg).items())
+def _det_words(cfg: AlgebraConfig) -> tuple[tuple[tuple, tuple, LaurentPoly], int]:
+    """``D``'s terms as ``(exps, ordered rank word, coefficient)``, and the
+    median rank of their letters, where :func:`_det_inserted` splits."""
+    det = tuple((e, _rank_word(cfg.order, e), c) for e, c in _det_terms(cfg).items())
     letters = sorted(r for _e, d, _c in det for r in d)
     return det, letters[len(letters) // 2]
 
 
-def _det_inserted(cfg: AlgebraConfig, exps: tuple[int, ...], width: int) -> list[tuple]:
-    """The pending items ``(key, word[:p] + d + word[p:], c)``, one per term
-    ``c d`` of ``D`` with ``d`` an ordered rank word and ``c`` packed at
-    ``width``, for ``word`` the ordered rank word of ``exps``: ``word * D``,
-    with ``D`` inserted where it sorts best.  Each item is alone in its
-    class.
+def _det_inserted(cfg: AlgebraConfig, exps: tuple[int, ...]) -> list[tuple]:
+    """The class keys, words and coefficients ``(key, word[:p] + d +
+    word[p:], c)``, one per term ``c d`` of ``D`` with ``d`` an ordered rank
+    word, for ``word`` the ordered rank word of ``exps``: ``word * D``, with
+    ``D`` inserted where it sorts best.  No two share a class.
 
     ``D`` is central, so ``word[:p] D word[p:]`` is ``word D`` for every
     ``p``, and normal forms are unique, so the straightened sum does not
@@ -615,7 +618,7 @@ def _det_inserted(cfg: AlgebraConfig, exps: tuple[int, ...], width: int) -> list
     """
     _check_word_len(sum(exps) + cfg.n)
     word = _rank_word(cfg.order, exps)
-    det, median = _det_words(cfg, width)
+    det, median = _det_words(cfg)
     p = bisect_left(word, median)
     head, tail = word[:p], word[p:]
     length = len(word) + cfg.n
@@ -674,7 +677,7 @@ def _reduction_step(cfg: AlgebraConfig, exps: tuple[int, ...], width: int):
     for t in targets:
         t0[t] -= 1
     t0 = tuple(t0)
-    classes = {key: {word: c} for key, word, c in _det_inserted(cfg, t0, width)}
+    classes = {key: {word: _pack(c, width)} for key, word, c in _det_inserted(cfg, t0)}
     product, worst = _rewrite(cfg, (width, classes))
     if worst >= 1 << (width - 1):
         return (), worst
@@ -853,12 +856,8 @@ class Element(Combination):
             dpower = _dpower(cfg, entry[2] if len(entry) > 2 else 0)
             key, word = _word_item(cfg, tuple(entry[0]))
             if c := coerce(entry[1]):
-                items.append((dpower, key, word, c))
-
-        def run(width):
-            return _normalized(cfg, *_packed_classes(items, width), width, strategy)
-
-        return cls(cfg, _decode(cfg.ring, *_certified(run)))
+                items.append((dpower, key, word, c, _ONE))
+        return cls(cfg, _reduced(cfg, items, strategy))
 
     # -- queries -----------------------------------------------------------
 
@@ -901,8 +900,8 @@ def multiply(a: Element, b: Element) -> Element:
     No word of generator letters is built: each term's ordered rank word
     comes from its exponent table, and a product of two terms is the
     concatenation of their rank words, in the class whose key adds their
-    exponent tables, among the classes of the sum of their ``D`` powers,
-    with coefficient the product of the two packed coefficients.
+    exponent tables, among the classes of the sum of their ``D`` powers;
+    its coefficient is the product of the two, packed.
     """
     b = a._operand(b)
     _check_word_len(
@@ -911,26 +910,11 @@ def multiply(a: Element, b: Element) -> Element:
     )
     cfg = a.config
     order = cfg.order
-    left = [(m.exps, _rank_word(order, m.exps), m.dpower, c) for m, c in a.terms.items()]
-    right = [(m.exps, _rank_word(order, m.exps), m.dpower, c) for m, c in b.terms.items()]
-
-    def run(width):
-        groups: dict[int, dict] = {}
-        worst = 0
-        packed = [(e2, w2, d2, _pack(c2, width)) for e2, w2, d2, c2 in right]
-        for e1, w1, d1, c1 in left:
-            v1, lo1, b1 = _pack(c1, width)
-            for e2, w2, d2, (v2, lo2, b2) in packed:
-                classes = groups.get(d1 + d2)
-                if classes is None:
-                    classes = groups[d1 + d2] = {}
-                key = (len(w1) + len(w2), *map(add, e1, e2))
-                bucket = classes.get(key)
-                if bucket is None:
-                    bucket = classes[key] = {}
-                vanished = _put(bucket, w1 + w2, (v1 * v2, lo1 + lo2, b1 * b2), width)
-                if vanished > worst:
-                    worst = vanished
-        return _normalized(cfg, groups, worst, width)
-
-    return Element(cfg, _decode(cfg.ring, *_certified(run)))
+    left = [(m, _rank_word(order, m.exps), c) for m, c in a.terms.items()]
+    right = [(m, _rank_word(order, m.exps), c) for m, c in b.terms.items()]
+    items = [
+        (m1.dpower + m2.dpower, (len(w1) + len(w2), *map(add, m1.exps, m2.exps)), w1 + w2, c1, c2)
+        for m1, w1, c1 in left
+        for m2, w2, c2 in right
+    ]
+    return Element(cfg, _reduced(cfg, items))

@@ -34,13 +34,11 @@ from qcoord.detloc import quantum_determinant
 from qcoord.frobext import FrobeniusContext
 from qcoord.monomial import NormalMonomial, bidegree
 from qcoord.rewrite import (
-    _PACK_WIDTH,
     FLAVORS,
     VARIANTS,
     Element,
     _det_inserted,
     _det_terms,
-    _unpack,
     make_config,
     multiply,
     normal_form_of_word,
@@ -238,10 +236,7 @@ def test_determinant_inserted_mid_word_equals_appended(cfg, data):
     for p in range(len(w) + 1):
         assert Element.from_words(cfg, [(w[:p] + d + w[p:], c) for d, c in det]) == appended
     seq = cfg.order.seq
-    inserted = [
-        (tuple([seq[r] for r in word]), _unpack(v, lo, _PACK_WIDTH))
-        for _key, word, (v, lo, _bound) in _det_inserted(cfg, m.exps, _PACK_WIDTH)
-    ]
+    inserted = [(tuple([seq[r] for r in word]), c) for _key, word, c in _det_inserted(cfg, m.exps)]
     assert Element.from_words(cfg, inserted) == appended
 
 

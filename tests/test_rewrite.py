@@ -430,17 +430,18 @@ class TestPackWidth:
 
     def test_a_product_bound_that_overflows_only_in_enforcement_is_redone(self, monkeypatch):
         # The reduction steps of t11 t22^2 t33 straighten with l1 bounds of
-        # at most 3, below 2**2, but emit a coefficient of bound 3, which
-        # times the input's bound of 2 passes 2**2 in ``_enforce``.
+        # at most 3, below 2**3, but emit a coefficient of bound 3, which
+        # times the input's bound of 3 passes 2**3 in ``_enforce`` (their
+        # sum would not).
         cfg = make_config(3, "gl")
         m = NormalMonomial((1, 0, 0, 0, 2, 0, 0, 0, 1))
-        expected = Element.from_monomials(cfg, [(m, 2)])
+        expected = Element.from_monomials(cfg, [(m, 3)])
         passes = self.record_passes(monkeypatch)
-        monkeypatch.setattr(rewrite, "_PACK_WIDTH", 3)
-        assert Element.from_monomials(cfg, [(m, 2)]) == expected
-        assert all(worst < 4 for width, worst in passes["rewrite"] if width == 3)
+        monkeypatch.setattr(rewrite, "_PACK_WIDTH", 4)
+        assert Element.from_monomials(cfg, [(m, 3)]) == expected
+        assert all(worst < 8 for width, worst in passes["rewrite"] if width == 4)
         (width, _worst, largest), redo = passes["enforce"]
-        assert width == 3 and largest >= 4 and redo[0] > 3
+        assert width == 4 and largest >= 8 and redo[0] > 4
 
     def test_a_sum_that_vanishes_only_when_packed_in_enforcement_is_redone(self, monkeypatch):
         # t[1,1] t[2,2] = D + q t[1,2] t[2,1], so with -4 t[1,2] t[2,1]
