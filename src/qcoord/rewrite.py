@@ -625,6 +625,7 @@ def _det_inserted(cfg: AlgebraConfig, exps: tuple[int, ...]) -> list[tuple]:
     return [((length, *map(add, exps, e)), head + d + tail, c) for e, d, c in det]
 
 
+@lru_cache(maxsize=_SMALL_CACHE)
 def _target_positions(cfg: AlgebraConfig) -> tuple[int, ...]:
     n = cfg.n
     if cfg.flavor == "standard":
