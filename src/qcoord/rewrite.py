@@ -727,7 +727,7 @@ def _enforce(cfg: AlgebraConfig, terms: dict, width: int) -> tuple[dict, int]:
     worst = 0
 
     def bucket_of(exps: tuple[int, ...]) -> dict:
-        if all(exps[t] >= 1 for t in targets):  # the monomial violates the constraint
+        if all(exps[t] >= 1 for t in targets):  # _violates(exps, targets), inline
             measure = _reduction_measure(cfg, exps)
             bucket = classes.get(measure)
             if bucket is None:

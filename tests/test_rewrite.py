@@ -396,13 +396,18 @@ class TestPackWidth:
 
     def test_a_sum_that_vanishes_only_when_packed_is_not_trusted(self, monkeypatch):
         # t[1,2] t[1,1] = q^-1 t[1,1] t[1,2], so the two entries sum to
-        # -4 + q, which is 0 at q = 2**2: a 2-bit pass drops the word.
+        # -4 + q, which is 0 at q = 2**2: a 2-bit pass drops the word.  In
+        # this order the swapped word meets the ordered one in its bucket;
+        # reversed, the ordered word is summed first and the class total
+        # is what vanishes.
         cfg = make_config(2)
         entries = [(((1, 1), (1, 2)), LaurentPoly(-4)), (((1, 2), (1, 1)), LaurentPoly.q_power(2))]
         expected = {NormalMonomial((1, 1, 0, 0)): LaurentPoly({0: -4, 1: 1})}
-        assert Element.from_words(cfg, entries).terms == expected
-        monkeypatch.setattr(rewrite, "_PACK_WIDTH", 2)
-        assert Element.from_words(cfg, entries).terms == expected
+        for order in (entries, entries[::-1]):
+            monkeypatch.setattr(rewrite, "_PACK_WIDTH", 64)
+            assert Element.from_words(cfg, order).terms == expected
+            monkeypatch.setattr(rewrite, "_PACK_WIDTH", 2)
+            assert Element.from_words(cfg, order).terms == expected
 
     @staticmethod
     def record_passes(monkeypatch):
