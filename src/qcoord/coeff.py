@@ -78,7 +78,7 @@ class Combination:
             raise TypeError(
                 f"cannot combine {type(self).__name__} with {type(other).__name__}"
             )
-        if other.space != self.space:
+        if other.space is not self.space and other.space != self.space:
             raise ValueError(f"{type(self).__name__} operands live in different spaces")
         return other
 
@@ -87,13 +87,16 @@ class Combination:
             other = self._scalar(other)
         elif type(other) is not type(self):
             return NotImplemented
-        return self.space == other.space and self.terms == other.terms
+        space = self.space
+        return (other.space is space or other.space == space) and self.terms == other.terms
 
     def __hash__(self) -> int:
         return hash((self.space, frozenset(self.terms.items())))
 
     def __add__(self, other):
-        if type(other) is not type(self) or other.space != self.space:
+        if type(other) is not type(self) or (
+            other.space is not self.space and other.space != self.space
+        ):
             other = self._operand(other)
         merged = dict(self.terms)
         for key, coeff in other.terms.items():

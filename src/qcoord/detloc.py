@@ -56,9 +56,9 @@ def _times_determinant(e: Element, k: int) -> Element:
     cfg = e.config
     for _ in range(k):
         items = [
-            (0, key, word, coeff, c)
+            (0, key, word, coeff, LaurentPoly({shift: sign}))
             for m, coeff in e.terms.items()
-            for key, word, c in _det_inserted(cfg, m.exps)
+            for key, word, (sign, shift, _bound) in _det_inserted(cfg, m.exps)
         ]
         e = Element(cfg, _reduced(cfg, items))
     return e

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
+from operator import mul
 
 from .coeff import CycloElem, CycloRing, _merge
 from .detloc import _times_determinant
@@ -63,14 +64,6 @@ def nakayama_exponent(n: int, i: int, j: int) -> int:
     ``B(x, y) = B(nu(y), x)`` (see the nakayama suite).
     """
     return 2 * (n + 1 - i - j)
-
-
-def _twist_exponent(n: int, exps: tuple[int, ...]) -> int:
-    """Exponent of the root of unity by which ``nu`` rescales the monomial
-    with row-major exponent table ``exps``."""
-    return sum(
-        v * nakayama_exponent(n, k // n + 1, k % n + 1) for k, v in enumerate(exps) if v
-    )
 
 
 @lru_cache(maxsize=_GRADE_CACHE)
@@ -138,7 +131,7 @@ class FrobeniusContext:
         would vanish identically, since localized normal forms always have a
         zero diagonal entry.)
         """
-        if e.config != self.config:
+        if e.config is not self.config and e.config != self.config:
             raise ValueError("element lives outside this pairing context")
         groups: dict[tuple[int, int], dict] = {}
         for key, coeff in e.terms.items():
@@ -175,13 +168,15 @@ class FrobeniusContext:
         bidegree of the top mod ``l``.  Only those pairs are multiplied; the
         others contribute exactly zero and never reach :func:`multiply`.
         """
-        if x.config != self.config or y.config != self.config:
-            raise ValueError("operands live outside this pairing context")
+        cfg = self.config
+        for e in (x, y):
+            if e.config is not cfg and e.config != cfg:
+                raise ValueError("operands live outside this pairing context")
         ell = self.ell
         right = self._components(y)
         total = ClassicalPoly.zero(self.ring, self.n)
         for grade, part in self._components(x).items():
-            want = tuple((t - g) % ell for t, g in zip(self._top_grade, grade))
+            want = tuple([(t - g) % ell for t, g in zip(self._top_grade, grade)])
             other = right.get(want)
             if other is not None:
                 total = total + self.phi(multiply(part, other))
@@ -237,15 +232,25 @@ class FrobeniusContext:
 
     def nakayama(self, e: Element, inverse: bool = False) -> Element:
         """Rescale every monomial by the root-of-unity twist; keys unchanged."""
-        if e.config != self.config:
+        if e.config is not self.config and e.config != self.config:
             raise ValueError("element lives outside this pairing context")
         flip = -1 if inverse else 1
+        weights = self._twist_weights
+        q_power = self.ring.q_power
         out = {}
         for key, coeff in e.terms.items():
-            c = coeff * self.ring.q_power(flip * _twist_exponent(self.n, key.exps))
+            c = coeff * q_power(flip * sum(map(mul, key.exps, weights)))
             if c:
                 out[key] = c
         return Element(self.config, out)
+
+    @cached_property
+    def _twist_weights(self) -> tuple[int, ...]:
+        """The exponent of ``nu(t[i,j])`` (:func:`nakayama_exponent`) at each
+        row-major slot: ``nu`` rescales a monomial by ``eps`` to the power
+        ``sum(exps * weights)``."""
+        n = self.n
+        return tuple([nakayama_exponent(n, k // n + 1, k % n + 1) for k in range(n * n)])
 
 
 def default_symmetry_pairs(n: int, ell: int, limit: int = 500):

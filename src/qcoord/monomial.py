@@ -61,8 +61,11 @@ def weight_of_exponents(exps: tuple[int, ...]) -> Weight:
 
 def canonical_key(m) -> tuple:
     """Sort key of a monomial with ``exps`` and ``dpower``: weight, then the
-    determinant power.  Every rendered listing sorts by it, largest first."""
-    return (weight_of_exponents(m.exps), m.dpower)
+    determinant power.  Every rendered listing sorts by it, largest first.
+    Tables of one dimension share their length, so ``(sum(exps), exps)``
+    orders as the weight does."""
+    exps = m.exps
+    return (sum(exps), exps, m.dpower)
 
 
 def bidegree(m) -> tuple[int, ...]:
@@ -137,7 +140,10 @@ class GenOrder:
     row-major position of each rank's pair.  ``relations`` belongs to
     the straightener (``rewrite._rewrite``): the commutation relation of each
     pair of ranks it has met, filled on demand, so it holds at most ``n**4``
-    entries.  None of the three takes part in equality or hashing.
+    entries.  ``names`` belongs to the renderer (``render.monomial_to_str``):
+    for each generator symbol it has printed, the ``(slot, "t[i,j]")`` name
+    of every rank, built on first use.  None of the four takes part in
+    equality or hashing.
     """
 
     n: int
@@ -146,6 +152,7 @@ class GenOrder:
     rank_map: dict = field(init=False, repr=False, compare=False, default=None)
     slots: tuple = field(init=False, repr=False, compare=False, default=None)
     relations: dict = field(init=False, repr=False, compare=False, default=None)
+    names: dict = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
         n = self.n
@@ -163,6 +170,7 @@ class GenOrder:
         object.__setattr__(self, "rank_map", {g: r for r, g in enumerate(self.seq)})
         object.__setattr__(self, "slots", tuple((i - 1) * n + (j - 1) for i, j in self.seq))
         object.__setattr__(self, "relations", {})
+        object.__setattr__(self, "names", {})
 
 
 @lru_cache(maxsize=16)

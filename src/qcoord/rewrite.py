@@ -47,7 +47,10 @@ exponent positive, let ``t0`` be ``m`` with one factor taken off at each
 target.  The quantum determinant ``D`` is central, and ``t0 D`` straightens
 to ``c m + rest`` with ``c`` a unit and ``rest`` strictly smaller, so
 ``m = c**-1 (t0 D - rest)`` trades one target factor per position for a
-determinant factor.
+determinant factor.  Most products hold no such monomial, and enforcement
+returns them at once.  ``D``'s normal-form coefficients are all units
+``sign q**k``, packed once as ``(sign, k, 1)``, which hold at every digit
+width, so a reduction step packs nothing.
 
 This reduction step, and ``detloc``'s multiplication by determinant powers,
 insert ``D``'s words inside an ordered word ``w`` instead of after it
@@ -152,6 +155,12 @@ class AlgebraConfig:
             raise ValueError(f"unknown variant {self.variant!r}")
         if self.order.n != self.n:
             raise ValueError("generator order has the wrong dimension")
+
+    def __hash__(self) -> int:
+        # Every cache keyed by a configuration hashes it once a lookup.  The
+        # generated hash would walk ``order.seq``; equal configurations share
+        # these scalar fields, so this hash agrees with ``__eq__``.
+        return hash((self.n, self.variant, self.order.kind, self.ring))
 
     @property
     def flavor(self) -> str:
@@ -473,7 +482,12 @@ def _decode(ring: LaurentRing | CycloRing, terms: dict, width: int) -> dict:
     A root-of-unity coefficient is reduced and dropped if it vanishes; over
     ``Z_q`` none does, as the engine never stores a zero."""
     if isinstance(ring, LaurentRing):
-        return {key: _unpack(v, lo, width) for key, (v, lo, _bound) in terms.items()}
+        # Most coefficients are one digit: a single power of ``q``.
+        half = 1 << (width - 1)
+        return {
+            key: _laurent({lo: v}) if -half <= v < half else _unpack(v, lo, width)
+            for key, (v, lo, _bound) in terms.items()
+        }
     coerce = ring.coerce
     return {key: c for key, (v, lo, _bound) in terms.items() if (c := coerce(_unpack(v, lo, width)))}
 
@@ -517,12 +531,12 @@ def _packed_classes(items, width: int) -> tuple[dict, int]:
 
 def _rank_word(order: GenOrder, exps: tuple[int, ...]) -> tuple[int, ...]:
     """The ordered word of an exponent table, in letter ranks."""
-    word: list[int] = []
+    word: tuple[int, ...] = ()
     for r, slot in enumerate(order.slots):
         e = exps[slot]
         if e:
-            word += [r] * e
-    return tuple(word)
+            word += (r,) * e
+    return word
 
 
 def _reduced(cfg: AlgebraConfig, items, strategy: str = "leftmost") -> dict:
@@ -594,19 +608,31 @@ def _det_terms(cfg: AlgebraConfig) -> dict:
 
 
 @lru_cache(maxsize=_SMALL_CACHE)
-def _det_words(cfg: AlgebraConfig) -> tuple[tuple[tuple, tuple, LaurentPoly], int]:
-    """``D``'s terms as ``(exps, ordered rank word, coefficient)``, and the
-    median rank of their letters, where :func:`_det_inserted` splits."""
-    det = tuple((e, _rank_word(cfg.order, e), c) for e, c in _det_terms(cfg).items())
+def _det_words(cfg: AlgebraConfig) -> tuple[tuple[tuple, tuple, tuple[int, int, int]], int]:
+    """``D``'s terms as ``(exps, ordered rank word, packed coefficient)``, and
+    the median rank of their letters, where :func:`_det_inserted` splits.
+
+    Every coefficient of ``D``'s normal form is a unit ``sign q**k``, at
+    every ``n`` and under both flavors, so it is packed once as ``(sign, k,
+    1)``: one digit of bound 1, the same at every width.
+    """
+    det = []
+    for e, c in _det_terms(cfg).items():
+        unit = _ZQ.unit_power(c)
+        if unit is None:
+            raise ArithmeticError(f"the determinant coefficient {c!r} is not a unit")
+        sign, k = unit
+        det.append((e, _rank_word(cfg.order, e), (sign, k, 1)))
     letters = sorted(r for _e, d, _c in det for r in d)
-    return det, letters[len(letters) // 2]
+    return tuple(det), letters[len(letters) // 2]
 
 
 def _det_inserted(cfg: AlgebraConfig, exps: tuple[int, ...]) -> list[tuple]:
-    """The class keys, words and coefficients ``(key, word[:p] + d +
+    """The class keys, words and packed coefficients ``(key, word[:p] + d +
     word[p:], c)``, one per term ``c d`` of ``D`` with ``d`` an ordered rank
-    word, for ``word`` the ordered rank word of ``exps``: ``word * D``, with
-    ``D`` inserted where it sorts best.  No two share a class.
+    word and ``c = sign q**k`` packed as ``(sign, k, 1)`` (:func:`_det_words`),
+    for ``word`` the ordered rank word of ``exps``: ``word * D``, with ``D``
+    inserted where it sorts best.  No two share a class.
 
     ``D`` is central, so ``word[:p] D word[p:]`` is ``word D`` for every
     ``p``, and normal forms are unique, so the straightened sum does not
@@ -636,15 +662,18 @@ def _target_positions(cfg: AlgebraConfig) -> tuple[int, ...]:
 def _violates(exps: tuple[int, ...], targets: tuple[int, ...]) -> bool:
     """Whether every target exponent is positive: the monomial breaks the
     minimal-exponent-zero constraint and a determinant factor comes out."""
-    return all(exps[t] >= 1 for t in targets)
+    return 0 not in [exps[t] for t in targets]
 
 
-def _reduction_measure(cfg: AlgebraConfig, exps: tuple[int, ...]):
-    """The weight of ``exps``, led by its antidiagonal degree under the
-    opposite flavor."""
+def _reduction_measure(cfg: AlgebraConfig):
+    """The reduction measure of ``cfg``'s flavor, as a function of an
+    exponent table: its weight ``(sum, exps)``, led by its antidiagonal
+    degree under the opposite flavor.  Exponent tables of one configuration
+    have one length, so ``(sum, exps)`` orders as the flat weight does."""
     if cfg.order.kind == "standard":
-        return (sum(exps), *exps)
-    return (antidiag_degree(cfg.n, exps), sum(exps), *exps)
+        return lambda exps: (sum(exps), exps)
+    n = cfg.n
+    return lambda exps: (antidiag_degree(n, exps), sum(exps), exps)
 
 
 @lru_cache(maxsize=_REDUCTION_CACHE)
@@ -656,10 +685,11 @@ def _reduction_step(cfg: AlgebraConfig, exps: tuple[int, ...], width: int):
     straightening of ``t0 D`` gives ``c m + rest`` with ``c`` a unit, so
     ``m = c**-1 (t0 D - rest)``.  ``D``'s words go inside ``t0``'s ordered
     word, at the one split :func:`_det_inserted` picks for all of them:
-    exact, as ``D`` is central and normal forms are unique.  Returns the
-    entries ``(exps', dshift, coeff)``, ``coeff`` packed, and the largest
-    bound of the straightening.  ``(t0, 1, c**-1)`` carries the freed
-    determinant factor, and each term ``c2 e2`` of ``rest`` gives
+    exact, as ``D`` is central and normal forms are unique.  Their packed
+    coefficients hold at every width, so nothing is packed here.  Returns
+    the entries ``(exps', dshift, coeff)``, ``coeff`` packed, and the
+    largest bound of the straightening.  ``(t0, 1, c**-1)`` carries the
+    freed determinant factor, and each term ``c2 e2`` of ``rest`` gives
     ``(e2, 0, -c**-1 c2)``; ``c = sign q**k`` is the only value decoded,
     and its inverse is applied to ``rest`` as a sign and a shift of ``lo``.
 
@@ -668,7 +698,7 @@ def _reduction_step(cfg: AlgebraConfig, exps: tuple[int, ...], width: int):
     wider (:func:`_certified`), with a step of its own at that width.  All
     emitted monomials are strictly smaller than the input in the flavor's
     reduction measure; that descent is what makes iterated enforcement
-    terminate, so it is checked here rather than assumed.
+    terminate, so it is checked here, for every entry, rather than assumed.
     """
     targets = _target_positions(cfg)
     if not _violates(exps, targets):
@@ -678,22 +708,19 @@ def _reduction_step(cfg: AlgebraConfig, exps: tuple[int, ...], width: int):
     for t in targets:
         t0[t] -= 1
     t0 = tuple(t0)
-    classes = {key: {word: _pack(c, width)} for key, word, c in _det_inserted(cfg, t0)}
+    classes = {key: {word: c} for key, word, c in _det_inserted(cfg, t0)}
     product, worst = _rewrite(cfg, (width, classes))
     if worst >= 1 << (width - 1):
         return (), worst
     total = product.pop(exps, None)
     c = _ZQ.zero() if total is None else _unpack(total[0], total[1], width)
     ((k, sign),) = _ZQ.invert_unit(c).terms.items()
+
+    measure = _reduction_measure(cfg)
+    if max(map(measure, [t0, *product])) >= measure(exps):
+        raise ArithmeticError("determinant reduction emitted a monomial that does not descend")
     out = [(t0, 1, (sign, k, 1))]
     out += [(e2, 0, (-sign * v2, lo2 + k, b2)) for e2, (v2, lo2, b2) in product.items()]
-
-    bound = _reduction_measure(cfg, exps)
-    for e2, _dshift, _c in out:
-        if _reduction_measure(cfg, e2) >= bound:
-            raise ArithmeticError(
-                "determinant reduction emitted a monomial that does not descend"
-            )
     return tuple(out), worst
 
 
@@ -708,18 +735,25 @@ def _dpower(cfg: AlgebraConfig, z: int) -> int:
 def _enforce(cfg: AlgebraConfig, terms: dict, width: int) -> tuple[dict, int]:
     """Apply the variant's minimal-exponent-zero constraint to packed terms.
 
-    ``terms`` maps normal monomials to coefficients packed at ``width``;
-    under ``m`` it is returned as it is.  Each monomial that breaks the
-    constraint is replaced by its reduction step, largest in the reduction
-    measure first: a packed product per entry, ``(v * v2, lo + lo2, bound *
-    b2)``, the bounds multiplied.  Returns the packed result and the largest
-    bound among the sums that vanished and the steps' own; the caller
-    decodes the result once and certifies the whole operation
+    ``terms`` maps normal monomials to coefficients packed at ``width``.
+    It is returned as it is under ``m``, and when no monomial breaks the
+    constraint, which holds for most products.  Otherwise each monomial
+    that breaks it is replaced by its reduction step, largest in the
+    reduction measure first: a packed product per entry, ``(v * v2, lo +
+    lo2, bound * b2)``, the bounds multiplied.  Returns the packed result
+    and the largest bound among the sums that vanished and the steps' own;
+    the caller decodes the result once and certifies the whole operation
     (:func:`_certified`).
     """
     if cfg.variant == "m":
         return terms, 0
     targets = _target_positions(cfg)
+    for key in terms:
+        if _violates(key.exps, targets):
+            break
+    else:
+        return terms, 0
+    measure = _reduction_measure(cfg)
     gl = cfg.variant == "gl"
     result: dict[NormalMonomial, tuple[int, int, int]] = {}
     classes: dict[tuple, dict] = {}
@@ -727,12 +761,12 @@ def _enforce(cfg: AlgebraConfig, terms: dict, width: int) -> tuple[dict, int]:
     worst = 0
 
     def bucket_of(exps: tuple[int, ...]) -> dict:
-        if all(exps[t] >= 1 for t in targets):  # _violates(exps, targets), inline
-            measure = _reduction_measure(cfg, exps)
-            bucket = classes.get(measure)
+        if 0 not in [exps[t] for t in targets]:  # _violates(exps, targets), inline
+            m = measure(exps)
+            bucket = classes.get(m)
             if bucket is None:
-                bucket = classes[measure] = {}
-                insort(queue, measure)
+                bucket = classes[m] = {}
+                insort(queue, m)
             return bucket
         return result
 
@@ -906,8 +940,8 @@ def multiply(a: Element, b: Element) -> Element:
     """
     b = a._operand(b)
     _check_word_len(
-        max(map(NormalMonomial.degree, a.terms), default=0)
-        + max(map(NormalMonomial.degree, b.terms), default=0)
+        max([sum(m.exps) for m in a.terms], default=0)
+        + max([sum(m.exps) for m in b.terms], default=0)
     )
     cfg = a.config
     order = cfg.order

@@ -11,7 +11,8 @@ The residue product is checked against the Laurent product
 reduced mod ``phi_l``, and for commutativity, associativity and
 distributivity.  The print, parse,
 print round trip runs at n=2 and n=3 over ``Z_q``, ``Z_eps(3)`` and
-``Z_eps(5)``.  Multiplication is checked against straightening the
+``Z_eps(5)``, and at n=3 under shuffled generator orders, whose factor
+order the printed monomials must follow.  Multiplication is checked against straightening the
 concatenated words of every pair of terms, for associativity, and for keeping
 the bidegree (row sums and column sums plus the determinant power).  The
 determinant inserted into an ordered word at any split must give the product
@@ -24,6 +25,9 @@ out the determinant once per ``divmod(z, l)`` group of determinant powers
 drawn from a fixed seed.
 """
 
+import random
+import re
+
 import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
@@ -32,7 +36,8 @@ from qcoord.cli import evaluate
 from qcoord.coeff import CycloRing, LaurentPoly
 from qcoord.detloc import quantum_determinant
 from qcoord.frobext import FrobeniusContext
-from qcoord.monomial import NormalMonomial, bidegree
+from qcoord.monomial import GenOrder, NormalMonomial, bidegree, row_major_order
+from qcoord.render import monomial_to_str
 from qcoord.rewrite import (
     FLAVORS,
     VARIANTS,
@@ -172,6 +177,44 @@ def test_print_parse_print_round_trip(cfg, data):
     assert str(again) == printed
 
 
+def _shuffled_order(n: int, seed: int) -> GenOrder:
+    seq = list(row_major_order(n).seq)
+    random.Random(seed).shuffle(seq)
+    return GenOrder(n, tuple(seq))
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [make_config(3, variant, order=_shuffled_order(3, seed)) for variant, seed in (("m", 1), ("gl", 2))],
+    ids=lambda cfg: f"n3-{cfg.variant}-shuffled",
+)
+@settings(SETTINGS, max_examples=6)
+@given(data=st.data())
+def test_rendering_follows_a_custom_order(cfg, data):
+    """Factors print in the order of ``cfg``, not in that of another
+    configuration of the same dimension rendered before it."""
+    row_major = make_config(3, cfg.variant)
+    everything = NormalMonomial((1,) * 9)
+    assert monomial_to_str(everything, row_major.order) == " ".join(
+        f"t[{i},{j}]" for i, j in row_major.order.seq
+    )
+    assert monomial_to_str(everything, cfg.order) == " ".join(
+        f"t[{i},{j}]" for i, j in cfg.order.seq
+    )
+    e = data.draw(elements(cfg, max_exp=1, min_terms=1))
+    str(Element(row_major, dict(e.terms)))
+    printed = str(e)
+    again = evaluate(printed, cfg)
+    assert again == e
+    assert str(again) == printed
+    rank = cfg.order.rank_map
+    for m in e.terms:
+        factors = [
+            rank[int(i), int(j)] for i, j in re.findall(r"t\[(\d),(\d)\]", monomial_to_str(m, cfg.order))
+        ]
+        assert factors == sorted(factors) and len(factors) == sum(map(bool, m.exps))
+
+
 @pytest.mark.parametrize("cfg", _configs((2,), (None, 3)), ids=_config_id)
 @settings(SETTINGS, max_examples=8)
 @given(data=st.data())
@@ -236,7 +279,10 @@ def test_determinant_inserted_mid_word_equals_appended(cfg, data):
     for p in range(len(w) + 1):
         assert Element.from_words(cfg, [(w[:p] + d + w[p:], c) for d, c in det]) == appended
     seq = cfg.order.seq
-    inserted = [(tuple([seq[r] for r in word]), c) for _key, word, c in _det_inserted(cfg, m.exps)]
+    inserted = [
+        (tuple([seq[r] for r in word]), LaurentPoly({k: sign}))
+        for _key, word, (sign, k, _bound) in _det_inserted(cfg, m.exps)
+    ]
     assert Element.from_words(cfg, inserted) == appended
 
 

@@ -1,6 +1,9 @@
 """Tests for the straightening engine and element arithmetic."""
 
+import pickle
 import random
+import subprocess
+import sys
 from dataclasses import replace
 from itertools import product
 
@@ -507,6 +510,98 @@ class TestReductionStep:
             expected = reduction_step_appended(cfg, exps)
             assert {(e, d): c for e, d, c in step} == {(e, d): c for e, d, c in expected}
             assert len(step) == len(expected) > 1
+
+    # ``m`` has every target exponent positive; ``larger`` has its degree
+    # and (under the opposite flavor) its antidiagonal degree, and is above
+    # it only in the last comparison of the measure, the exponent table.
+    @pytest.mark.parametrize(
+        "flavor, m, larger",
+        [
+            ("standard", (1, 0, 0, 0, 1, 0, 0, 0, 1), (1, 0, 0, 0, 1, 0, 0, 1, 0)),
+            ("opposite", (0, 1, 1, 0, 1, 0, 1, 0, 0), (1, 0, 1, 0, 1, 0, 1, 0, 0)),
+        ],
+    )
+    def test_a_step_that_does_not_descend_is_refused(self, monkeypatch, flavor, m, larger):
+        cfg = make_config(3, "gl", flavor=flavor)
+        width = rewrite._PACK_WIDTH
+        step = rewrite._reduction_step.__wrapped__
+        assert step(cfg, m, width)[0]
+        straighten = rewrite._rewrite
+
+        def ascending(cfg, pending, strategy="leftmost", trace=None):
+            totals, worst = straighten(cfg, pending, strategy, trace)
+            totals[larger] = (1, 0, 1)
+            return totals, worst
+
+        monkeypatch.setattr(rewrite, "_rewrite", ascending)
+        with pytest.raises(ArithmeticError, match="does not descend"):
+            step(cfg, m, width)
+
+
+class TestConfigHash:
+    """Every cache keyed by a configuration relies on equal configurations
+    hashing equal, whatever object or process built them, and on unequal
+    ones, including those that share the scalar fields the hash reads,
+    keeping entries of their own."""
+
+    M = (1, 0, 0, 0, 1, 0, 0, 0, 1)
+
+    @staticmethod
+    def equal_configs():
+        cfg = make_config(3, "gl")
+        return cfg, [
+            make_config(3, "gl"),
+            replace(replace(cfg, variant="sl"), variant="gl"),
+            pickle.loads(pickle.dumps(cfg)),
+        ]
+
+    def test_equal_configs_hash_equal_and_share_reduction_steps(self):
+        cfg, others = self.equal_configs()
+        width = rewrite._PACK_WIDTH
+        rewrite._reduction_step.cache_clear()
+        first = rewrite._reduction_step(cfg, self.M, width)
+        for other in others:
+            assert other == cfg and hash(other) == hash(cfg)
+            assert rewrite._reduction_step(other, self.M, width) is first
+        info = rewrite._reduction_step.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, len(others), 1)
+
+    def test_a_config_unpickled_under_another_hash_seed_hashes_as_one_built_there(self):
+        cfg, _ = self.equal_configs()
+        code = (
+            "import pickle, sys\n"
+            "from qcoord import make_config\n"
+            "cfg = pickle.loads(sys.stdin.buffer.read())\n"
+            "assert cfg == make_config(3, 'gl') and hash(cfg) == hash(make_config(3, 'gl'))\n"
+        )
+        for seed in ("1", "2"):
+            done = subprocess.run(
+                [sys.executable, "-c", code],
+                input=pickle.dumps(cfg),
+                env={"PYTHONHASHSEED": seed, "PYTHONPATH": ":".join(sys.path)},
+                capture_output=True,
+                timeout=60,
+            )
+            assert done.returncode == 0, done.stderr.decode()
+
+    def test_unequal_configs_keep_their_own_determinant(self):
+        cfg = make_config(3, "gl")
+        seq = list(cfg.order.seq)
+        random.Random(3).shuffle(seq)
+        custom = make_config(3, "gl", order=GenOrder(3, tuple(seq)))
+        # The custom order shares every field the hash reads with ``cfg``.
+        assert hash(custom) == hash(cfg) and custom != cfg
+        configs = [
+            cfg,
+            make_config(3, "gl", ell=3),
+            make_config(3, "sl"),
+            make_config(3, "gl", flavor="opposite"),
+            custom,
+        ]
+        rewrite._det_terms.cache_clear()
+        for other in configs:
+            assert rewrite._det_terms(other) == rewrite._det_terms.__wrapped__(other)
+        assert rewrite._det_terms.cache_info().currsize == len(configs)
 
 
 class TestRelationTable:
