@@ -83,7 +83,7 @@ def term_to_str(coeff, mon: str) -> tuple[int, str]:
         if e == 0 and mag == 1:
             return sign, mon
         return sign, f"{_scaled_q_power(e, mag)} {mon}"
-    body = f"({format_qpoly(sorted(terms.items()))})"
+    body = f"({format_qpoly(coeff_pairs(coeff))})"
     return 1, f"{body} {mon}" if mon else body
 
 

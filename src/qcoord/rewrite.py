@@ -75,7 +75,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations
 from math import factorial
-from operator import add
+from operator import add, attrgetter
 
 from .coeff import Combination, CycloRing, LaurentPoly, LaurentRing
 from .monomial import (
@@ -103,6 +103,8 @@ _laurent = _ONE._like
 # ``_new(NormalMonomial, (exps, dpower))`` builds the monomial without the
 # Python-level ``__new__`` of a named tuple, for the engine's inner loops.
 _new = tuple.__new__
+# The exponent table of a normal monomial, for ``map``.
+_exps = attrgetter("exps")
 
 # Cache bounds: a process meets a handful of dimensions and configurations,
 # and about 1,500 distinct reduction-step monomials in a mixed gl/sl workload.
@@ -482,7 +484,7 @@ def _decode(ring: LaurentRing | CycloRing, terms: dict, width: int) -> dict:
     A root-of-unity coefficient is reduced and dropped if it vanishes; over
     ``Z_q`` none does, as the engine never stores a zero."""
     if isinstance(ring, LaurentRing):
-        # Most coefficients are one digit: a single power of ``q``.
+        # A one-digit coefficient, a single power of ``q``, needs no call.
         half = 1 << (width - 1)
         return {
             key: _laurent({lo: v}) if -half <= v < half else _unpack(v, lo, width)
@@ -939,11 +941,10 @@ def multiply(a: Element, b: Element) -> Element:
     its coefficient is the product of the two, packed.
     """
     b = a._operand(b)
-    _check_word_len(
-        max([sum(m.exps) for m in a.terms], default=0)
-        + max([sum(m.exps) for m in b.terms], default=0)
-    )
     cfg = a.config
+    if not (a.terms and b.terms):
+        return Element(cfg)
+    _check_word_len(max(map(sum, map(_exps, a.terms))) + max(map(sum, map(_exps, b.terms))))
     order = cfg.order
     left = [(m, _rank_word(order, m.exps), c) for m, c in a.terms.items()]
     right = [(m, _rank_word(order, m.exps), c) for m, c in b.terms.items()]
