@@ -12,9 +12,10 @@ reduced mod ``phi_l``, and for commutativity, associativity and
 distributivity.  The print, parse,
 print round trip runs at n=2 and n=3 over ``Z_q``, ``Z_eps(3)`` and
 ``Z_eps(5)``, and at n=3 under shuffled generator orders, whose factor
-order the printed monomials must follow.  Multiplication is checked against straightening the
-concatenated words of every pair of terms, for associativity, and for keeping
-the bidegree (row sums and column sums plus the determinant power).  The
+order the printed monomials must follow.  Multiplication is checked against
+straightening the concatenated words of every pair of terms, for
+associativity, and for keeping the bidegree (row sums and column sums plus
+the determinant power).  The
 determinant inserted into an ordered word at any split must give the product
 with it appended.  Straightening a word of up to 8 letters, in either
 strategy, must give the independent reference straightener's result.  The
@@ -202,6 +203,8 @@ def test_rendering_follows_a_custom_order(cfg, data):
         f"t[{i},{j}]" for i, j in cfg.order.seq
     )
     e = data.draw(elements(cfg, max_exp=1, min_terms=1))
+    # Rendered under the row-major order first: names kept per dimension
+    # rather than per order would then print in row-major order below.
     str(Element(row_major, dict(e.terms)))
     printed = str(e)
     again = evaluate(printed, cfg)
