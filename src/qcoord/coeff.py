@@ -13,6 +13,13 @@ coefficients (``rootspec.ClassicalPoly``) are all finite sparse
 combinations, and so are the ``Z_eps(l)`` residues (:class:`CycloElem`);
 :class:`Combination` holds the additive arithmetic of all four once.
 
+A ``Z_eps(l)`` residue is a polynomial in ``q`` of degree below
+``deg phi_l``.  Each modulus keeps the residue of every power of ``q`` that
+a product of two residues, or a reduced Laurent polynomial, can reach
+(:attr:`CyclotomicModulus.residues`, built with the modulus on its first
+use), so multiplying and reducing add table rows instead of dividing by
+``phi_l``.
+
 Everything here is exact integer arithmetic; there is no floating point.
 
 >>> LaurentPoly.q_power(1) * LaurentPoly.q_power(-1)
@@ -23,7 +30,7 @@ LaurentPoly('1')
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 # Bound on the per-root-order caches; a process uses a handful of orders.
@@ -214,11 +221,16 @@ class CyclotomicModulus:
     """The ``l``-th cyclotomic polynomial ``phi_l`` for odd ``l``.
 
     ``phi`` holds dense ascending integer coefficients; ``phi_l`` is monic
-    of degree ``totient(l)``.
+    of degree ``totient(l)``.  ``residues[e]`` is the canonical residue of
+    ``q**e`` as ``(exponent, coefficient)`` pairs, for every ``e`` below
+    ``2 deg phi_l - 1`` (the exponents of a product of two residues) and
+    below ``l`` (the exponents :func:`reduce_mod` folds into).  Residue
+    products and reductions read it instead of dividing by ``phi_l``.
     """
 
     ell: int
     phi: tuple[int, ...]
+    residues: tuple[tuple[tuple[int, int], ...], ...] = field(repr=False, compare=False)
 
     @property
     def degree(self) -> int:
@@ -226,6 +238,25 @@ class CyclotomicModulus:
 
     def poly(self) -> LaurentPoly:
         return LaurentPoly({e: c for e, c in enumerate(self.phi)})
+
+
+def _power_residues(ell: int, phi: tuple[int, ...]) -> tuple:
+    """The ``residues`` table of :class:`CyclotomicModulus`.  Below
+    ``deg phi_l`` a power is its own residue; each further one is the last
+    times ``q``, with ``q**deg`` traded for ``q**deg - phi_l`` (``phi_l`` is
+    monic); from ``l`` on they repeat, as ``q**l == 1``."""
+    deg = len(phi) - 1
+    table = [((e, 1),) for e in range(deg)]
+    dense = [0] * (deg - 1) + [1]  # q**(deg - 1)
+    for _ in range(deg, ell):
+        top = dense[-1]
+        dense = [0] + dense[:-1]
+        if top:
+            dense = [c - top * p for c, p in zip(dense, phi)]
+        table.append(tuple([(k, c) for k, c in enumerate(dense) if c]))
+    for e in range(ell, 2 * deg - 1):
+        table.append(table[e - ell])
+    return tuple(table)
 
 
 @lru_cache(maxsize=_ORDER_CACHE)
@@ -244,7 +275,7 @@ def cyclotomic(ell: int) -> CyclotomicModulus:
             poly, rem = _dense_divmod(poly, cyclotomic(d).phi)
             if rem:
                 raise ArithmeticError("cyclotomic division left a remainder")
-    return CyclotomicModulus(ell, poly)
+    return CyclotomicModulus(ell, poly, _power_residues(ell, poly))
 
 
 class CycloElem(Combination):
@@ -275,13 +306,15 @@ class CycloElem(Combination):
             if isinstance(other, int):
                 return self.scale(other)
             other = self._operand(other)
-        phi = cyclotomic(self.space).phi
-        prod = [0] * (2 * len(phi) - 3)  # degrees below 2 deg(phi_l) - 1
+        m = cyclotomic(self.space)
+        residues = m.residues
+        prod = [0] * (len(m.phi) - 1)
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                prod[e1 + e2] += c1 * c2
-        _, rem = _dense_divmod(prod, phi)
-        return self._like({e: c for e, c in enumerate(rem) if c})
+                c = c1 * c2
+                for e, r in residues[e1 + e2]:
+                    prod[e] += c * r
+        return self._like({e: c for e, c in enumerate(prod) if c})
 
     __rmul__ = __mul__
 
@@ -295,15 +328,15 @@ def reduce_mod(p: LaurentPoly, m: CyclotomicModulus) -> CycloElem:
     """Canonical residue of a Laurent polynomial in ``Z[q]/(phi_l)``.
 
     Negative exponents are cleared through ``eps**-1 == eps**(l-1)`` (each
-    exponent is reduced modulo ``l``), after which ordinary polynomial
-    remainder by ``phi_l`` applies.  The map is a ring homomorphism.
+    exponent is reduced modulo ``l``), after which every power is read from
+    the residue table of ``m``.  The map is a ring homomorphism.
     """
-    ell = m.ell
-    dense = [0] * ell
+    ell, residues = m.ell, m.residues
+    dense = [0] * m.degree
     for e, c in p.terms.items():
-        dense[e % ell] += c
-    _, rem = _dense_divmod(_trim(dense), m.phi)
-    return CycloElem(rem, m)
+        for k, r in residues[e % ell]:
+            dense[k] += c * r
+    return CycloElem(dense, m)
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,9 @@ reaches the top only when every row sum and every column sum of ``m``, plus
 ``bidegree(x) + bidegree(y)`` differs from ``bidegree(top)`` mod ``l``, and
 :meth:`FrobeniusContext.bform` multiplies only the graded components of
 ``x`` and ``y`` whose bidegrees sum to that of the top; skipping the others
-is exact, not an approximation.
+is exact, not an approximation.  :func:`check_nakayama` applies the same
+lemma in bulk: it grades the residue basis once, buckets it by grade, and
+pairs a generator only with the bucket complementary to its own grade.
 """
 
 from __future__ import annotations
@@ -46,11 +48,10 @@ from .rootspec import (
 
 # Grades of recently paired monomials.  A lookup that hits costs under a
 # tenth of computing the bidegree.  Hits come from a pairing and its mirror
-# B(nu(y), x), which grade the same keys (nu keeps keys), from the twist
-# cases of check_nakayama, which grade the generator every time and the basis
-# monomial twice, and at n=2 from the residue basis (81 keys at l=3, 625 at
-# l=5) fitting whole.  At n=3, l=3 a basis key recurs only after the other
-# 19,682, so the first lookup in each twist case misses.
+# B(nu(y), x), which grade the same keys twice each (nu keeps keys), and at
+# n=2 from the residue basis (81 keys at l=3, 625 at l=5) fitting whole.
+# Without the cache, the pairing benchmark's median op took about twice as
+# long.
 _GRADE_CACHE = 1 << 12
 
 
@@ -124,22 +125,30 @@ class FrobeniusContext:
         By classical linearity over the determinant-free basis of the plain
         variant: a key's determinant power ``z`` splits as ``l*a + r`` with
         ``r`` in ``[0, l)``.  The keys of each ``(a, r)`` group, stripped of
-        ``D``, are multiplied by ``D**r`` written out in the plain variant,
-        expanded once, and the top entry is scaled by ``Dbar**a``.  On the
-        plain variant every key has ``z = 0``, so this is the expansion entry
-        at the top key.  (Projecting the raw localized expansion instead
-        would vanish identically, since localized normal forms always have a
-        zero diagonal entry.)
+        ``D``, are multiplied by ``D**r`` written out in the plain variant;
+        of those, only the keys whose residue is the top (every exponent
+        ``l - 1`` mod ``l``) are expanded, and the top entry is scaled by
+        ``Dbar**a``.  On the plain variant every key has ``z = 0``, so this
+        is the expansion entry at the top key.  (Projecting the raw localized
+        expansion instead would vanish identically, since localized normal
+        forms always have a zero diagonal entry.)
         """
         if e.config is not self.config and e.config != self.config:
             raise ValueError("element lives outside this pairing context")
+        ell = self.ell
+        last = ell - 1
         groups: dict[tuple[int, int], dict] = {}
         for key, coeff in e.terms.items():
-            groups.setdefault(divmod(key.dpower, self.ell), {})[NormalMonomial(key.exps)] = coeff
+            groups.setdefault(divmod(key.dpower, ell), {})[NormalMonomial(key.exps)] = coeff
         total: dict[ClassicalMonomial, CycloElem] = {}
         for (d_quot, d_res), terms in groups.items():
             flat = _times_determinant(Element(self._flat_config, terms), d_res)
-            part = module_expand(flat).entries.get(self.top)
+            at_top = {
+                key: coeff
+                for key, coeff in flat.terms.items()
+                if all(v % ell == last for v in key.exps)
+            }
+            part = module_expand(Element(self._flat_config, at_top)).entries.get(self.top)
             if part is not None:
                 for cm, coeff in part.terms.items():  # part * Dbar**d_quot
                     _merge(total, ClassicalMonomial(cm.exps, cm.dpower + d_quot), coeff)
@@ -149,37 +158,44 @@ class FrobeniusContext:
     def _top_grade(self) -> tuple[int, ...]:
         return _grade(self.top, self.ell)
 
-    def _components(self, e: Element) -> dict[tuple[int, ...], Element]:
-        """The homogeneous components of ``e``, keyed by bidegree mod ``l``."""
+    def _complement(self, grade: tuple[int, ...]) -> tuple[int, ...]:
+        """The grade that sums with ``grade`` to the top's mod ``l``."""
+        ell = self.ell
+        return tuple([(t - g) % ell for t, g in zip(self._top_grade, grade)])
+
+    def _component(self, e: Element, grade: tuple[int, ...]) -> Element:
+        """The terms of ``e`` whose bidegree is ``grade`` mod ``l``; a
+        monomial, the only operand of the pairing workload and the nakayama
+        suite, is its own component."""
         if len(e.terms) == 1:
-            # A monomial is its own component; the pairing workload and the
-            # nakayama suite pair only monomials, and rebuilding it is waste.
-            return {_grade(next(iter(e.terms)), self.ell): e}
-        groups: dict[tuple[int, ...], dict] = {}
-        for key, coeff in e.terms.items():
-            groups.setdefault(_grade(key, self.ell), {})[key] = coeff
-        return {grade: Element(self.config, terms) for grade, terms in groups.items()}
+            return e
+        ell = self.ell
+        return Element(
+            self.config, {key: c for key, c in e.terms.items() if _grade(key, ell) == grade}
+        )
 
     def bform(self, x: Element, y: Element) -> ClassicalPoly:
         """The pairing ``B(x, y) = phi(x y)``.
 
         By the bigrading lemma (module docstring) the product of components
         of bidegrees ``a`` and ``b`` has ``phi`` zero unless ``a + b`` is the
-        bidegree of the top mod ``l``.  Only those pairs are multiplied; the
-        others contribute exactly zero and never reach :func:`multiply`.
+        bidegree of the top mod ``l``.  The grades of both operands are read
+        first, and only the components of pairs that reach the top are built
+        and multiplied; the others contribute exactly zero and never reach
+        :func:`multiply`.
         """
         cfg = self.config
         for e in (x, y):
             if e.config is not cfg and e.config != cfg:
                 raise ValueError("operands live outside this pairing context")
         ell = self.ell
-        right = self._components(y)
-        total = ClassicalPoly.zero(self.ring, self.n)
-        for grade, part in self._components(x).items():
-            want = tuple([(t - g) % ell for t, g in zip(self._top_grade, grade)])
-            other = right.get(want)
-            if other is not None:
-                total = total + self.phi(multiply(part, other))
+        right = {_grade(key, ell) for key in y.terms}
+        total = ClassicalPoly(self.ring, self.n)
+        for grade in {_grade(key, ell) for key in x.terms}:
+            want = self._complement(grade)
+            if want in right:
+                product = multiply(self._component(x, grade), self._component(y, want))
+                total = total + self.phi(product)
         return total
 
     def element(self, m: NormalMonomial) -> Element:
@@ -281,21 +297,31 @@ def check_nakayama(n: int, ell: int, symmetry_pairs=None) -> CheckReport:
     residue basis monomial ``m``; and the symmetry cases on the supplied (or
     default) sample of monomial pairs, which may lie outside the basis.
 
-    Every pairing goes through :meth:`FrobeniusContext.bform`, so a case
-    whose two sides have bidegrees that cannot reach the top is settled as
-    ``0 == 0`` by the bigrading lemma, without computing a product; at
-    n=3, l=3 that is all but 1,464 of the 355,294 pairings.  The case count
-    is the same either way.
+    The basis is graded once and bucketed by bidegree mod ``l``.  By the
+    bigrading lemma (module docstring) both sides of a twist case vanish
+    unless ``m`` lies in the bucket complementary to the grade of ``t``
+    (``nu`` keeps keys, so ``nu(t)`` has the grade of ``t``); only those
+    cases are paired, through :meth:`FrobeniusContext.bform`, and every
+    other one is recorded with residual ``0`` without building anything.
+    At n=3, l=3 that pairs 6,561 of the 177,147 twist cases.  The symmetry
+    cases all go through ``bform``.  Labels, order and case count are those
+    of pairing every case.
     """
     ctx = FrobeniusContext(n, ell)
     cfg = ctx.config
+    one = ctx.ring.one()
     report = CheckReport("nakayama", n, ell)
 
-    def labelled(m: NormalMonomial) -> tuple[str, Element]:
-        return monomial_to_str(m, cfg.order) or "1", ctx.element(m)
+    def name(m: NormalMonomial) -> str:
+        return monomial_to_str(m, cfg.order) or "1"
 
-    # Built once per basis monomial and shared by both families.
-    basis = {m: labelled(m) for m in enumerate_basis(n, ell, "m")}
+    # Plain residue monomials are normal forms, so their elements are built
+    # trusted; each is built, named and graded once for both families.
+    basis: dict[NormalMonomial, tuple[str, Element]] = {}
+    buckets: dict[tuple[int, ...], set[NormalMonomial]] = {}
+    for m in enumerate_basis(n, ell, "m"):
+        basis[m] = name(m), Element(cfg, {m: one})
+        buckets.setdefault(_grade(m, ell), set()).add(m)
 
     def case(label: str, x: Element, y: Element, nu_y: Element) -> None:
         report.add_residual(label, ctx.bform(x, y) - ctx.bform(nu_y, x))
@@ -304,12 +330,20 @@ def check_nakayama(n: int, ell: int, symmetry_pairs=None) -> CheckReport:
         for j in range(1, n + 1):
             t = Element.generator(cfg, i, j)
             nu_t = ctx.nakayama(t)
-            for name, e in basis.values():
-                case(f"t[{i},{j}] twisted past {name}", e, t, nu_t)
+            (key,) = t.terms
+            paired = buckets.get(ctx._complement(_grade(key, ell)), ())
+            for m, (m_name, e) in basis.items():
+                label = f"t[{i},{j}] twisted past {m_name}"
+                if m in paired:
+                    case(label, e, t, nu_t)
+                else:
+                    report.add(label, "0", True)
 
     if symmetry_pairs is None:
         symmetry_pairs = default_symmetry_pairs(n, ell)
     for x, y in symmetry_pairs:
-        (x_name, ex), (y_name, ey) = basis.get(x) or labelled(x), basis.get(y) or labelled(y)
+        (x_name, ex), (y_name, ey) = (
+            basis.get(m) or (name(m), ctx.element(m)) for m in (x, y)
+        )
         case(f"B({x_name}, {y_name}) symmetry", ex, ey, ctx.nakayama(ey))
     return report

@@ -81,8 +81,10 @@ def bidegree(m) -> tuple[int, ...]:
     exps = m.exps
     n = isqrt(len(exps))
     z = m.dpower
-    rows = [exps[r * n:(r + 1) * n] for r in range(n)]
-    return tuple([sum(row) + z for row in rows] + [sum(col) + z for col in zip(*rows)])
+    return tuple(
+        [sum(exps[r:r + n]) + z for r in range(0, n * n, n)]
+        + [sum(exps[c::n]) + z for c in range(n)]
+    )
 
 
 @dataclass(frozen=True)
@@ -201,9 +203,6 @@ class NormalMonomial(NamedTuple):
     @property
     def n(self) -> int:
         return isqrt(len(self.exps))
-
-    def degree(self) -> int:
-        return sum(self.exps)
 
     def weight(self) -> Weight:
         return weight_of_exponents(self.exps)

@@ -3,10 +3,10 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class CheckCase:
+class CheckCase(NamedTuple):
     input: str
     residual: str
     passed: bool

@@ -40,9 +40,9 @@ class ClassicalPoly(Combination):
     def __init__(self, ring: CycloRing, n: int, terms: dict | None = None):
         self.ring = ring
         self.n = n
-        self.terms: dict[ClassicalMonomial, CycloElem] = {
-            m: c for m, c in (terms or {}).items() if c
-        }
+        self.terms: dict[ClassicalMonomial, CycloElem] = (
+            {m: c for m, c in terms.items() if c} if terms else {}
+        )
 
     @classmethod
     def zero(cls, ring: CycloRing, n: int) -> ClassicalPoly:

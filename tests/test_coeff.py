@@ -110,6 +110,79 @@ class TestReduceMod:
             assert all(0 <= e < m.degree for e in res.terms)
 
 
+def dense_product(a, b, m):
+    """The product of two residues the long way: the dense product, then the
+    remainder by ``phi_l``."""
+    from qcoord.coeff import _dense_divmod
+
+    prod = [0] * (2 * m.degree - 1)
+    for e1, c1 in a.terms.items():
+        for e2, c2 in b.terms.items():
+            prod[e1 + e2] += c1 * c2
+    _, rem = _dense_divmod(prod, m.phi)
+    return CycloElem(rem, m)
+
+
+def random_residue(rng, m, bound=6):
+    return CycloElem(tuple(rng.randint(-bound, bound) for _ in range(m.degree)), m)
+
+
+ODD_ORDERS = [1, 3, 5, 7, 9, 11, 13, 15]
+
+
+class TestResidueTable:
+    """Products and reductions read the residues of powers of ``q`` from a
+    table kept with the modulus; each is checked here against division."""
+
+    @pytest.mark.parametrize("ell", ODD_ORDERS)
+    def test_rows_are_the_remainders_of_powers(self, ell):
+        from qcoord.coeff import _dense_divmod
+
+        m = cyclotomic(ell)
+        assert len(m.residues) == max(2 * m.degree - 1, ell)
+        for e, row in enumerate(m.residues):
+            _, rem = _dense_divmod((0,) * e + (1,), m.phi)
+            assert row == tuple((k, c) for k, c in enumerate(rem) if c)
+
+    @pytest.mark.parametrize("ell", ODD_ORDERS)
+    def test_product_equals_dense_product_and_division(self, ell):
+        rng = random.Random(1000 + ell)
+        m = cyclotomic(ell)
+        for _ in range(40):
+            a, b = random_residue(rng, m), random_residue(rng, m)
+            assert a * b == dense_product(a, b, m)
+
+    @pytest.mark.parametrize("ell", ODD_ORDERS)
+    def test_root_powers_multiply_by_adding_exponents(self, ell):
+        ring = CycloRing(ell)
+        for a in range(ell):
+            for b in range(ell):
+                assert ring.q_power(a) * ring.q_power(b) == ring.q_power(a + b)
+
+    @pytest.mark.parametrize("ell", ODD_ORDERS)
+    def test_associative_and_distributive(self, ell):
+        rng = random.Random(2000 + ell)
+        m = cyclotomic(ell)
+        for _ in range(5):
+            a, b, c = (random_residue(rng, m) for _ in range(3))
+            assert (a * b) * c == a * (b * c)
+            assert a * (b + c) == a * b + a * c
+
+    @pytest.mark.parametrize("ell", ODD_ORDERS)
+    def test_reduction_equals_division(self, ell):
+        from qcoord.coeff import _dense_divmod
+
+        rng = random.Random(3000 + ell)
+        m = cyclotomic(ell)
+        for _ in range(20):
+            p = random_laurent(rng, span=3 * ell)
+            dense = [0] * (4 * ell)
+            for e, c in p.terms.items():
+                dense[e % ell] += c
+            _, rem = _dense_divmod(dense, m.phi)
+            assert reduce_mod(p, m) == CycloElem(rem, m)
+
+
 class TestSpecializeAtOne:
     @pytest.mark.parametrize(
         "poly,value",

@@ -6,8 +6,11 @@ import pytest
 
 from qcoord import frobext
 from qcoord.cli import evaluate, run
+from qcoord.detloc import _times_determinant
 from qcoord.frobext import FrobeniusContext, check_nakayama, nakayama_exponent
 from qcoord.monomial import NormalMonomial, bidegree, make_opposite_order
+from qcoord.render import monomial_to_str
+from qcoord.report import CheckReport
 from qcoord.rewrite import Element, make_config, multiply
 from qcoord.rootspec import (
     ClassicalMonomial,
@@ -60,6 +63,57 @@ class TestPhi:
     def test_special_variant_rejected(self):
         with pytest.raises(ValueError):
             FrobeniusContext(2, 3, "sl")
+
+    @staticmethod
+    def phi_of_whole_expansion(ctx, e):
+        """``phi`` expanding every key of each ``divmod(z, l)`` group and
+        reading the top entry; ``phi`` itself expands only the top keys."""
+        groups = {}
+        for key, coeff in e.terms.items():
+            groups.setdefault(divmod(key.dpower, ctx.ell), {})[NormalMonomial(key.exps)] = coeff
+        flat_cfg = make_config(ctx.n, "m", ell=ctx.ell, order=ctx.order)
+        total = ClassicalPoly.zero(ctx.ring, ctx.n)
+        for (d_quot, d_res), terms in groups.items():
+            flat = _times_determinant(Element(flat_cfg, terms), d_res)
+            part = module_expand(flat).entries.get(ctx.top)
+            if part is not None:
+                shifted = {ClassicalMonomial(m.exps, m.dpower + d_quot): c for m, c in part.terms.items()}
+                total = total + ClassicalPoly(ctx.ring, ctx.n, shifted)
+        return total
+
+    @pytest.mark.parametrize(
+        "n, variant, flavor",
+        [(2, "m", "standard"), (2, "m", "opposite"), (2, "gl", "standard"),
+         (2, "gl", "opposite"), (3, "m", "standard")],
+    )
+    def test_equals_the_whole_expansion_read_at_the_top(self, n, variant, flavor):
+        """Seeded elements of two to five terms: keys drawn with exponents
+        up to ``2 l``, and keys that ``D**(z mod l)`` lifts to the top, so
+        that the top entry is often nonzero and the other keys are many."""
+        ell = 3
+        order = make_opposite_order(n) if flavor == "opposite" else None
+        ctx = FrobeniusContext(n, ell, variant, order)
+        rng = random.Random(4242 + 10 * n + len(variant))
+        diagonal = {k * (n + 1) for k in range(n)}
+
+        def key():
+            z = rng.randint(-2 * ell, 2 * ell) if variant == "gl" else 0
+            if rng.random() < 0.5:
+                exps = [ell - 1 - (z % ell if k in diagonal else 0) + ell * rng.randint(0, 1)
+                        for k in range(n * n)]
+            else:
+                exps = [rng.randint(0, 2 * ell - 1) for _ in range(n * n)]
+            return NormalMonomial(tuple(exps), z)
+
+        nonzero = 0
+        for _ in range(25):
+            pairs = [(key(), ctx.ring.q_power(rng.randint(0, ell - 1)) * rng.randint(-3, 3))
+                     for _ in range(rng.randint(2, 5))]
+            e = Element.from_monomials(ctx.config, pairs)
+            value = ctx.phi(e)
+            assert value == self.phi_of_whole_expansion(ctx, e)
+            nonzero += not value.is_zero()
+        assert nonzero >= 5
 
 
 class TestBform:
@@ -337,6 +391,69 @@ class TestNakayamaSuite:
                 nonzero += not lhs.is_zero()
         assert next(cases, None) is None
         assert nonzero > 0
+
+
+def per_case_nakayama(n, ell, symmetry_pairs):
+    """The nakayama report with every case paired through ``bform``: the
+    reference for the suite, which pairs only the twist cases that grading
+    lets through."""
+    ctx = FrobeniusContext(n, ell)
+    cfg = ctx.config
+
+    def name(m):
+        return monomial_to_str(m, cfg.order) or "1"
+
+    def residual(x, y, nu_y):
+        lhs, rhs = ctx.bform(x, y), ctx.bform(nu_y, x)
+        return lhs - rhs if lhs or rhs else lhs  # 0 - 0 is 0, and cheaper
+
+    # Paired basis monomial by basis monomial, so that each one's grade is
+    # looked up while it is cached, and then recorded generator by generator.
+    gens = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
+    twists = [(Element.generator(cfg, i, j), ctx.nakayama(Element.generator(cfg, i, j))) for i, j in gens]
+    rows = [[] for _ in gens]
+    for m in enumerate_basis(n, ell, "m"):
+        e, m_name = ctx.element(m), name(m)
+        for row, (t, nu_t) in zip(rows, twists):
+            row.append((m_name, residual(e, t, nu_t)))
+    report = CheckReport("nakayama", n, ell)
+    for (i, j), row in zip(gens, rows):
+        for m_name, value in row:
+            report.add_residual(f"t[{i},{j}] twisted past {m_name}", value)
+    for x, y in symmetry_pairs:
+        ex, ey = ctx.element(x), ctx.element(y)
+        report.add_residual(f"B({name(x)}, {name(y)}) symmetry", residual(ex, ey, ctx.nakayama(ey)))
+    return report
+
+
+class TestNakayamaBuckets:
+    """``check_nakayama`` records the twist cases outside a generator's
+    complementary bucket as ``0`` without pairing them; its report must be
+    the one that pairs every case.  Under the true twist every residual is
+    ``0`` either way, so both run under a twist off by one power of the root:
+    its residuals are nonzero exactly where a pairing is, and a suite that
+    paired the wrong bucket would record those cases as ``0``.  Under the
+    true twist, the golden digests of ``check nakayama --json`` at (2,3) and
+    (2,5), and CI's smoke step at (3,3), pin the suite's report."""
+
+    @staticmethod
+    def mistwist(monkeypatch):
+        monkeypatch.setattr(frobext, "nakayama_exponent", lambda n, i, j: 2 * (n + 1 - i - j) + 1)
+
+    @pytest.mark.parametrize("n, ell", [(2, 3), (2, 5)])
+    def test_mistwisted_suite_equals_pairing_every_case(self, monkeypatch, n, ell):
+        self.mistwist(monkeypatch)
+        pairs = frobext.default_symmetry_pairs(n, ell)
+        bulk = check_nakayama(n, ell).cases
+        assert bulk == per_case_nakayama(n, ell, pairs).cases
+        assert any(not c.passed for c in bulk)
+
+    def test_mistwisted_family_at_n3_equals_pairing_every_case(self, monkeypatch):
+        self.mistwist(monkeypatch)
+        bulk = check_nakayama(3, 3, symmetry_pairs=[]).cases
+        assert len(bulk) == 9 * 3**9
+        assert bulk == per_case_nakayama(3, 3, []).cases
+        assert any(not c.passed for c in bulk)
 
 
 class TestLocalizedPairing:

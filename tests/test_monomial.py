@@ -106,8 +106,7 @@ class TestNormalMonomial:
 
     def test_weight_and_degree(self):
         m = NormalMonomial((2, 1, 0, 1))
-        assert m.degree() == 4
-        assert m.weight() == (4, 2, 1, 0, 1)
+        assert m.weight() == (4, 2, 1, 0, 1)  # the degree, then the exponents
 
     def test_diag_and_antidiag(self):
         m = NormalMonomial((2, 1, 0, 1))
