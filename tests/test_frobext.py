@@ -77,7 +77,9 @@ class TestPhi:
             flat = _times_determinant(Element(flat_cfg, terms), d_res)
             part = module_expand(flat).entries.get(ctx.top)
             if part is not None:
-                shifted = {ClassicalMonomial(m.exps, m.dpower + d_quot): c for m, c in part.terms.items()}
+                shifted = {
+                    ClassicalMonomial(m.exps, m.dpower + d_quot): c for m, c in part.terms.items()
+                }
                 total = total + ClassicalPoly(ctx.ring, ctx.n, shifted)
         return total
 
@@ -410,7 +412,7 @@ def per_case_nakayama(n, ell, symmetry_pairs):
     # Paired basis monomial by basis monomial, so that each one's grade is
     # looked up while it is cached, and then recorded generator by generator.
     gens = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
-    twists = [(Element.generator(cfg, i, j), ctx.nakayama(Element.generator(cfg, i, j))) for i, j in gens]
+    twists = [(t, ctx.nakayama(t)) for t in (Element.generator(cfg, i, j) for i, j in gens)]
     rows = [[] for _ in gens]
     for m in enumerate_basis(n, ell, "m"):
         e, m_name = ctx.element(m), name(m)
