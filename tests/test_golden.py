@@ -70,6 +70,8 @@ DIGESTS = {
     "check iso --n 3 --json": "063c2f6bfa17fa39cd5196f1399ffc318036b26cc049bb411406d55d0719538e",
     # 13 terms whose coefficients reach 100 terms and |c| = 504.
     "nf 't[2,2]^12 t[1,1]^12' --n 2": "e061c2c6740124ba98c4e97a03d879b12c36162e25610e1cf55bd1b1d78b810c",
+    # 21 terms whose coefficients reach 274 terms and |c| = 244,340.
+    "nf 't[2,2]^20 t[1,1]^20' --n 2": "1ca90ba0725cf2be1c000dfb284ec3d6963886da278049247d8faef86314b9b1",
     # n = 3 products that take several determinant reduction steps: 29, 29
     # and 11 misses of the reduction-step cache.
     "mul 't[1,1]^2 t[2,3] t[3,3] t[2,2]' 't[2,2] t[3,3] t[1,1] t[3,2]^2' --n 3 --variant gl"
