@@ -64,3 +64,82 @@ def test_engine_matches_reference_over_root_ring(n, flavor, ell):
 @pytest.mark.parametrize("n,flavor", [(n, flavor) for n in (2, 3, 4) for flavor in FLAVORS])
 def test_engine_matches_reference_over_laurent_ring(n, flavor):
     check_against_reference(n, flavor, None)
+
+
+# ---------------------------------------------------------------------------
+# The closed form of a nested pair's powers, as a second independent path.
+# ---------------------------------------------------------------------------
+
+
+def _poly_add(a, b, shift=0, scale=1):
+    """``a + scale * q**shift * b`` for Laurent polynomials held as plain
+    ``{exponent: integer}`` dicts, zeros dropped."""
+    out = dict(a)
+    for e, c in b.items():
+        out[e + shift] = out.get(e + shift, 0) + scale * c
+    return {e: c for e, c in out.items() if c}
+
+
+def nested_power_coefficients(m, k):
+    """``C(m, k, j)`` for ``j = 0 .. min(m, k)``, plain integer dicts.
+
+    For a nested pair ``y = t[a,b] < x = t[c,d]`` (``a < c``, ``b < d``) of
+    the standard order, with ``u = t[a,d]`` and ``v = t[c,b]``:
+    ``x^m y^k = sum_j C(m,k,j) y^(k-j) u^j v^j x^(m-j)``, where
+    ``C(0,k,0) = 1`` and
+    ``C(m+1,k,j) = q^(-2j) C(m,k,j) + (q^(2j-2k-1) - q) C(m,k,j-1)``.
+    """
+    coeffs = [{0: 1}]
+    for _ in range(m):
+        nxt = []
+        for j in range(min(len(coeffs), k) + 1):
+            c = _poly_add({}, coeffs[j], -2 * j) if j < len(coeffs) else {}
+            if j:
+                c = _poly_add(c, coeffs[j - 1], 2 * j - 2 * k - 1)
+                c = _poly_add(c, coeffs[j - 1], 1, -1)
+            nxt.append(c)
+        coeffs = nxt
+    return coeffs
+
+
+def nested_power_normal_form(n, x, y, m, k):
+    """The exponent tables and coefficient dicts of ``x^m y^k`` from the
+    closed form."""
+    (a, b), (c, d) = y, x
+    slot = {g: (i - 1) * n + (j - 1) for g in (x, y, (a, d), (c, b)) for i, j in [g]}
+    out = {}
+    for j, coeff in enumerate(nested_power_coefficients(m, k)):
+        if coeff:
+            exps = [0] * (n * n)
+            exps[slot[y]] += k - j
+            exps[slot[(a, d)]] += j
+            exps[slot[(c, b)]] += j
+            exps[slot[x]] += m - j
+            out[tuple(exps)] = coeff
+    return out
+
+
+def nested_pairs(n):
+    """Every ``(x, y)`` with ``y = t[a,b]``, ``x = t[c,d]``, ``a < c``, ``b < d``."""
+    rows = [(a, c) for a in range(1, n + 1) for c in range(a + 1, n + 1)]
+    return [((c, d), (a, b)) for a, c in rows for b, d in rows]
+
+
+def check_closed_form(n, x, y, m, k):
+    cfg = make_config(n)
+    expected = nested_power_normal_form(n, x, y, m, k)
+    for strategy in ("leftmost", "rightmost"):
+        nf = normal_form_of_word(cfg, (x,) * m + (y,) * k, strategy)
+        assert {exps: c.terms for exps, c in nf.items()} == expected, (x, y, m, k, strategy)
+
+
+@pytest.mark.parametrize("m", range(13))
+def test_diagonal_powers_match_the_closed_form(m):
+    for k in range(13):
+        check_closed_form(2, (2, 2), (1, 1), m, k)
+
+
+@pytest.mark.parametrize("x, y", nested_pairs(3))
+def test_nested_pairs_at_n3_match_the_closed_form(x, y):
+    for m, k in ((1, 1), (2, 3), (4, 4)):
+        check_closed_form(3, x, y, m, k)

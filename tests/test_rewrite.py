@@ -10,7 +10,14 @@ from itertools import product
 import pytest
 
 from qcoord import rewrite
-from qcoord.coeff import CycloRing, LaurentPoly, LaurentRing, specialize_at_one
+from qcoord.coeff import (
+    CycloRing,
+    LaurentPoly,
+    LaurentRing,
+    cyclotomic,
+    reduce_mod,
+    specialize_at_one,
+)
 from qcoord.monomial import GenOrder, NormalMonomial, make_opposite_order, row_major_order, weight
 from qcoord.rewrite import (
     Element,
@@ -335,7 +342,7 @@ class TestOperationCounts:
     def test_diagonal_word_k8(self):
         trace = []
         nf = normal_form_of_word(make_config(2), ((2, 2),) * 8 + ((1, 1),) * 8, trace=trace)
-        assert self.counts(trace) == (7036, 3444, 3256)
+        assert self.counts(trace) == (1422, 882, 204)
         assert len(nf) == 9
 
     def test_gl_enforcement(self, monkeypatch):
@@ -350,9 +357,161 @@ class TestOperationCounts:
         rewrite._reduction_step.cache_clear()
         heavy = NormalMonomial((3, 1, 0, 0, 3, 1, 1, 0, 3))
         e = Element.from_monomials(make_config(3, "gl"), [(heavy, 1)])
-        assert self.counts(trace) == (958, 614, 32)
+        assert self.counts(trace) == (894, 573, 32)
         assert rewrite._reduction_step.cache_info().misses == 28
         assert len(e.terms) == 55
+
+
+class TestEachWordOnce:
+    """Within one ``_rewrite`` call each word is straightened at most once:
+    a class's words are taken largest first, and a swap only makes a word
+    smaller, so no word is reached after it was taken.  Then a call makes
+    one swap per distinct unordered word it meets, and no source word
+    repeats among its ``trace=`` entries."""
+
+    HEAVY = NormalMonomial((3, 1, 0, 0, 3, 1, 1, 0, 3))
+
+    @staticmethod
+    def traced_calls(monkeypatch, strategy):
+        """Run every ``_rewrite`` call under ``strategy``, each with a trace
+        of its own, and return the list of those traces."""
+        calls = []
+        straighten = rewrite._rewrite
+
+        def traced(cfg, pending, _strategy="leftmost", trace=None):
+            calls.append([])
+            return straighten(cfg, pending, strategy, calls[-1])
+
+        monkeypatch.setattr(rewrite, "_rewrite", traced)
+        for cache in (rewrite._det_terms, rewrite._det_words, rewrite._reduction_step):
+            cache.cache_clear()
+        return calls
+
+    @staticmethod
+    def top_square(n, ell):
+        cfg = make_config(n, "m", ell=ell)
+        top = Element.monomial(cfg, NormalMonomial((ell - 1,) * (n * n)))
+        return multiply(top, top)
+
+    @staticmethod
+    def products():
+        rng = random.Random("each-word-once")
+        for variant, flavor in product(("gl", "sl"), ("standard", "opposite")):
+            cfg = make_config(3, variant, flavor=flavor)
+            for _ in range(6):
+                a, b = (random_word(rng, 3, 4) for _ in range(2))
+                yield multiply(Element.from_words(cfg, [(a, 1)]), Element.from_words(cfg, [(b, 1)]))
+
+    CASES = {
+        "k8": (lambda: normal_form_of_word(make_config(2), ((2, 2),) * 8 + ((1, 1),) * 8), 1422),
+        "k12": (lambda: normal_form_of_word(make_config(2), ((2, 2),) * 12 + ((1, 1),) * 12), 6227),
+        "top2x7": (lambda: TestEachWordOnce.top_square(2, 7), 1939),
+        "heavy_gl": (
+            lambda: Element.from_monomials(make_config(3, "gl"), [(TestEachWordOnce.HEAVY, 1)]),
+            None,
+        ),
+        "products": (lambda: list(TestEachWordOnce.products()), None),
+    }
+
+    @pytest.mark.parametrize("strategy", ["leftmost", "rightmost"])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_no_call_straightens_a_word_twice(self, monkeypatch, case, strategy):
+        build, swaps = self.CASES[case]
+        calls = self.traced_calls(monkeypatch, strategy)
+        build()
+        assert calls and any(calls)
+        for trace in calls:
+            sources = [src for src, _produced in trace]
+            assert len(set(sources)) == len(sources)
+        if swaps is not None:
+            assert sum(map(len, calls)) == swaps
+
+    def test_top3x3_swaps_each_word_once(self, monkeypatch):
+        calls = self.traced_calls(monkeypatch, "leftmost")
+        self.top_square(3, 3)
+        assert sum(map(len, calls)) == 12002
+
+
+class TestDecodeTable:
+    """``_decode`` reads each distinct certified packed value once, through
+    the bounded table ``_decoded``: equal coefficients of any results are
+    one shared object, which arithmetic never mutates."""
+
+    WORDS = [((2, 2),) * 6 + ((1, 1),) * 6, ((2, 1), (1, 2), (2, 2), (1, 1))]
+
+    @staticmethod
+    def served(monkeypatch):
+        """Record each ``_decode`` call as ``(ring, packed terms, width,
+        result)``."""
+        calls = []
+        decode = rewrite._decode
+
+        def recorded(ring, terms, width):
+            out = decode(ring, terms, width)
+            calls.append((ring, dict(terms), width, out))
+            return out
+
+        monkeypatch.setattr(rewrite, "_decode", recorded)
+        return calls
+
+    @classmethod
+    def results(cls):
+        out = []
+        for ell in (None, 3, 5):
+            cfg = make_config(2, ell=ell)
+            out += [normal_form_of_word(cfg, word, strategy) for word in cls.WORDS
+                    for strategy in ("leftmost", "rightmost")]
+            gl = make_config(3, "gl", ell=ell)
+            heavy = Element.from_monomials(gl, [(TestEachWordOnce.HEAVY, 1)])
+            out.append(multiply(heavy, Element.generator(gl, 3, 1)).terms)
+        return out
+
+    def test_size_stays_within_the_bound(self):
+        rewrite._decoded.cache_clear()
+        bound = rewrite._DECODE_CACHE
+        assert rewrite._decoded.cache_parameters()["maxsize"] == bound
+        width = rewrite._PACK_WIDTH
+        for v in range(1, 3 * bound):
+            for ring in (LaurentRing(), CycloRing(3)):
+                rewrite._decode(ring, {0: ((v << width) + v, -v, 2 * v)}, width)
+                assert rewrite._decoded.cache_info().currsize <= bound
+        assert rewrite._decoded.cache_info().currsize == bound
+
+    def test_every_entry_equals_a_fresh_decoding(self, monkeypatch):
+        rewrite._decoded.cache_clear()
+        calls = self.served(monkeypatch)
+        self.results()
+        self.results()
+        assert rewrite._decoded.cache_info().hits > 0
+        for ring, terms, width, out in calls:
+            for key, (v, lo, _bound) in terms.items():
+                fresh = rewrite._unpack(v, lo, width)
+                if isinstance(ring, CycloRing):
+                    fresh = reduce_mod(fresh, cyclotomic(ring.ell))
+                    if not fresh:
+                        assert key not in out
+                        continue
+                assert out[key] == fresh
+
+    def test_outputs_are_the_same_after_the_table_is_cleared(self):
+        warm = self.results()
+        rewrite._decoded.cache_clear()
+        cold = self.results()
+        assert cold == warm
+
+    def test_arithmetic_on_a_shared_coefficient_leaves_it_unchanged(self):
+        cfg = make_config(2)
+        word = self.WORDS[0]
+        left = normal_form_of_word(cfg, word, "leftmost")
+        right = normal_form_of_word(cfg, word, "rightmost")
+        exps = max(left, key=lambda e: len(left[e].terms))
+        shared = left[exps]
+        assert right[exps] is shared and len(shared.terms) > 1
+        before = dict(shared.terms)
+        results = [shared + shared, shared - 1, -shared, shared * shared, shared.scale(3), 2 * shared]
+        assert all(r is not shared and r.terms is not shared.terms for r in results)
+        assert shared.terms == before
+        assert normal_form_of_word(cfg, word)[exps] is shared
 
 
 class TestPackWidth:
@@ -399,10 +558,10 @@ class TestPackWidth:
 
     def test_a_sum_that_vanishes_only_when_packed_is_not_trusted(self, monkeypatch):
         # t[1,2] t[1,1] = q^-1 t[1,1] t[1,2], so the two entries sum to
-        # -4 + q, which is 0 at q = 2**2: a 2-bit pass drops the word.  In
-        # this order the swapped word meets the ordered one in its bucket;
-        # reversed, the ordered word is summed first and the class total
-        # is what vanishes.
+        # -4 + q, which is 0 at q = 2**2: a 2-bit pass drops the word.  The
+        # unordered word is the larger, so in either order of the entries it
+        # is taken first and its swapped word meets the ordered one in its
+        # bucket.
         cfg = make_config(2)
         entries = [(((1, 1), (1, 2)), LaurentPoly(-4)), (((1, 2), (1, 1)), LaurentPoly.q_power(2))]
         expected = {NormalMonomial((1, 1, 0, 0)): LaurentPoly({0: -4, 1: 1})}
