@@ -106,15 +106,12 @@ def nested_power_normal_form(n, x, y, m, k):
     """The exponent tables and coefficient dicts of ``x^m y^k`` from the
     closed form."""
     (a, b), (c, d) = y, x
-    slot = {g: (i - 1) * n + (j - 1) for g in (x, y, (a, d), (c, b)) for i, j in [g]}
     out = {}
     for j, coeff in enumerate(nested_power_coefficients(m, k)):
         if coeff:
             exps = [0] * (n * n)
-            exps[slot[y]] += k - j
-            exps[slot[(a, d)]] += j
-            exps[slot[(c, b)]] += j
-            exps[slot[x]] += m - j
+            for (row, col), e in ((y, k - j), ((a, d), j), ((c, b), j), (x, m - j)):
+                exps[(row - 1) * n + (col - 1)] += e
             out[tuple(exps)] = coeff
     return out
 
