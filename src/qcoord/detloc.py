@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import replace
 
 from .coeff import LaurentPoly
-from .monomial import NormalMonomial, word_exponents
+from .monomial import GenOrder, NormalMonomial
 from .monomial import Permutation  # noqa: F401  (re-exported)
 from .render import monomial_to_str
 from .report import CheckReport
@@ -41,7 +41,8 @@ def quantum_determinant(cfg: AlgebraConfig) -> Element:
     Under the localized (resp. special) variant the normal form collapses
     to the pure determinant key ``D`` (resp. to ``1``).
     """
-    return Element.from_monomials(cfg, [(NormalMonomial(e), c) for e, c in _det_terms(cfg).items()])
+    det = _det_terms(cfg.order)
+    return Element.from_monomials(cfg, [(NormalMonomial(e), c) for e, c in det.items()])
 
 
 def _times_determinant(e: Element, k: int) -> Element:
@@ -58,7 +59,7 @@ def _times_determinant(e: Element, k: int) -> Element:
         items = [
             (0, key, word, coeff, LaurentPoly({shift: sign}))
             for m, coeff in e.terms.items()
-            for key, word, (sign, shift, _bound) in _det_inserted(cfg, m.exps)
+            for key, word, (sign, shift, _bound) in _det_inserted(cfg.order, m.exps)
         ]
         e = Element(cfg, _reduced(cfg, items))
     return e
@@ -104,11 +105,11 @@ def diagonal_reduction(cfg: AlgebraConfig, m: NormalMonomial) -> Element | None:
     """
     if cfg.variant not in ("gl", "sl"):
         raise ValueError("determinant reduction applies to the gl and sl variants")
-    if not _violates(m.exps, _target_positions(cfg)):
+    if not _violates(m.exps, _target_positions(cfg.order)):
         return None
 
     def run(width):
-        entries, worst = _reduction_step(cfg, m.exps, width)
+        entries, worst = _reduction_step(cfg.order, m.exps, width)
         return {NormalMonomial(e, _dpower(cfg, m.dpower + d)): c for e, d, c in entries}, worst
 
     return Element(cfg, _decode(cfg.ring, *_certified(run)))
@@ -229,12 +230,11 @@ def check_sl_gl_iso(n: int) -> CheckReport:
 # ---------------------------------------------------------------------------
 
 
-def _reduction_targets(n: int, flavor: str) -> list[NormalMonomial]:
-    if flavor == "standard":
-        base = [(i, i) for i in range(1, n + 1)]
-    else:
-        base = [(i, n + 1 - i) for i in range(1, n + 1)]
-    return [NormalMonomial(word_exponents(base, n)), NormalMonomial((1,) * (n * n))]
+def _reduction_targets(order: GenOrder) -> list[NormalMonomial]:
+    """One factor at each target of ``order``, and every generator once."""
+    targets, size = _target_positions(order), order.n * order.n
+    once = tuple([int(k in targets) for k in range(size)])
+    return [NormalMonomial(once), NormalMonomial((1,) * size)]
 
 
 def _expand_determinant_powers(cfg_m: AlgebraConfig, e: Element) -> Element:
@@ -259,7 +259,7 @@ def check_identities(n: int) -> CheckReport:
     for flavor in ("standard", "opposite"):
         cfg_gl = make_config(n, "gl", flavor=flavor)
         cfg_flat = replace(cfg_gl, variant="m")
-        for mon in _reduction_targets(n, flavor):
+        for mon in _reduction_targets(cfg_gl.order):
             step = diagonal_reduction(cfg_gl, mon)
             recombined = _expand_determinant_powers(cfg_flat, step)
             direct = Element.monomial(cfg_flat, mon)
@@ -268,7 +268,7 @@ def check_identities(n: int) -> CheckReport:
             )
 
     cfg_sl = make_config(n, "sl")
-    for mon in _reduction_targets(n, "standard"):
+    for mon in _reduction_targets(cfg_sl.order):
         reduced = Element.monomial(cfg_sl, mon)
         lhs = sl_gl_iso(cfg_sl, [(mon, 0, cfg_sl.ring.one())])
         rhs = sl_gl_iso(cfg_sl, [(k, 0, c) for k, c in reduced.terms.items()])

@@ -145,7 +145,7 @@ class GenOrder:
     entries.  ``names`` belongs to the renderer (``render.monomial_to_str``):
     for each generator symbol it has printed, the ``(slot, "t[i,j]")`` name
     of every rank, built on first use.  None of the four takes part in
-    equality or hashing.
+    equality or hashing, and all configurations of one order share them.
     """
 
     n: int
@@ -182,6 +182,7 @@ def row_major_order(n: int) -> GenOrder:
     return GenOrder(n, seq)
 
 
+@lru_cache(maxsize=16)
 def make_opposite_order(n: int) -> GenOrder:
     """Build an order satisfying the antidiagonal block constraint: the
     three regions in turn, row-major within each."""

@@ -71,6 +71,12 @@ are packed (a residue read as a polynomial in ``q``), straightened and
 reduced there, and decoded into the configuration's ring once at the end
 (:func:`_decode`).  A bounded table decodes each distinct packed value once,
 so equal coefficients of results are one shared object, never mutated.
+
+Straightening, ``D``, its targets and the reduction step depend on the
+:class:`GenOrder` alone and are cached by it, so every configuration of one
+order shares them, whatever its variant and ring.  The variant is read only by
+:func:`_enforce` (and :func:`_dpower`), the ring by :func:`_decode` and
+:class:`Element`.
 """
 
 from __future__ import annotations
@@ -111,8 +117,8 @@ _new = tuple.__new__
 # The exponent table of a normal monomial, for ``map``.
 _exps = attrgetter("exps")
 
-# Cache bounds: a process meets a handful of dimensions and configurations,
-# and about 1,500 distinct reduction-step monomials in a mixed gl/sl workload.
+# Cache bounds: a process meets a handful of dimensions and generator orders,
+# and about 1,300 distinct reduction steps in a mixed gl/sl workload.
 _SMALL_CACHE = 64
 _REDUCTION_CACHE = 1 << 14
 # Decoded coefficients: a 26,000-op round of the ``straighten`` benchmark
@@ -165,12 +171,6 @@ class AlgebraConfig:
             raise ValueError(f"unknown variant {self.variant!r}")
         if self.order.n != self.n:
             raise ValueError("generator order has the wrong dimension")
-
-    def __hash__(self) -> int:
-        # Every cache keyed by a configuration hashes it once a lookup.  The
-        # generated hash would walk ``order.seq``; equal configurations share
-        # these scalar fields, so this hash agrees with ``__eq__``.
-        return hash((self.n, self.variant, self.order.kind, self.ring))
 
     @property
     def flavor(self) -> str:
@@ -315,7 +315,7 @@ def _put(bucket: dict, key, c: tuple[int, int, int], width: int) -> int:
     return cur[2]
 
 
-def _rewrite(cfg: AlgebraConfig, pending: tuple, strategy: str = "leftmost", trace=None):
+def _rewrite(order: GenOrder, pending: tuple, strategy: str = "leftmost", trace=None):
     """Straighten packed words: the one straightening pass of the engine.
 
     ``pending`` is ``(width, classes)``: ``classes`` maps each class key
@@ -366,7 +366,6 @@ def _rewrite(cfg: AlgebraConfig, pending: tuple, strategy: str = "leftmost", tra
         raise ValueError(f"unknown strategy {strategy!r}")
     rightmost = strategy == "rightmost"
     width, packed = pending
-    order = cfg.order
     size = order.n * order.n
     relations = order.relations
     wide = 2 * width
@@ -533,15 +532,15 @@ def _decode(ring: LaurentRing | CycloRing, terms: dict, width: int) -> dict:
     return {key: c for key, (v, lo, _bound) in terms.items() if (c := _decoded(v, lo, width, ell))}
 
 
-def _word_item(cfg: AlgebraConfig, word: Word) -> tuple[tuple, tuple]:
-    """A word of generator letters, checked against ``cfg``, as its class key
-    and its rank word."""
+def _word_item(order: GenOrder, word: Word) -> tuple[tuple, tuple]:
+    """A word of generator letters, checked against ``order``, as its class
+    key and its rank word."""
     _check_word_len(len(word))
-    n = cfg.n
-    rank = cfg.order.rank_map
+    n = order.n
+    rank = order.rank_map
     ranks = tuple([rank.get(g) for g in word])
     if None in ranks:
-        # ``rank_map`` holds exactly the generators of ``cfg``: name the
+        # ``rank_map`` holds exactly the generators of ``order``: name the
         # first letter outside it.
         for g in word:
             check_gen(g, n)
@@ -589,7 +588,7 @@ def _reduced(cfg: AlgebraConfig, items, strategy: str = "leftmost") -> dict:
         groups, worst = _packed_classes(items, width)
         terms = {}
         for dpower, classes in groups.items():
-            totals, bound = _rewrite(cfg, (width, classes), strategy)
+            totals, bound = _rewrite(cfg.order, (width, classes), strategy)
             if bound > worst:
                 worst = bound
             for exps, c in totals.items():
@@ -602,10 +601,10 @@ def _reduced(cfg: AlgebraConfig, items, strategy: str = "leftmost") -> dict:
 
 def normal_form_of_word(cfg: AlgebraConfig, word: Word, strategy: str = "leftmost", trace=None) -> dict:
     """Exponent-table expansion of a single word (no determinant reduction)."""
-    key, word = _word_item(cfg, tuple(word))
+    key, word = _word_item(cfg.order, tuple(word))
 
     def run(width):
-        return _rewrite(cfg, (width, {key: {word: (1, 0, 1)}}), strategy, trace)
+        return _rewrite(cfg.order, (width, {key: {word: (1, 0, 1)}}), strategy, trace)
 
     return _decode(cfg.ring, *_certified(run, trace))
 
@@ -635,21 +634,21 @@ def _det_word_pairs(n: int) -> tuple[tuple[Word, LaurentPoly], ...]:
 
 
 @lru_cache(maxsize=_SMALL_CACHE)
-def _det_terms(cfg: AlgebraConfig) -> dict:
-    """Quantum determinant as ordered-monomial exponent tables with ``Z_q``
-    coefficients (no D key)."""
-    items = [(0, *_word_item(cfg, word), c, _ONE) for word, c in _det_word_pairs(cfg.n)]
+def _det_terms(order: GenOrder) -> dict:
+    """Quantum determinant as ordered-monomial exponent tables of ``order``
+    with ``Z_q`` coefficients (no D key)."""
+    items = [(0, *_word_item(order, word), c, _ONE) for word, c in _det_word_pairs(order.n)]
 
     def run(width):
         groups, worst = _packed_classes(items, width)
-        terms, bound = _rewrite(cfg, (width, groups[0]))
+        terms, bound = _rewrite(order, (width, groups[0]))
         return terms, max(worst, bound)
 
     return _decode(_ZQ, *_certified(run))
 
 
 @lru_cache(maxsize=_SMALL_CACHE)
-def _det_words(cfg: AlgebraConfig) -> tuple[tuple[tuple, tuple, tuple[int, int, int]], int]:
+def _det_words(order: GenOrder) -> tuple[tuple[tuple, tuple, tuple[int, int, int]], int]:
     """``D``'s terms as ``(exps, ordered rank word, packed coefficient)``, and
     the median rank of their letters, where :func:`_det_inserted` splits.
 
@@ -658,17 +657,17 @@ def _det_words(cfg: AlgebraConfig) -> tuple[tuple[tuple, tuple, tuple[int, int, 
     1)``: one digit of bound 1, the same at every width.
     """
     det = []
-    for e, c in _det_terms(cfg).items():
+    for e, c in _det_terms(order).items():
         unit = _ZQ.unit_power(c)
         if unit is None:
             raise ArithmeticError(f"the determinant coefficient {c!r} is not a unit")
         sign, k = unit
-        det.append((e, _rank_word(cfg.order, e), (sign, k, 1)))
+        det.append((e, _rank_word(order, e), (sign, k, 1)))
     letters = sorted(r for _e, d, _c in det for r in d)
     return tuple(det), letters[len(letters) // 2]
 
 
-def _det_inserted(cfg: AlgebraConfig, exps: tuple[int, ...]) -> list[tuple]:
+def _det_inserted(order: GenOrder, exps: tuple[int, ...]) -> list[tuple]:
     """The class keys, words and packed coefficients ``(key, word[:p] + d +
     word[p:], c)``, one per term ``c d`` of ``D`` with ``d`` an ordered rank
     word and ``c = sign q**k`` packed as ``(sign, k, 1)`` (:func:`_det_words`),
@@ -683,21 +682,20 @@ def _det_inserted(cfg: AlgebraConfig, exps: tuple[int, ...]) -> list[tuple]:
     ``word`` ranked below ``g``, so the best ``p`` is a median of the
     ``c_g``: that of the median letter, as ``c_g`` grows with ``g``'s rank.
     """
-    _check_word_len(sum(exps) + cfg.n)
-    word = _rank_word(cfg.order, exps)
-    det, median = _det_words(cfg)
+    _check_word_len(sum(exps) + order.n)
+    word = _rank_word(order, exps)
+    det, median = _det_words(order)
     p = bisect_left(word, median)
     head, tail = word[:p], word[p:]
-    length = len(word) + cfg.n
+    length = len(word) + order.n
     return [((length, *map(add, exps, e)), head + d + tail, c) for e, d, c in det]
 
 
 @lru_cache(maxsize=_SMALL_CACHE)
-def _target_positions(cfg: AlgebraConfig) -> tuple[int, ...]:
-    n = cfg.n
-    if cfg.flavor == "standard":
-        return tuple((i - 1) * n + (i - 1) for i in range(1, n + 1))
-    return tuple((i - 1) * n + (n - i) for i in range(1, n + 1))
+def _target_positions(order: GenOrder) -> tuple[int, ...]:
+    """The diagonal's row-major positions, or the antidiagonal's under an opposite order."""
+    n = order.n
+    return tuple(i * n + (i if order.kind == "standard" else n - 1 - i) for i in range(n))
 
 
 def _violates(exps: tuple[int, ...], targets: tuple[int, ...]) -> bool:
@@ -706,19 +704,19 @@ def _violates(exps: tuple[int, ...], targets: tuple[int, ...]) -> bool:
     return 0 not in [exps[t] for t in targets]
 
 
-def _reduction_measure(cfg: AlgebraConfig):
-    """The reduction measure of ``cfg``'s flavor, as a function of an
+def _reduction_measure(order: GenOrder):
+    """The reduction measure of ``order``'s flavor, as a function of an
     exponent table: its weight ``(sum, exps)``, led by its antidiagonal
-    degree under the opposite flavor.  Exponent tables of one configuration
+    degree under the opposite flavor.  Exponent tables of one dimension
     have one length, so ``(sum, exps)`` orders as the flat weight does."""
-    if cfg.order.kind == "standard":
+    if order.kind == "standard":
         return lambda exps: (sum(exps), exps)
-    n = cfg.n
+    n = order.n
     return lambda exps: (antidiag_degree(n, exps), sum(exps), exps)
 
 
 @lru_cache(maxsize=_REDUCTION_CACHE)
-def _reduction_step(cfg: AlgebraConfig, exps: tuple[int, ...], width: int):
+def _reduction_step(order: GenOrder, exps: tuple[int, ...], width: int):
     """Trade one determinant factor out of a monomial ``m`` with every
     target exponent positive, with coefficients packed at ``width``.
 
@@ -741,7 +739,7 @@ def _reduction_step(cfg: AlgebraConfig, exps: tuple[int, ...], width: int):
     reduction measure; that descent is what makes iterated enforcement
     terminate, so it is checked here, for every entry, rather than assumed.
     """
-    targets = _target_positions(cfg)
+    targets = _target_positions(order)
     if not _violates(exps, targets):
         raise ValueError("reduction requires every target exponent to be positive")
 
@@ -749,15 +747,15 @@ def _reduction_step(cfg: AlgebraConfig, exps: tuple[int, ...], width: int):
     for t in targets:
         t0[t] -= 1
     t0 = tuple(t0)
-    classes = {key: {word: c} for key, word, c in _det_inserted(cfg, t0)}
-    product, worst = _rewrite(cfg, (width, classes))
+    classes = {key: {word: c} for key, word, c in _det_inserted(order, t0)}
+    product, worst = _rewrite(order, (width, classes))
     if worst >= 1 << (width - 1):
         return (), worst
     total = product.pop(exps, None)
     c = _ZQ.zero() if total is None else _unpack(total[0], total[1], width)
     ((k, sign),) = _ZQ.invert_unit(c).terms.items()
 
-    measure = _reduction_measure(cfg)
+    measure = _reduction_measure(order)
     if max(map(measure, [t0, *product])) >= measure(exps):
         raise ArithmeticError("determinant reduction emitted a monomial that does not descend")
     out = [(t0, 1, (sign, k, 1))]
@@ -788,14 +786,14 @@ def _enforce(cfg: AlgebraConfig, terms: dict, width: int) -> tuple[dict, int]:
     """
     if cfg.variant == "m":
         return terms, 0
-    targets = _target_positions(cfg)
+    order = cfg.order
+    targets = _target_positions(order)
     for key in terms:
         if _violates(key.exps, targets):
             break
     else:
         return terms, 0
-    measure = _reduction_measure(cfg)
-    gl = cfg.variant == "gl"
+    measure = _reduction_measure(order)
     result: dict[NormalMonomial, tuple[int, int, int]] = {}
     classes: dict[tuple, dict] = {}
     queue: list[tuple] = []
@@ -817,12 +815,12 @@ def _enforce(cfg: AlgebraConfig, terms: dict, width: int) -> tuple[dict, int]:
     # ``queue`` holds the open measures, ascending: the last is the largest.
     while queue:
         for key, (v, lo, bound) in classes.pop(queue.pop()).items():
-            entries, step_worst = _reduction_step(cfg, key.exps, width)
+            entries, step_worst = _reduction_step(order, key.exps, width)
             if step_worst > worst:
                 worst = step_worst
-            dpower = key.dpower
+            dpowers = (key.dpower, _dpower(cfg, key.dpower + 1))
             for e2, dshift, (v2, lo2, b2) in entries:
-                key2 = _new(NormalMonomial, (e2, dpower + dshift if gl else 0))
+                key2 = _new(NormalMonomial, (e2, dpowers[dshift]))
                 vanished = _put(bucket_of(e2), key2, (v * v2, lo + lo2, bound * b2), width)
                 if vanished > worst:
                     worst = vanished
@@ -930,7 +928,7 @@ class Element(Combination):
         items = []
         for entry in entries:
             dpower = _dpower(cfg, entry[2] if len(entry) > 2 else 0)
-            key, word = _word_item(cfg, tuple(entry[0]))
+            key, word = _word_item(cfg.order, tuple(entry[0]))
             if c := coerce(entry[1]):
                 items.append((dpower, key, word, c, _ONE))
         return cls(cfg, _reduced(cfg, items, strategy))

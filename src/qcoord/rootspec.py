@@ -113,8 +113,8 @@ def _require_cyclo(cfg: AlgebraConfig) -> CycloRing:
     return cfg.ring
 
 
-def _require_module_variant(cfg: AlgebraConfig) -> None:
-    if cfg.variant == "sl":
+def _require_module_variant(variant: str) -> None:
+    if variant not in ("m", "gl"):
         raise ValueError(
             "the free-module expansion covers the plain and localized variants only"
         )
@@ -123,7 +123,7 @@ def _require_module_variant(cfg: AlgebraConfig) -> None:
 def frobenius_image(c: ClassicalMonomial, cfg: AlgebraConfig) -> Element:
     """Embed a classical monomial: ``tbar**a -> t**(l*a)``, ``Dbar**z -> D**(l*z)``."""
     ring = _require_cyclo(cfg)
-    _require_module_variant(cfg)
+    _require_module_variant(cfg.variant)
     ell = ring.ell
     if c.dpower and cfg.variant != "gl":
         raise ValueError("classical determinant powers need the localized variant")
@@ -185,7 +185,7 @@ def module_expand(e: Element) -> ModuleExpansion:
     """
     cfg = e.config
     ring = _require_cyclo(cfg)
-    _require_module_variant(cfg)
+    _require_module_variant(cfg.variant)
     ell = ring.ell
     n = cfg.n
     entries: dict[NormalMonomial, ClassicalPoly] = {}
@@ -204,10 +204,7 @@ def enumerate_basis(n: int, ell: int, variant: str = "m") -> Iterator[NormalMono
     ``[0, l)``; the localized variant appends a determinant residue in the
     same range."""
     CycloRing(ell)  # validates odd positive ell
-    if variant not in ("m", "gl"):
-        raise ValueError(
-            "the free-module expansion covers the plain and localized variants only"
-        )
+    _require_module_variant(variant)
     d_residues = range(ell) if variant == "gl" else (0,)
     for exps in product(range(ell), repeat=n * n):
         for d in d_residues:

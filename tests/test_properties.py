@@ -277,14 +277,14 @@ def test_determinant_inserted_mid_word_equals_appended(cfg, data):
     ``_det_inserted``, whose one split is chosen for all of ``D``'s words."""
     m = data.draw(monomials(cfg))
     w = m.word(cfg.order)
-    det = [(NormalMonomial(e).word(cfg.order), c) for e, c in _det_terms(cfg).items()]
+    det = [(NormalMonomial(e).word(cfg.order), c) for e, c in _det_terms(cfg.order).items()]
     appended = Element.from_words(cfg, [(w + d, c) for d, c in det])
     for p in range(len(w) + 1):
         assert Element.from_words(cfg, [(w[:p] + d + w[p:], c) for d, c in det]) == appended
     seq = cfg.order.seq
     inserted = [
         (tuple([seq[r] for r in word]), LaurentPoly({k: sign}))
-        for _key, word, (sign, k, _bound) in _det_inserted(cfg, m.exps)
+        for _key, word, (sign, k, _bound) in _det_inserted(cfg.order, m.exps)
     ]
     assert Element.from_words(cfg, inserted) == appended
 

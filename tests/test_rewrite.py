@@ -18,7 +18,14 @@ from qcoord.coeff import (
     reduce_mod,
     specialize_at_one,
 )
-from qcoord.monomial import GenOrder, NormalMonomial, make_opposite_order, row_major_order, weight
+from qcoord.monomial import (
+    FLAVORS,
+    GenOrder,
+    NormalMonomial,
+    make_opposite_order,
+    row_major_order,
+    weight,
+)
 from qcoord.rewrite import (
     Element,
     _relation,
@@ -349,8 +356,8 @@ class TestOperationCounts:
         trace = []
         straighten = rewrite._rewrite
 
-        def traced(cfg, pending, strategy="leftmost"):
-            return straighten(cfg, pending, strategy, trace)
+        def traced(order, pending, strategy="leftmost"):
+            return straighten(order, pending, strategy, trace)
 
         monkeypatch.setattr(rewrite, "_rewrite", traced)
         rewrite._det_terms.cache_clear()
@@ -376,9 +383,9 @@ class TestEachWordOnce:
         calls = []
         straighten = rewrite._rewrite
 
-        def traced(cfg, pending, _strategy="leftmost", trace=None):
+        def traced(order, pending, _strategy="leftmost", trace=None):
             calls.append([])
-            return straighten(cfg, pending, strategy, calls[-1])
+            return straighten(order, pending, strategy, calls[-1])
 
         monkeypatch.setattr(rewrite, "_rewrite", traced)
         for cache in (rewrite._det_terms, rewrite._det_words, rewrite._reduction_step):
@@ -540,9 +547,9 @@ class TestPackWidth:
         widths = []
         straighten = rewrite._rewrite
 
-        def recorded(cfg, pending, strategy="leftmost", trace=None):
+        def recorded(order, pending, strategy="leftmost", trace=None):
             widths.append(pending[0])
-            return straighten(cfg, pending, strategy, trace)
+            return straighten(order, pending, strategy, trace)
 
         monkeypatch.setattr(rewrite, "_rewrite", recorded)
         monkeypatch.setattr(rewrite, "_PACK_WIDTH", 3)
@@ -579,8 +586,8 @@ class TestPackWidth:
         passes = {"rewrite": [], "enforce": []}
         straighten, enforce = rewrite._rewrite, rewrite._enforce
 
-        def recorded_rewrite(cfg, pending, strategy="leftmost", trace=None):
-            out = straighten(cfg, pending, strategy, trace)
+        def recorded_rewrite(order, pending, strategy="leftmost", trace=None):
+            out = straighten(order, pending, strategy, trace)
             passes["rewrite"].append((pending[0], out[1]))
             return out
 
@@ -629,14 +636,14 @@ def reduction_step_appended(cfg, exps):
     """The determinant reduction step with ``D``'s words appended after the
     whole ordered word of ``t0``, as it was first computed: the reference
     for the mid-word insertion of ``_det_inserted``."""
-    targets = rewrite._target_positions(cfg)
+    targets = rewrite._target_positions(cfg.order)
     t0 = tuple(e - (k in targets) for k, e in enumerate(exps))
     t0_word = NormalMonomial(t0).word(cfg.order)
     product = Element.from_words(
         replace(cfg, variant="m"),
         [
             (t0_word + NormalMonomial(e).word(cfg.order), c)
-            for e, c in rewrite._det_terms(cfg).items()
+            for e, c in rewrite._det_terms(cfg.order).items()
         ],
     )
     product = {m.exps: c for m, c in product.terms.items()}
@@ -653,7 +660,7 @@ class TestReductionStep:
     @pytest.mark.parametrize("n, cases, max_exp", [(2, 12, 3), (3, 12, 2), (4, 6, 1)])
     def test_matches_the_end_appended_reference(self, n, cases, max_exp, variant, flavor):
         cfg = make_config(n, variant, flavor=flavor)
-        targets = rewrite._target_positions(cfg)
+        targets = rewrite._target_positions(cfg.order)
         width = rewrite._PACK_WIDTH
         rng = random.Random(n * 100 + len(variant) + len(flavor))
         for _ in range(cases):
@@ -661,7 +668,7 @@ class TestReductionStep:
                 rng.randint(1 if k in targets else 0, max_exp + (k in targets))
                 for k in range(n * n)
             )
-            step, worst = rewrite._reduction_step.__wrapped__(cfg, exps, width)
+            step, worst = rewrite._reduction_step.__wrapped__(cfg.order, exps, width)
             assert worst < 1 << (width - 1)
             step = [(e, d, rewrite._unpack(v, lo, width)) for e, d, (v, lo, _bound) in step]
             expected = reduction_step_appended(cfg, exps)
@@ -679,27 +686,25 @@ class TestReductionStep:
         ],
     )
     def test_a_step_that_does_not_descend_is_refused(self, monkeypatch, flavor, m, larger):
-        cfg = make_config(3, "gl", flavor=flavor)
+        order = make_config(3, "gl", flavor=flavor).order
         width = rewrite._PACK_WIDTH
         step = rewrite._reduction_step.__wrapped__
-        assert step(cfg, m, width)[0]
+        assert step(order, m, width)[0]
         straighten = rewrite._rewrite
 
-        def ascending(cfg, pending, strategy="leftmost", trace=None):
-            totals, worst = straighten(cfg, pending, strategy, trace)
+        def ascending(order, pending, strategy="leftmost", trace=None):
+            totals, worst = straighten(order, pending, strategy, trace)
             totals[larger] = (1, 0, 1)
             return totals, worst
 
         monkeypatch.setattr(rewrite, "_rewrite", ascending)
         with pytest.raises(ArithmeticError, match="does not descend"):
-            step(cfg, m, width)
+            step(order, m, width)
 
 
 class TestConfigHash:
-    """Every cache keyed by a configuration relies on equal configurations
-    hashing equal, whatever object or process built them, and on unequal
-    ones, including those that share the scalar fields the hash reads,
-    keeping entries of their own."""
+    """Equal configurations compare and hash equal, whatever object or
+    process built them, and reach the same cache entries."""
 
     M = (1, 0, 0, 0, 1, 0, 0, 0, 1)
 
@@ -716,10 +721,10 @@ class TestConfigHash:
         cfg, others = self.equal_configs()
         width = rewrite._PACK_WIDTH
         rewrite._reduction_step.cache_clear()
-        first = rewrite._reduction_step(cfg, self.M, width)
+        first = rewrite._reduction_step(cfg.order, self.M, width)
         for other in others:
             assert other == cfg and hash(other) == hash(cfg)
-            assert rewrite._reduction_step(other, self.M, width) is first
+            assert rewrite._reduction_step(other.order, self.M, width) is first
         info = rewrite._reduction_step.cache_info()
         assert (info.misses, info.hits, info.currsize) == (1, len(others), 1)
 
@@ -741,24 +746,101 @@ class TestConfigHash:
             )
             assert done.returncode == 0, done.stderr.decode()
 
-    def test_unequal_configs_keep_their_own_determinant(self):
-        cfg = make_config(3, "gl")
-        seq = list(cfg.order.seq)
-        random.Random(3).shuffle(seq)
-        custom = make_config(3, "gl", order=GenOrder(3, tuple(seq)))
-        # The custom order shares every field the hash reads with ``cfg``.
-        assert hash(custom) == hash(cfg) and custom != cfg
+
+class TestOrderKeyedCaches:
+    """The straightening and determinant-reduction caches are keyed by the
+    generator order: every configuration of one order shares ``D`` and every
+    reduction step, whatever its variant and ring, and an unequal order
+    keeps entries of its own."""
+
+    @staticmethod
+    def clear():
+        for cache in (rewrite._det_terms, rewrite._det_words, rewrite._reduction_step):
+            cache.cache_clear()
+
+    @pytest.mark.parametrize("flavor", FLAVORS)
+    def test_configs_of_one_flavor_share_one_order(self, flavor):
+        assert make_config(3, "gl", flavor=flavor).order is make_config(3, "sl", flavor=flavor).order
+        assert make_config(3, flavor=flavor).order is make_config(3, ell=5, flavor=flavor).order
+
+    def test_configs_of_one_order_share_reduction_steps(self):
+        gl, sl = make_config(3, "gl"), make_config(3, "sl")
         configs = [
-            cfg,
+            gl,
+            sl,
             make_config(3, "gl", ell=3),
-            make_config(3, "sl"),
-            make_config(3, "gl", flavor="opposite"),
-            custom,
+            make_config(3, "sl", ell=5),
+            replace(sl, variant="gl"),
+            replace(gl, ring=CycloRing(7)),
         ]
+        self.clear()
+        m = NormalMonomial(TestConfigHash.M)
+        for cfg in configs:
+            # t11 t22 t33 = D - rest, one reduction step.
+            assert Element.from_monomials(cfg, [(m, 1)]).terms
+        info = rewrite._reduction_step.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, len(configs) - 1, 1)
+        assert rewrite._det_terms.cache_info().currsize == 1
+
+    def test_the_heavy_monomial_pays_its_reduction_steps_once_across_variants_and_rings(self):
+        # ``TestOperationCounts.test_gl_enforcement``'s 28 misses, paid by
+        # the first configuration only.
+        self.clear()
+        for cfg in [
+            make_config(3, "gl"),
+            make_config(3, "sl"),
+            make_config(3, "gl", ell=3),
+            make_config(3, "sl", ell=5),
+        ]:
+            Element.from_monomials(cfg, [(TestPackWidth.HEAVY, 1)])
+        info = rewrite._reduction_step.cache_info()
+        assert (info.misses, info.currsize) == (28, 28)
+
+    def test_an_unequal_order_keeps_its_own_determinant(self):
+        order = row_major_order(3)
+        seq = list(order.seq)
+        random.Random(3).shuffle(seq)
+        custom = GenOrder(3, tuple(seq))
+        assert (custom.n, custom.kind) == (order.n, order.kind) and custom != order
+        orders = [order, make_opposite_order(3), custom]
         rewrite._det_terms.cache_clear()
-        for other in configs:
-            assert rewrite._det_terms(other) == rewrite._det_terms.__wrapped__(other)
-        assert rewrite._det_terms.cache_info().currsize == len(configs)
+        for other in orders:
+            for cfg in (make_config(3, "gl", order=other), make_config(3, "sl", ell=3, order=other)):
+                assert rewrite._det_terms(cfg.order) == rewrite._det_terms.__wrapped__(other)
+        assert rewrite._det_terms.cache_info().currsize == len(orders)
+        assert rewrite._det_terms(custom) != rewrite._det_terms(order)
+
+    def test_every_cache_is_bounded_and_keyed_by_no_configuration(self):
+        import importlib
+        import inspect
+        import pkgutil
+
+        import qcoord
+
+        found = {}
+        for info in pkgutil.iter_modules(qcoord.__path__):
+            module = importlib.import_module(f"qcoord.{info.name}")
+            owners = [module] + [
+                obj
+                for obj in vars(module).values()
+                if isinstance(obj, type) and obj.__module__ == module.__name__
+            ]
+            for owner in owners:
+                for name, fn in vars(owner).items():
+                    if callable(getattr(fn, "cache_parameters", None)):
+                        if getattr(fn, "__module__", None) == module.__name__:
+                            found[f"{module.__name__}.{name}"] = fn
+        assert {
+            "qcoord.rewrite._reduction_step",
+            "qcoord.rewrite._det_terms",
+            "qcoord.rewrite._det_words",
+            "qcoord.rewrite._target_positions",
+        } <= set(found)
+        for name, fn in found.items():
+            maxsize = fn.cache_parameters()["maxsize"]
+            assert isinstance(maxsize, int) and maxsize > 0, name
+            for param in inspect.signature(fn).parameters.values():
+                assert "AlgebraConfig" not in str(param.annotation), (name, param.name)
 
 
 class TestRelationTable:
