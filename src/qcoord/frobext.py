@@ -34,11 +34,10 @@ from functools import cached_property, lru_cache
 from operator import mul
 
 from .coeff import CycloElem, CycloRing, _merge
-from .detloc import _times_determinant
 from .monomial import GenOrder, NormalMonomial, bidegree, canonical_key, row_major_order
 from .render import monomial_to_str
 from .report import CheckReport
-from .rewrite import AlgebraConfig, Element, multiply
+from .rewrite import AlgebraConfig, Element, multiply, times_determinant
 from .rootspec import (
     ClassicalMonomial,
     ClassicalPoly,
@@ -53,6 +52,9 @@ from .rootspec import (
 # Without the cache, the pairing benchmark's median op took about twice as
 # long.
 _GRADE_CACHE = 1 << 12
+
+# Pairs in the symmetry check's sample of a grid too large to run whole.
+_SYMMETRY_SAMPLE = 500
 
 
 def nakayama_exponent(n: int, i: int, j: int) -> int:
@@ -142,7 +144,7 @@ class FrobeniusContext:
             groups.setdefault(divmod(key.dpower, ell), {})[NormalMonomial(key.exps)] = coeff
         total: dict[ClassicalMonomial, CycloElem] = {}
         for (d_quot, d_res), terms in groups.items():
-            flat = _times_determinant(Element(self._flat_config, terms), d_res)
+            flat = times_determinant(Element(self._flat_config, terms), d_res)
             at_top = {
                 key: coeff
                 for key, coeff in flat.terms.items()
@@ -284,20 +286,20 @@ class FrobeniusContext:
         return tuple([nakayama_exponent(n, k // n + 1, k % n + 1) for k in range(n * n)])
 
 
-def default_symmetry_pairs(n: int, ell: int, limit: int = 500):
+def default_symmetry_pairs(n: int, ell: int):
     """Deterministic pair sample for the pairing-symmetry check.
 
     Exhaustive when the full grid is small; otherwise a fixed stride sample
-    of ``limit`` pairs.
+    of ``_SYMMETRY_SAMPLE`` pairs.
     """
     basis = list(enumerate_basis(n, ell, "m"))
     total = len(basis) * len(basis)
     if total <= 7000:
         return [(x, y) for x in basis for y in basis]
-    stride = max(total // limit, 1)
+    stride = max(total // _SYMMETRY_SAMPLE, 1)
     pairs = []
     for idx in range(0, total, stride):
-        if len(pairs) == limit:
+        if len(pairs) == _SYMMETRY_SAMPLE:
             break
         pairs.append((basis[idx // len(basis)], basis[idx % len(basis)]))
     return pairs

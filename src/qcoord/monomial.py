@@ -54,11 +54,6 @@ def weight(word: Word, n: int) -> Weight:
     return (len(word), *word_exponents(word, n))
 
 
-def weight_of_exponents(exps: tuple[int, ...]) -> Weight:
-    """Weight of the ordered monomial with the given exponent table."""
-    return (sum(exps), *exps)
-
-
 def canonical_key(m) -> tuple:
     """Sort key of a monomial with ``exps`` and ``dpower``: weight, then the
     determinant power.  Every rendered listing sorts by it, largest first.
@@ -204,9 +199,6 @@ class NormalMonomial(NamedTuple):
     @property
     def n(self) -> int:
         return isqrt(len(self.exps))
-
-    def weight(self) -> Weight:
-        return weight_of_exponents(self.exps)
 
     def word(self, order: GenOrder) -> Word:
         """Expand into a word with factors listed in rank order."""

@@ -53,16 +53,10 @@ to ``c m + rest`` with ``c`` a unit and ``rest`` strictly smaller, so
 ``m = c**-1 (t0 D - rest)`` trades one target factor per position for a
 determinant factor.  Most products hold no such monomial, and enforcement
 returns them at once.  ``D``'s normal-form coefficients are all units
-``sign q**k``, packed once as ``(sign, k, 1)``, which hold at every digit
-width, so a reduction step packs nothing.
-
-This reduction step, and ``detloc``'s multiplication by determinant powers,
-insert ``D``'s words inside an ordered word ``w`` instead of after it
-(:func:`_det_inserted`).  Centrality gives ``w[:p] D w[p:] = w D`` for every
-split ``p``, and normal forms are unique, so the result is the same to the
-byte, while ``D``'s letters cross few letters of ``w`` rather than nearly
-all of them.  One split serves all of ``D``'s words, since a single term of
-``D`` is not central.
+``sign q**k``, so the product by ``D`` (:func:`_times_det`) is a sign and a
+shift of each packed coefficient, exact at every digit width.  It is the
+engine's one product by ``D``: the reduction step and
+:func:`times_determinant` share it.
 
 Both phases compute over ``Z_q`` only, in packed form.  A root-of-unity
 configuration is the base change of the ``Z_q`` form along ``reduce_mod``,
@@ -154,9 +148,9 @@ class AlgebraConfig:
 
     ``variant`` selects the plain matrix algebra (``"m"``), its localization
     at the quantum determinant (``"gl"``) or the quotient by ``D - 1``
-    (``"sl"``).  The order's ``kind`` is the ``flavor``, which selects the
-    normal-form constraint of the localized variants: ``"standard"`` keys on
-    the diagonal exponents, ``"opposite"`` on the antidiagonal ones.
+    (``"sl"``).  The order's ``kind``, the flavor, selects the normal-form
+    constraint of the localized variants: ``"standard"`` keys on the
+    diagonal exponents, ``"opposite"`` on the antidiagonal ones.
     """
 
     n: int
@@ -171,10 +165,6 @@ class AlgebraConfig:
             raise ValueError(f"unknown variant {self.variant!r}")
         if self.order.n != self.n:
             raise ValueError("generator order has the wrong dimension")
-
-    @property
-    def flavor(self) -> str:
-        return self.order.kind
 
 
 def make_config(
@@ -648,47 +638,57 @@ def _det_terms(order: GenOrder) -> dict:
 
 
 @lru_cache(maxsize=_SMALL_CACHE)
-def _det_words(order: GenOrder) -> tuple[tuple[tuple, tuple, tuple[int, int, int]], int]:
-    """``D``'s terms as ``(exps, ordered rank word, packed coefficient)``, and
-    the median rank of their letters, where :func:`_det_inserted` splits.
-
-    Every coefficient of ``D``'s normal form is a unit ``sign q**k``, at
-    every ``n`` and under both flavors, so it is packed once as ``(sign, k,
-    1)``: one digit of bound 1, the same at every width.
-    """
+def _det_words(order: GenOrder) -> tuple[tuple[tuple, tuple, int, int], int]:
+    """``D``'s terms as ``(exps, ordered rank word, sign, k)``, for the
+    coefficient ``sign q**k``, and the median rank of their letters, where
+    :func:`_times_det` splits.  Every coefficient of ``D``'s normal form is
+    such a unit, at every ``n`` and under both flavors."""
     det = []
     for e, c in _det_terms(order).items():
         unit = _ZQ.unit_power(c)
         if unit is None:
             raise ArithmeticError(f"the determinant coefficient {c!r} is not a unit")
-        sign, k = unit
-        det.append((e, _rank_word(order, e), (sign, k, 1)))
-    letters = sorted(r for _e, d, _c in det for r in d)
+        det.append((e, _rank_word(order, e), *unit))
+    letters = sorted(r for _e, d, _sign, _k in det for r in d)
     return tuple(det), letters[len(letters) // 2]
 
 
-def _det_inserted(order: GenOrder, exps: tuple[int, ...]) -> list[tuple]:
-    """The class keys, words and packed coefficients ``(key, word[:p] + d +
-    word[p:], c)``, one per term ``c d`` of ``D`` with ``d`` an ordered rank
-    word and ``c = sign q**k`` packed as ``(sign, k, 1)`` (:func:`_det_words`),
-    for ``word`` the ordered rank word of ``exps``: ``word * D``, with ``D``
-    inserted where it sorts best.  No two share a class.
+def _times_det(order: GenOrder, terms: dict, width: int) -> tuple[dict, int]:
+    """The engine's one product by ``D``: packed terms ``{exps: c}`` of
+    ordered monomials times ``D``, straightened in one pass (:func:`_rewrite`),
+    with the largest bound of that pass and of the sums that vanished first.
 
-    ``D`` is central, so ``word[:p] D word[p:]`` is ``word D`` for every
-    ``p``, and normal forms are unique, so the straightened sum does not
-    depend on ``p``.  One ``p`` serves all of ``D``'s words: a single term
-    of ``D`` is not central.  A letter ``g`` of ``D`` inserted at ``p``
-    meets about ``|p - c_g|`` inversions, with ``c_g`` the letters of
-    ``word`` ranked below ``g``, so the best ``p`` is a median of the
+    ``D``'s words go inside each ordered word ``w``, not after it: ``D`` is
+    central and normal forms are unique, so ``w[:p] D w[p:]`` straightens to
+    ``w D`` for every split ``p``, while ``D``'s letters cross few letters of
+    ``w`` rather than nearly all.  One ``p`` serves all of ``D``'s words, as
+    a single term of ``D`` is not central.  A letter ``g`` of ``D`` inserted
+    at ``p`` meets about ``|p - c_g|`` inversions, with ``c_g`` the letters
+    of ``w`` ranked below ``g``, so the best ``p`` is a median of the
     ``c_g``: that of the median letter, as ``c_g`` grows with ``g``'s rank.
+    ``D``'s coefficients are units ``sign q**k`` (:func:`_det_words`), so a
+    product with a packed ``(v, lo, bound)`` is ``(sign v, lo + k, bound)``,
+    exact at every width.
     """
-    _check_word_len(sum(exps) + order.n)
-    word = _rank_word(order, exps)
     det, median = _det_words(order)
-    p = bisect_left(word, median)
-    head, tail = word[:p], word[p:]
-    length = len(word) + order.n
-    return [((length, *map(add, exps, e)), head + d + tail, c) for e, d, c in det]
+    classes: dict[tuple, dict] = {}
+    worst = 0
+    for exps, (v, lo, bound) in terms.items():
+        _check_word_len(sum(exps) + order.n)
+        word = _rank_word(order, exps)
+        p = bisect_left(word, median)
+        head, tail = word[:p], word[p:]
+        length = len(word) + order.n
+        for e, d, sign, k in det:
+            key = (length, *map(add, exps, e))
+            bucket = classes.get(key)
+            if bucket is None:
+                bucket = classes[key] = {}
+            vanished = _put(bucket, head + d + tail, (sign * v, lo + k, bound), width)
+            if vanished > worst:
+                worst = vanished
+    product, bound = _rewrite(order, (width, classes))
+    return product, max(worst, bound)
 
 
 @lru_cache(maxsize=_SMALL_CACHE)
@@ -721,16 +721,13 @@ def _reduction_step(order: GenOrder, exps: tuple[int, ...], width: int):
     target exponent positive, with coefficients packed at ``width``.
 
     ``t0`` is ``m`` with one factor taken off at each target.  A single
-    straightening of ``t0 D`` gives ``c m + rest`` with ``c`` a unit, so
-    ``m = c**-1 (t0 D - rest)``.  ``D``'s words go inside ``t0``'s ordered
-    word, at the one split :func:`_det_inserted` picks for all of them:
-    exact, as ``D`` is central and normal forms are unique.  Their packed
-    coefficients hold at every width, so nothing is packed here.  Returns
-    the entries ``(exps', dshift, coeff)``, ``coeff`` packed, and the
-    largest bound of the straightening.  ``(t0, 1, c**-1)`` carries the
-    freed determinant factor, and each term ``c2 e2`` of ``rest`` gives
-    ``(e2, 0, -c**-1 c2)``; ``c = sign q**k`` is the only value decoded,
-    and its inverse is applied to ``rest`` as a sign and a shift of ``lo``.
+    straightening of ``t0 D`` (:func:`_times_det`) gives ``c m + rest`` with
+    ``c`` a unit, so ``m = c**-1 (t0 D - rest)``.  Returns the entries
+    ``(exps', dshift, coeff)``, ``coeff`` packed, and the largest bound of
+    the straightening.  ``(t0, 1, c**-1)`` carries the freed determinant
+    factor, and each term ``c2 e2`` of ``rest`` gives ``(e2, 0, -c**-1
+    c2)``; ``c = sign q**k`` is the only value decoded, and its inverse is
+    applied to ``rest`` as a sign and a shift of ``lo``.
 
     When the bound passes ``2**(width - 1)`` nothing is trusted: no entry
     is returned, and the bound makes the caller's operation redo itself
@@ -747,8 +744,7 @@ def _reduction_step(order: GenOrder, exps: tuple[int, ...], width: int):
     for t in targets:
         t0[t] -= 1
     t0 = tuple(t0)
-    classes = {key: {word: c} for key, word, c in _det_inserted(order, t0)}
-    product, worst = _rewrite(order, (width, classes))
+    product, worst = _times_det(order, {t0: (1, 0, 1)}, width)
     if worst >= 1 << (width - 1):
         return (), worst
     total = product.pop(exps, None)
@@ -825,6 +821,54 @@ def _enforce(cfg: AlgebraConfig, terms: dict, width: int) -> tuple[dict, int]:
                 if vanished > worst:
                     worst = vanished
     return result, worst
+
+
+def times_determinant(e: Element, k: int) -> Element:
+    """``e * D**k`` with the ``k >= 0`` determinant factors multiplied out in
+    ``e``'s plain algebra, whose keys carry no ``D`` power; ``e`` itself for
+    ``k = 0``, with no determinant built.
+
+    ``e`` is packed once, and the ``k`` products by ``D`` (:func:`_times_det`)
+    run inside one certified operation, decoded once: each pass's bound
+    covers every ordered term it emits, so it covers the next pass's input.
+    """
+    cfg = e.config
+    if cfg.variant != "m" or k < 0:
+        raise ValueError("only nonnegative determinant powers multiply out, in the plain variant")
+    if not k:
+        return e
+
+    def run(width):
+        terms = {m.exps: _pack(c, width) for m, c in e.terms.items()}
+        worst = 0
+        for _ in range(k):
+            terms, bound = _times_det(cfg.order, terms, width)
+            worst = max(worst, bound)
+        return {_new(NormalMonomial, (exps, 0)): c for exps, c in terms.items()}, worst
+
+    return Element(cfg, _decode(cfg.ring, *_certified(run)))
+
+
+def diagonal_reduction(cfg: AlgebraConfig, m: NormalMonomial) -> Element | None:
+    """One determinant-extraction step on a fully-positive monomial.
+
+    For the standard flavor the monomial must have every diagonal exponent
+    positive (antidiagonal for the opposite flavor); one full diagonal is
+    then traded for a determinant factor, leaving the freed monomial times
+    ``D`` plus terms that are strictly smaller in the flavor's reduction
+    measure.  Returns ``None`` when the precondition fails.  The result is
+    a single step: its terms may admit further reduction.
+    """
+    if cfg.variant not in ("gl", "sl"):
+        raise ValueError("determinant reduction applies to the gl and sl variants")
+    if not _violates(m.exps, _target_positions(cfg.order)):
+        return None
+
+    def run(width):
+        entries, worst = _reduction_step(cfg.order, m.exps, width)
+        return {NormalMonomial(e, _dpower(cfg, m.dpower + d)): c for e, d, c in entries}, worst
+
+    return Element(cfg, _decode(cfg.ring, *_certified(run)))
 
 
 # ---------------------------------------------------------------------------

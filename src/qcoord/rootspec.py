@@ -122,20 +122,21 @@ def _require_module_variant(variant: str) -> None:
 
 def frobenius_image(c: ClassicalMonomial, cfg: AlgebraConfig) -> Element:
     """Embed a classical monomial: ``tbar**a -> t**(l*a)``, ``Dbar**z -> D**(l*z)``."""
-    ring = _require_cyclo(cfg)
-    _require_module_variant(cfg.variant)
-    ell = ring.ell
-    if c.dpower and cfg.variant != "gl":
-        raise ValueError("classical determinant powers need the localized variant")
-    key = NormalMonomial(tuple(ell * a for a in c.exps), ell * c.dpower)
-    return Element.monomial(cfg, key)
+    return frobenius_image_poly(ClassicalPoly.monomial(cfg.ring, cfg.n, c), cfg)
 
 
 def frobenius_image_poly(p: ClassicalPoly, cfg: AlgebraConfig) -> Element:
-    out = Element.zero(cfg)
-    for m, coeff in p.terms.items():
-        out = out + frobenius_image(m, cfg).scale(coeff)
-    return out
+    """Embed a classical polynomial, each monomial as :func:`frobenius_image` does."""
+    ring = _require_cyclo(cfg)
+    _require_module_variant(cfg.variant)
+    ell = ring.ell
+    if cfg.variant != "gl" and any(m.dpower for m in p.terms):
+        raise ValueError("classical determinant powers need the localized variant")
+    pairs = [
+        (NormalMonomial(tuple(ell * a for a in m.exps), ell * m.dpower), coeff)
+        for m, coeff in p.terms.items()
+    ]
+    return Element.from_monomials(cfg, pairs)
 
 
 def check_frobenius_central(n: int, ell: int) -> CheckReport:
@@ -188,14 +189,13 @@ def module_expand(e: Element) -> ModuleExpansion:
     _require_module_variant(cfg.variant)
     ell = ring.ell
     n = cfg.n
-    entries: dict[NormalMonomial, ClassicalPoly] = {}
+    parts: dict[NormalMonomial, dict] = {}
     for key, coeff in e.terms.items():
-        residue = tuple(v % ell for v in key.exps)
-        quotient = tuple(v // ell for v in key.exps)
         d_quot, d_res = divmod(key.dpower, ell)
-        rkey = NormalMonomial(residue, d_res)
-        part = ClassicalPoly.monomial(ring, n, ClassicalMonomial(quotient, d_quot), coeff)
-        _merge(entries, rkey, part)
+        rkey = NormalMonomial(tuple(v % ell for v in key.exps), d_res)
+        quotient = ClassicalMonomial(tuple(v // ell for v in key.exps), d_quot)
+        parts.setdefault(rkey, {})[quotient] = coeff
+    entries = {rkey: ClassicalPoly(ring, n, terms) for rkey, terms in parts.items()}
     return ModuleExpansion(cfg, entries)
 
 

@@ -19,7 +19,7 @@ from qcoord.detloc import (
     quantum_determinant_reversed,
 )
 from qcoord.frobext import FrobeniusContext, check_nakayama
-from qcoord.monomial import NormalMonomial, antidiag_degree, weight
+from qcoord.monomial import NormalMonomial, antidiag_degree, canonical_key, weight
 from qcoord.rewrite import Element, make_config, multiply, normal_form_of_word
 from qcoord.rootspec import check_frobenius_central, enumerate_basis, module_expand
 
@@ -185,7 +185,7 @@ def test_criterion_08_nondegeneracy_witnesses():
         if not unit_ok:
             failures.append((m, "pairing not a unit", value))
         for other in basis:
-            if other.weight() < m.weight():
+            if canonical_key(other) < canonical_key(m):
                 if not ctx.phi(multiply(dual, elements[other])).is_zero():
                     failures.append((m, "dual fails to kill", other))
     ok = not failures

@@ -6,12 +6,11 @@ import pytest
 
 from qcoord import frobext
 from qcoord.cli import evaluate, run
-from qcoord.detloc import _times_determinant
 from qcoord.frobext import FrobeniusContext, check_nakayama, nakayama_exponent
-from qcoord.monomial import NormalMonomial, bidegree, make_opposite_order
+from qcoord.monomial import NormalMonomial, bidegree, canonical_key, make_opposite_order
 from qcoord.render import monomial_to_str
 from qcoord.report import CheckReport
-from qcoord.rewrite import Element, make_config, multiply
+from qcoord.rewrite import Element, make_config, multiply, times_determinant
 from qcoord.rootspec import (
     ClassicalMonomial,
     ClassicalPoly,
@@ -74,7 +73,7 @@ class TestPhi:
         flat_cfg = make_config(ctx.n, "m", ell=ctx.ell, order=ctx.order)
         total = ClassicalPoly.zero(ctx.ring, ctx.n)
         for (d_quot, d_res), terms in groups.items():
-            flat = _times_determinant(Element(flat_cfg, terms), d_res)
+            flat = times_determinant(Element(flat_cfg, terms), d_res)
             part = module_expand(flat).entries.get(ctx.top)
             if part is not None:
                 shifted = {
@@ -256,7 +255,7 @@ class TestNondegeneracy:
             witness = ctx23.check_nondegenerate(a)
             # the selected key is the weight-maximal one among all 81 duals
             expansion = module_expand(a)
-            best = max(expansion.entries, key=lambda k: (k.weight(), k.exps, k.dpower))
+            best = max(expansion.entries, key=canonical_key)
             assert witness.key == best
             assert witness.x == ctx23.dual_witness(best)
             # independent recomputation of the unit relation
@@ -349,12 +348,12 @@ class TestLeadingCoefficients:
 
 class TestZeroOnSmaller:
     def test_dual_kills_strictly_smaller_monomials(self, ctx23):
-        basis = sorted(enumerate_basis(2, 3), key=lambda m: m.weight())
+        basis = sorted(enumerate_basis(2, 3), key=canonical_key)
         sample = [basis[80], basis[54], basis[27]]
         for m in sample:
             dual = ctx23.element(ctx23.dual_witness(m))
             for other in basis:
-                if other.weight() < m.weight():
+                if canonical_key(other) < canonical_key(m):
                     assert ctx23.phi(multiply(dual, ctx23.element(other))).is_zero()
 
 

@@ -9,6 +9,7 @@ from qcoord.monomial import (
     NormalMonomial,
     antidiag_degree,
     antidiag_region,
+    canonical_key,
     make_opposite_order,
     row_major_order,
     weight,
@@ -106,7 +107,7 @@ class TestNormalMonomial:
 
     def test_weight_and_degree(self):
         m = NormalMonomial((2, 1, 0, 1))
-        assert m.weight() == (4, 2, 1, 0, 1)  # the degree, then the exponents
+        assert canonical_key(m) == (4, (2, 1, 0, 1), 0)  # the degree, the exponents, the D power
 
     def test_diag_and_antidiag(self):
         m = NormalMonomial((2, 1, 0, 1))

@@ -43,12 +43,12 @@ from qcoord.rewrite import (
     FLAVORS,
     VARIANTS,
     Element,
-    _det_inserted,
     _det_terms,
     make_config,
     multiply,
     normal_form_of_word,
     normalize,
+    times_determinant,
 )
 from qcoord.rootspec import ClassicalMonomial, ClassicalPoly, module_expand
 from test_oracle import reference_normal_form
@@ -78,7 +78,7 @@ def _configs(dims, ells):
 
 
 def _config_id(cfg):
-    return f"n{cfg.n}-{cfg.variant}-{cfg.flavor}-{cfg.ring.name}"
+    return f"n{cfg.n}-{cfg.variant}-{cfg.order.kind}-{cfg.ring.name}"
 
 
 def monomials(cfg, max_exp=2):
@@ -273,20 +273,15 @@ def test_products_keep_the_bidegree(cfg, data):
 @given(data=st.data())
 def test_determinant_inserted_mid_word_equals_appended(cfg, data):
     """``D`` is central, so ``w[:p] D w[p:]`` straightens to ``w D`` for
-    every split ``p`` of an ordered word ``w``, and so do the entries of
-    ``_det_inserted``, whose one split is chosen for all of ``D``'s words."""
+    every split ``p`` of an ordered word ``w``, and so does
+    ``times_determinant``, whose one split is chosen for all of ``D``'s words."""
     m = data.draw(monomials(cfg))
     w = m.word(cfg.order)
     det = [(NormalMonomial(e).word(cfg.order), c) for e, c in _det_terms(cfg.order).items()]
     appended = Element.from_words(cfg, [(w + d, c) for d, c in det])
     for p in range(len(w) + 1):
         assert Element.from_words(cfg, [(w[:p] + d + w[p:], c) for d, c in det]) == appended
-    seq = cfg.order.seq
-    inserted = [
-        (tuple([seq[r] for r in word]), LaurentPoly({k: sign}))
-        for _key, word, (sign, k, _bound) in _det_inserted(cfg.order, m.exps)
-    ]
-    assert Element.from_words(cfg, inserted) == appended
+    assert times_determinant(Element.monomial(cfg, m), 1) == appended
 
 
 @pytest.mark.parametrize(
