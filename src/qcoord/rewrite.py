@@ -40,9 +40,15 @@ q-shift then changes only the exponent, the factor ``q - q^-1`` of a branch
 is a shift and a subtraction, a sum is one integer addition and a product
 one integer multiplication.  The coefficients stay packed through the
 determinant enforcement below and are read back once, in signed
-base-``2**64`` digits, as the operation's result: exact once every bound
-the operation tested or decoded is below ``2**63``.  An operation whose
-bounds pass that is redone whole with wider digits (:func:`_certified`).
+base-``2**64`` digits, as the operation's result.
+
+A packed value is always exact: ``v`` is the value at ``q = 2**64``, so a
+nonzero ``v`` is a nonzero coefficient and the integer arithmetic needs no
+check.  Only the two acts that read a value's digits are certified, where
+they happen: dropping a sum whose ``v`` is 0, and decoding.  Each needs the
+value's l1 bound below ``2**63`` (:func:`_trust`); an operation that reaches
+one it cannot certify is abandoned there and redone whole with wider digits
+(:func:`_certified`).
 
 For the localized and special variants, a second reduction phase enforces
 the normal-form constraint that the minimal diagonal (antidiagonal, under
@@ -130,8 +136,9 @@ MAX_DET_N = 8
 MAX_WORD_LEN = 10**6
 
 # Digit width, in bits, that an operation packs its coefficients at first
-# (:func:`_certified`).  An operation whose l1 bounds reach 2**63 is redone
-# wider; among the documented probes only t[2,2]^16 t[1,1]^16 at n = 2 needs it.
+# (:func:`_certified`).  An operation that must read a value whose l1 bound
+# reaches 2**63 is redone wider; among the documented probes only
+# t[2,2]^16 t[1,1]^16 at n = 2 needs it.
 _PACK_WIDTH = 64
 
 
@@ -290,19 +297,33 @@ def _add(c: tuple[int, int, int], v: int, lo: int, bound: int, width: int) -> tu
     return v + (cv << width * (clo - lo)), lo, cbound + bound
 
 
-def _put(bucket: dict, key, c: tuple[int, int, int], width: int) -> int:
+class _Untrusted(Exception):
+    """Raised by :func:`_trust` with the l1 bound of a packed value whose
+    digits must be read and are too narrow for it."""
+
+
+def _trust(bound: int, width: int) -> None:
+    """Certify a packed value before its digits are read, at a dropped zero
+    or a decoding: its signed digits are its coefficients exactly when its
+    l1 ``bound`` is below ``2**(width - 1)``; otherwise raise
+    :class:`_Untrusted`."""
+    if bound >= 1 << (width - 1):
+        raise _Untrusted(bound)
+
+
+def _put(bucket: dict, key, c: tuple[int, int, int], width: int) -> None:
     """Add the packed ``c`` to ``bucket[key]``, dropping the key when the sum
-    vanishes; returns the bound of a sum that vanished, else 0."""
+    vanishes, once that zero is certified."""
     cur = bucket.get(key)
     if cur is None:
         bucket[key] = c
-        return 0
+        return
     cur = _add(cur, *c, width)
     if cur[0]:
         bucket[key] = cur
-        return 0
-    del bucket[key]
-    return cur[2]
+    else:
+        _trust(cur[2], width)
+        del bucket[key]
 
 
 def _rewrite(order: GenOrder, pending: tuple, strategy: str = "leftmost", trace=None):
@@ -312,8 +333,7 @@ def _rewrite(order: GenOrder, pending: tuple, strategy: str = "leftmost", trace=
     ``(length, *exps)`` to the rank words of that class, each with its
     coefficient packed at ``width`` bits a digit (:func:`_pack`), and is
     consumed.  Returns the exponent tables of the ordered monomials reached,
-    with their coefficients still packed, and the largest l1 bound among
-    them and among the sums that vanished.  Classes are processed largest
+    with their coefficients still packed.  Classes are processed largest
     key first; within a class the chosen adjacent inversion is the leftmost
     (or rightmost) one.
 
@@ -342,11 +362,8 @@ def _rewrite(order: GenOrder, pending: tuple, strategy: str = "leftmost", trace=
     is ``sign ((v << 2 width) - v)`` at ``lo - 1`` with the bound doubled;
     a sum is one integer addition aligned at the lower ``lo``, with the
     bounds added.  ``v`` is always the exact value of ``q**-lo c`` at
-    ``q = 2**width``, so only the zero tests and the final decoding need
-    small digits: a coefficient whose bound is below ``2**(width - 1)``
-    has such digits, is zero exactly when ``v`` is, and decodes exactly.
-    Nothing is decoded here and no pass is redone: the returned bound joins
-    the operation's certificate (:func:`_certified`).
+    ``q = 2**width``; a sum whose ``v`` is 0 is dropped only once its bound
+    certifies it (:func:`_trust`).
 
     The current word is a list swapped in place; a tuple of it is built
     only to compare it with the pending words of its class, and for an
@@ -359,7 +376,6 @@ def _rewrite(order: GenOrder, pending: tuple, strategy: str = "leftmost", trace=
     size = order.n * order.n
     relations = order.relations
     wide = 2 * width
-    worst = 0
     # The open class keys, ascending and kept in step with ``packed``, so
     # the last one is the largest.
     queue = sorted(packed) if len(packed) > 1 else list(packed)
@@ -394,8 +410,6 @@ def _rewrite(order: GenOrder, pending: tuple, strategy: str = "leftmost", trace=
                     # The ordered word is its class's smallest, so it is
                     # reached once and last; its exponent table is the key's
                     # tail, which no other class reaches.
-                    if bound > worst:
-                        worst = bound
                     totals[key[1:]] = v, lo, bound
                     break
                 x = word[p]
@@ -435,9 +449,8 @@ def _rewrite(order: GenOrder, pending: tuple, strategy: str = "leftmost", trace=
                         if cur[0]:
                             target[branched] = cur
                         else:
+                            _trust(cur[2], width)
                             del target[branched]
-                            if cur[2] > worst:
-                                worst = cur[2]
                 word[p] = y
                 word[p + 1] = x
                 lo += qexp
@@ -455,10 +468,9 @@ def _rewrite(order: GenOrder, pending: tuple, strategy: str = "leftmost", trace=
                             if cur[0]:
                                 bucket[swapped] = cur
                             else:
+                                _trust(cur[2], width)
                                 del bucket[swapped]
                                 del waiting[bisect_left(waiting, swapped)]
-                                if cur[2] > worst:
-                                    worst = cur[2]
                         break
                 # The swapped word is larger than every pending one, so no
                 # other word reaches it and its coefficient is whole: carry
@@ -468,7 +480,7 @@ def _rewrite(order: GenOrder, pending: tuple, strategy: str = "leftmost", trace=
                     span = spans[p + 1 if p < k - 2 else p]
                 else:
                     span = spans[p - 1 if p else 0]
-    return totals, worst
+    return totals
 
 
 def _certified(run, trace=None) -> tuple[dict, int]:
@@ -476,24 +488,28 @@ def _certified(run, trace=None) -> tuple[dict, int]:
     packed at, certified.
 
     ``run(width)`` computes the operation with every coefficient packed at
-    ``width`` bits a digit and returns its packed terms and the largest l1
-    bound among the sums it found vanished and the values it decoded.  The
-    width starts at ``_PACK_WIDTH``; when that bound or a term's passes
-    ``2**(width - 1)``, a zero test or a decoding may have been wrong, so
-    the whole operation is redone at the narrowest width that certifies the
-    bound, with the ``trace`` entries of the discarded pass removed.  That
-    redo is the only one unless the discarded pass dropped a sum it could
-    not certify; the width then grows with each pass, so the loop ends.
+    ``width`` bits a digit and returns its packed terms.  The width starts
+    at ``_PACK_WIDTH``.  A pass that could not certify a value it had to
+    read (:func:`_trust`), or whose terms' bounds do not certify their
+    decoding, is discarded, with its ``trace`` entries, and the operation
+    is redone at the narrowest width that certifies that bound.  The width
+    grows with each pass, and every bound a pass meets is one of the exact
+    computation's, so the loop ends.
     """
     mark = 0 if trace is None else len(trace)
     width = _PACK_WIDTH
     while True:
-        terms, worst = run(width)
-        for _v, _lo, bound in terms.values():
-            if bound > worst:
-                worst = bound
-        if worst < 1 << (width - 1):
-            return terms, width
+        try:
+            terms = run(width)
+        except _Untrusted as exc:
+            worst = exc.args[0]
+        else:
+            worst = 0
+            for _v, _lo, bound in terms.values():
+                if bound > worst:
+                    worst = bound
+            if worst < 1 << (width - 1):
+                return terms, width
         if trace is not None:
             del trace[mark:]
         width = worst.bit_length() + 1
@@ -537,13 +553,12 @@ def _word_item(order: GenOrder, word: Word) -> tuple[tuple, tuple]:
     return (len(word), *word_exponents(word, n)), ranks
 
 
-def _packed_classes(items, width: int) -> tuple[dict, int]:
+def _packed_classes(items, width: int) -> dict:
     """Pending classes, by ``D`` power, of ``(dpower, key, rank word, c1,
     c2)`` items: each word with the product of ``c1`` and ``c2`` packed at
     ``width``, one integer multiplication with the bounds multiplied, summed
-    per word; and the largest bound of a sum that vanished."""
+    per word."""
     groups: dict[int, dict] = {}
-    worst = 0
     for dpower, key, word, c1, c2 in items:
         classes = groups.get(dpower)
         if classes is None:
@@ -553,10 +568,8 @@ def _packed_classes(items, width: int) -> tuple[dict, int]:
             bucket = classes[key] = {}
         v1, lo1, b1 = _pack(c1, width)
         v2, lo2, b2 = _pack(c2, width)
-        vanished = _put(bucket, word, (v1 * v2, lo1 + lo2, b1 * b2), width)
-        if vanished > worst:
-            worst = vanished
-    return groups, worst
+        _put(bucket, word, (v1 * v2, lo1 + lo2, b1 * b2), width)
+    return groups
 
 
 def _rank_word(order: GenOrder, exps: tuple[int, ...]) -> tuple[int, ...]:
@@ -575,16 +588,11 @@ def _reduced(cfg: AlgebraConfig, items, strategy: str = "leftmost") -> dict:
     constraint and decoded once, all one certified operation."""
 
     def run(width):
-        groups, worst = _packed_classes(items, width)
         terms = {}
-        for dpower, classes in groups.items():
-            totals, bound = _rewrite(cfg.order, (width, classes), strategy)
-            if bound > worst:
-                worst = bound
-            for exps, c in totals.items():
+        for dpower, classes in _packed_classes(items, width).items():
+            for exps, c in _rewrite(cfg.order, (width, classes), strategy).items():
                 terms[_new(NormalMonomial, (exps, dpower))] = c
-        terms, bound = _enforce(cfg, terms, width)
-        return terms, max(worst, bound)
+        return _enforce(cfg, terms, width)
 
     return _decode(cfg.ring, *_certified(run))
 
@@ -630,9 +638,7 @@ def _det_terms(order: GenOrder) -> dict:
     items = [(0, *_word_item(order, word), c, _ONE) for word, c in _det_word_pairs(order.n)]
 
     def run(width):
-        groups, worst = _packed_classes(items, width)
-        terms, bound = _rewrite(order, (width, groups[0]))
-        return terms, max(worst, bound)
+        return _rewrite(order, (width, _packed_classes(items, width)[0]))
 
     return _decode(_ZQ, *_certified(run))
 
@@ -653,10 +659,9 @@ def _det_words(order: GenOrder) -> tuple[tuple[tuple, tuple, int, int], int]:
     return tuple(det), letters[len(letters) // 2]
 
 
-def _times_det(order: GenOrder, terms: dict, width: int) -> tuple[dict, int]:
+def _times_det(order: GenOrder, terms: dict, width: int) -> dict:
     """The engine's one product by ``D``: packed terms ``{exps: c}`` of
-    ordered monomials times ``D``, straightened in one pass (:func:`_rewrite`),
-    with the largest bound of that pass and of the sums that vanished first.
+    ordered monomials times ``D``, straightened in one pass (:func:`_rewrite`).
 
     ``D``'s words go inside each ordered word ``w``, not after it: ``D`` is
     central and normal forms are unique, so ``w[:p] D w[p:]`` straightens to
@@ -672,7 +677,6 @@ def _times_det(order: GenOrder, terms: dict, width: int) -> tuple[dict, int]:
     """
     det, median = _det_words(order)
     classes: dict[tuple, dict] = {}
-    worst = 0
     for exps, (v, lo, bound) in terms.items():
         _check_word_len(sum(exps) + order.n)
         word = _rank_word(order, exps)
@@ -684,11 +688,8 @@ def _times_det(order: GenOrder, terms: dict, width: int) -> tuple[dict, int]:
             bucket = classes.get(key)
             if bucket is None:
                 bucket = classes[key] = {}
-            vanished = _put(bucket, head + d + tail, (sign * v, lo + k, bound), width)
-            if vanished > worst:
-                worst = vanished
-    product, bound = _rewrite(order, (width, classes))
-    return product, max(worst, bound)
+            _put(bucket, head + d + tail, (sign * v, lo + k, bound), width)
+    return _rewrite(order, (width, classes))
 
 
 @lru_cache(maxsize=_SMALL_CACHE)
@@ -723,18 +724,16 @@ def _reduction_step(order: GenOrder, exps: tuple[int, ...], width: int):
     ``t0`` is ``m`` with one factor taken off at each target.  A single
     straightening of ``t0 D`` (:func:`_times_det`) gives ``c m + rest`` with
     ``c`` a unit, so ``m = c**-1 (t0 D - rest)``.  Returns the entries
-    ``(exps', dshift, coeff)``, ``coeff`` packed, and the largest bound of
-    the straightening.  ``(t0, 1, c**-1)`` carries the freed determinant
-    factor, and each term ``c2 e2`` of ``rest`` gives ``(e2, 0, -c**-1
-    c2)``; ``c = sign q**k`` is the only value decoded, and its inverse is
+    ``(exps', dshift, coeff)``, ``coeff`` packed.  ``(t0, 1, c**-1)``
+    carries the freed determinant factor, and each term ``c2 e2`` of
+    ``rest`` gives ``(e2, 0, -c**-1 c2)``.  ``c = sign q**k`` is the only
+    value decoded, once certified (:func:`_trust`), and its inverse is
     applied to ``rest`` as a sign and a shift of ``lo``.
 
-    When the bound passes ``2**(width - 1)`` nothing is trusted: no entry
-    is returned, and the bound makes the caller's operation redo itself
-    wider (:func:`_certified`), with a step of its own at that width.  All
-    emitted monomials are strictly smaller than the input in the flavor's
-    reduction measure; that descent is what makes iterated enforcement
-    terminate, so it is checked here, for every entry, rather than assumed.
+    All emitted monomials are strictly smaller than the input in the
+    flavor's reduction measure; that descent is what makes iterated
+    enforcement terminate, so it is checked here, for every entry, rather
+    than assumed.
     """
     targets = _target_positions(order)
     if not _violates(exps, targets):
@@ -744,11 +743,13 @@ def _reduction_step(order: GenOrder, exps: tuple[int, ...], width: int):
     for t in targets:
         t0[t] -= 1
     t0 = tuple(t0)
-    product, worst = _times_det(order, {t0: (1, 0, 1)}, width)
-    if worst >= 1 << (width - 1):
-        return (), worst
+    product = _times_det(order, {t0: (1, 0, 1)}, width)
     total = product.pop(exps, None)
-    c = _ZQ.zero() if total is None else _unpack(total[0], total[1], width)
+    if total is None:
+        c = _ZQ.zero()
+    else:
+        _trust(total[2], width)
+        c = _unpack(total[0], total[1], width)
     ((k, sign),) = _ZQ.invert_unit(c).terms.items()
 
     measure = _reduction_measure(order)
@@ -756,7 +757,7 @@ def _reduction_step(order: GenOrder, exps: tuple[int, ...], width: int):
         raise ArithmeticError("determinant reduction emitted a monomial that does not descend")
     out = [(t0, 1, (sign, k, 1))]
     out += [(e2, 0, (-sign * v2, lo2 + k, b2)) for e2, (v2, lo2, b2) in product.items()]
-    return tuple(out), worst
+    return tuple(out)
 
 
 def _dpower(cfg: AlgebraConfig, z: int) -> int:
@@ -767,7 +768,7 @@ def _dpower(cfg: AlgebraConfig, z: int) -> int:
     return z if cfg.variant == "gl" else 0
 
 
-def _enforce(cfg: AlgebraConfig, terms: dict, width: int) -> tuple[dict, int]:
+def _enforce(cfg: AlgebraConfig, terms: dict, width: int) -> dict:
     """Apply the variant's minimal-exponent-zero constraint to packed terms.
 
     ``terms`` maps normal monomials to coefficients packed at ``width``.
@@ -775,25 +776,21 @@ def _enforce(cfg: AlgebraConfig, terms: dict, width: int) -> tuple[dict, int]:
     constraint, which holds for most products.  Otherwise each monomial
     that breaks it is replaced by its reduction step, largest in the
     reduction measure first: a packed product per entry, ``(v * v2, lo +
-    lo2, bound * b2)``, the bounds multiplied.  Returns the packed result
-    and the largest bound among the sums that vanished and the steps' own;
-    the caller decodes the result once and certifies the whole operation
-    (:func:`_certified`).
+    lo2, bound * b2)``, the bounds multiplied.  Returns the packed result.
     """
     if cfg.variant == "m":
-        return terms, 0
+        return terms
     order = cfg.order
     targets = _target_positions(order)
     for key in terms:
         if _violates(key.exps, targets):
             break
     else:
-        return terms, 0
+        return terms
     measure = _reduction_measure(order)
     result: dict[NormalMonomial, tuple[int, int, int]] = {}
     classes: dict[tuple, dict] = {}
     queue: list[tuple] = []
-    worst = 0
 
     def bucket_of(exps: tuple[int, ...]) -> dict:
         if 0 not in [exps[t] for t in targets]:  # _violates(exps, targets), inline
@@ -811,16 +808,11 @@ def _enforce(cfg: AlgebraConfig, terms: dict, width: int) -> tuple[dict, int]:
     # ``queue`` holds the open measures, ascending: the last is the largest.
     while queue:
         for key, (v, lo, bound) in classes.pop(queue.pop()).items():
-            entries, step_worst = _reduction_step(order, key.exps, width)
-            if step_worst > worst:
-                worst = step_worst
             dpowers = (key.dpower, _dpower(cfg, key.dpower + 1))
-            for e2, dshift, (v2, lo2, b2) in entries:
+            for e2, dshift, (v2, lo2, b2) in _reduction_step(order, key.exps, width):
                 key2 = _new(NormalMonomial, (e2, dpowers[dshift]))
-                vanished = _put(bucket_of(e2), key2, (v * v2, lo + lo2, bound * b2), width)
-                if vanished > worst:
-                    worst = vanished
-    return result, worst
+                _put(bucket_of(e2), key2, (v * v2, lo + lo2, bound * b2), width)
+    return result
 
 
 def times_determinant(e: Element, k: int) -> Element:
@@ -829,8 +821,7 @@ def times_determinant(e: Element, k: int) -> Element:
     ``k = 0``, with no determinant built.
 
     ``e`` is packed once, and the ``k`` products by ``D`` (:func:`_times_det`)
-    run inside one certified operation, decoded once: each pass's bound
-    covers every ordered term it emits, so it covers the next pass's input.
+    run inside one certified operation, decoded once.
     """
     cfg = e.config
     if cfg.variant != "m" or k < 0:
@@ -840,11 +831,9 @@ def times_determinant(e: Element, k: int) -> Element:
 
     def run(width):
         terms = {m.exps: _pack(c, width) for m, c in e.terms.items()}
-        worst = 0
         for _ in range(k):
-            terms, bound = _times_det(cfg.order, terms, width)
-            worst = max(worst, bound)
-        return {_new(NormalMonomial, (exps, 0)): c for exps, c in terms.items()}, worst
+            terms = _times_det(cfg.order, terms, width)
+        return {_new(NormalMonomial, (exps, 0)): c for exps, c in terms.items()}
 
     return Element(cfg, _decode(cfg.ring, *_certified(run)))
 
@@ -865,8 +854,8 @@ def diagonal_reduction(cfg: AlgebraConfig, m: NormalMonomial) -> Element | None:
         return None
 
     def run(width):
-        entries, worst = _reduction_step(cfg.order, m.exps, width)
-        return {NormalMonomial(e, _dpower(cfg, m.dpower + d)): c for e, d, c in entries}, worst
+        entries = _reduction_step(cfg.order, m.exps, width)
+        return {NormalMonomial(e, _dpower(cfg, m.dpower + d)): c for e, d, c in entries}
 
     return Element(cfg, _decode(cfg.ring, *_certified(run)))
 
@@ -954,13 +943,9 @@ class Element(Combination):
 
         def run(width):
             terms: dict[NormalMonomial, tuple[int, int, int]] = {}
-            worst = 0
             for key, c in items:
-                vanished = _put(terms, key, _pack(c, width), width)
-                if vanished > worst:
-                    worst = vanished
-            terms, enforced = _enforce(cfg, terms, width)
-            return terms, max(worst, enforced)
+                _put(terms, key, _pack(c, width), width)
+            return _enforce(cfg, terms, width)
 
         return cls(cfg, _decode(cfg.ring, *_certified(run)))
 

@@ -41,6 +41,16 @@ CASES = {
         ValueError,
         "unknown strategy",
     ),
+    "word letter": (
+        lambda: normal_form_of_word(make_config(2), ((1, 1), (3, 1))),
+        ValueError,
+        r"generator index \(3, 1\) out of range for n=2",
+    ),
+    "word letter in an entry": (
+        lambda: Element.from_words(make_config(2), [(((1, 1), (0, 2)), 1)]),
+        ValueError,
+        r"generator index \(0, 2\) out of range for n=2",
+    ),
     "negative element power": (
         lambda: Element.one(make_config(2)) ** -1,
         ValueError,

@@ -16,6 +16,7 @@ from pathlib import Path
 
 import pytest
 
+from qcoord import rewrite
 from qcoord.cli import run
 
 GOLDEN = Path(__file__).with_name("golden_cli.txt")
@@ -72,6 +73,9 @@ DIGESTS = {
     "nf 't[2,2]^12 t[1,1]^12' --n 2": "e061c2c6740124ba98c4e97a03d879b12c36162e25610e1cf55bd1b1d78b810c",
     # 21 terms whose coefficients reach 274 terms and |c| = 244,340.
     "nf 't[2,2]^20 t[1,1]^20' --n 2": "1ca90ba0725cf2be1c000dfb284ec3d6963886da278049247d8faef86314b9b1",
+    # Its l1 bounds pass 2**63, so the 64-bit pass is redone at 68 bits,
+    # determinant enforcement included: 137 reduction steps a pass.
+    "nf 't[2,2]^16 t[1,1]^16' --n 2 --variant gl": "ad8b6ddad4e0362999ece0a5eef711097d5ed07ed95c08f2fff0ae341f5d8b2b",
     # n = 3 products that take several determinant reduction steps: 29, 29
     # and 11 misses of the reduction-step cache.
     "mul 't[1,1]^2 t[2,3] t[3,3] t[2,2]' 't[2,2] t[3,3] t[1,1] t[3,2]^2' --n 3 --variant gl"
@@ -101,6 +105,17 @@ def transcript() -> str:
 
 
 def test_transcript_is_byte_identical():
+    assert transcript() == GOLDEN.read_text(encoding="utf-8")
+
+
+def test_transcript_is_byte_identical_from_a_three_bit_start_width(monkeypatch):
+    """With every operation packed at 3-bit digits first, most passes are
+    abandoned or refused and redone wider; not a byte of output changes.
+    The determinant caches are cleared so that they are rebuilt that way."""
+    caches = (rewrite._det_terms, rewrite._det_words, rewrite._reduction_step, rewrite._decoded)
+    for cache in caches:
+        cache.cache_clear()
+    monkeypatch.setattr(rewrite, "_PACK_WIDTH", 3)
     assert transcript() == GOLDEN.read_text(encoding="utf-8")
 
 

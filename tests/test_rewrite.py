@@ -523,12 +523,47 @@ class TestDecodeTable:
         assert normal_form_of_word(cfg, word)[exps] is shared
 
 
+def record_aborts(monkeypatch):
+    """Record each pass that ``_trust`` abandons as ``(site, width, bound)``:
+    ``site`` names the function that dropped a sum as zero (the caller of
+    ``_put``, when ``_put`` dropped it) or decoded a reduction step's unit."""
+    aborts = []
+    trust = rewrite._trust
+
+    def recorded(bound, width):
+        try:
+            trust(bound, width)
+        except rewrite._Untrusted:
+            code = sys._getframe(1).f_code
+            if code.co_name == "_put":
+                code = sys._getframe(2).f_code
+            aborts.append((code.co_name, width, bound))
+            raise
+
+    monkeypatch.setattr(rewrite, "_trust", recorded)
+    return aborts
+
+
+def refuse_one_bit_reads(monkeypatch):
+    """Fail any decoding at 1-bit digits: a nonzero value's bound is at
+    least ``1 = 2**0``, so none is certified there, and reading one in
+    signed base-2 digits would not end."""
+    unpack = rewrite._unpack
+
+    def checked(v, lo, width):
+        assert width > 1, "an uncertified value was decoded"
+        return unpack(v, lo, width)
+
+    monkeypatch.setattr(rewrite, "_unpack", checked)
+
+
 class TestPackWidth:
     """An operation packs each coefficient into one integer with digits of
     ``_PACK_WIDTH`` bits, from its input through straightening and
-    determinant enforcement, and decodes only results whose l1 bounds, and
-    those of the sums it found vanished, stay below ``2**(width - 1)``; an
-    operation past that is redone whole, wider.
+    determinant enforcement.  A pass that drops a sum as zero or decodes a
+    value whose l1 bound reaches ``2**(width - 1)`` is abandoned there, and
+    one whose result's bounds reach it is not decoded; either is redone
+    whole, wider.
 
     At the default width of 64 bits, t[2,2]^16 t[1,1]^16 at n = 2 needs one
     redo: its l1 bound passes 2**63 while its largest coefficient is 10,338.
@@ -574,30 +609,35 @@ class TestPackWidth:
         cfg = make_config(2)
         entries = [(((1, 1), (1, 2)), LaurentPoly(-4)), (((1, 2), (1, 1)), LaurentPoly.q_power(2))]
         expected = {NormalMonomial((1, 1, 0, 0)): LaurentPoly({0: -4, 1: 1})}
+        aborts = record_aborts(monkeypatch)
         for order in (entries, entries[::-1]):
             monkeypatch.setattr(rewrite, "_PACK_WIDTH", 64)
             assert Element.from_words(cfg, order).terms == expected
             monkeypatch.setattr(rewrite, "_PACK_WIDTH", 2)
             assert Element.from_words(cfg, order).terms == expected
+        assert aborts == [("_rewrite", 2, 5)] * 2
 
     @staticmethod
     def record_passes(monkeypatch):
-        """Clear the determinant caches and record each ``_rewrite`` call as
-        ``(width, worst)`` and each ``_enforce`` call as ``(width, worst,
-        largest bound of a returned term)``."""
+        """Clear the determinant caches and record each ``_rewrite`` and
+        ``_enforce`` call that returns as ``(width, largest bound of a
+        returned term)``."""
         for cache in (rewrite._det_terms, rewrite._det_words, rewrite._reduction_step):
             cache.cache_clear()
         passes = {"rewrite": [], "enforce": []}
         straighten, enforce = rewrite._rewrite, rewrite._enforce
 
+        def largest(terms):
+            return max((c[2] for c in terms.values()), default=0)
+
         def recorded_rewrite(order, pending, strategy="leftmost", trace=None):
             out = straighten(order, pending, strategy, trace)
-            passes["rewrite"].append((pending[0], out[1]))
+            passes["rewrite"].append((pending[0], largest(out)))
             return out
 
         def recorded_enforce(cfg, terms, width):
             out = enforce(cfg, terms, width)
-            passes["enforce"].append((width, out[1], max(c[2] for c in out[0].values())))
+            passes["enforce"].append((width, largest(out)))
             return out
 
         monkeypatch.setattr(rewrite, "_rewrite", recorded_rewrite)
@@ -613,10 +653,12 @@ class TestPackWidth:
         m = NormalMonomial((1, 0, 0, 0, 2, 0, 0, 0, 1))
         expected = Element.from_monomials(cfg, [(m, 3)])
         passes = self.record_passes(monkeypatch)
+        aborts = record_aborts(monkeypatch)
         monkeypatch.setattr(rewrite, "_PACK_WIDTH", 4)
         assert Element.from_monomials(cfg, [(m, 3)]) == expected
-        assert all(worst < 8 for width, worst in passes["rewrite"] if width == 4)
-        (width, _worst, largest), redo = passes["enforce"]
+        assert aborts == []
+        assert all(largest < 8 for width, largest in passes["rewrite"] if width == 4)
+        (width, largest), redo = passes["enforce"]
         assert width == 4 and largest >= 8 and redo[0] > 4
 
     def test_a_sum_that_vanishes_only_when_packed_in_enforcement_is_redone(self, monkeypatch):
@@ -629,11 +671,99 @@ class TestPackWidth:
         expected = Element.from_monomials(cfg, pairs)
         assert expected.terms[NormalMonomial((0, 1, 1, 0))] == LaurentPoly({0: -4, 1: 1})
         passes = self.record_passes(monkeypatch)
+        aborts = record_aborts(monkeypatch)
         monkeypatch.setattr(rewrite, "_PACK_WIDTH", 2)
         assert Element.from_monomials(cfg, pairs) == expected
-        assert all(worst < 2 for width, worst in passes["rewrite"] if width == 2)
-        (width, worst, _largest), redo = passes["enforce"]
-        assert (width, worst) == (2, 5) and redo[0] > 2
+        assert all(largest < 2 for width, largest in passes["rewrite"] if width == 2)
+        # The 2-bit pass is abandoned inside ``_enforce``, which returns
+        # only from the redo.
+        assert aborts == [("_enforce", 2, 5)]
+        assert [width for width, _largest in passes["enforce"]] == [4]
+
+    @staticmethod
+    def merged_by_the_determinant():
+        # Under this order t[2,2] t[1,1] and t[1,2] t[2,1] are both ordered
+        # words and D's two words.  The median split puts D's t[1,2] t[2,1]
+        # after the first and D's t[2,2] t[1,1] before the second, so both
+        # products by D reach one word, with coefficients q * (-q^-1) and
+        # q - 3: their sum q - 4 vanishes at q = 2**2.  Under the row-major
+        # and opposite orders no two ordered words reach one word there
+        # (none do up to length 7 at n = 2, nor up to length 4 at n = 3).
+        cfg = make_config(2, order=GenOrder(2, ((2, 2), (1, 1), (2, 1), (1, 2))))
+        pairs = [
+            (NormalMonomial((1, 0, 0, 1)), LaurentPoly.q_power(1)),
+            (NormalMonomial((0, 1, 1, 0)), LaurentPoly({0: -3, 1: 1})),
+        ]
+        return times_determinant(Element.from_monomials(cfg, pairs), 1)
+
+    # Each place that reads a packed value's digits, other than the
+    # straightener's swapped-word merge and ``_enforce``'s (tested above),
+    # with a start width that abandons the pass there: ``(build, width,
+    # abort)``.  The entries cancel at ``q = 2**width`` but not as
+    # polynomials, except at the reduction step, whose unit ``c`` has
+    # bound 1, not below ``2**0``.
+    SITES = {
+        # t[2,2] t[1,1] branches to (q^-1 - q) t[1,2] t[2,1], which meets
+        # the pending t[1,2] t[2,1]: the sum q^-1 (q - 4).
+        "rewrite-branch": (
+            lambda: Element.from_words(make_config(2), [
+                (((2, 2), (1, 1)), 1),
+                (((1, 2), (2, 1)), LaurentPoly({-1: -5, 0: 1, 1: 1})),
+            ]),
+            2,
+            ("_rewrite", 2, 9),
+        ),
+        "packed-classes": (
+            lambda: Element.from_words(make_config(2), [
+                (((1, 1),), -4), (((1, 1),), LaurentPoly.q_power(1))
+            ]),
+            2,
+            ("_packed_classes", 2, 5),
+        ),
+        # ``from_monomials`` sums its entries in its ``run``.
+        "from-monomials": (
+            lambda: Element.from_monomials(make_config(2), [
+                (NormalMonomial((1, 0, 0, 0)), -4),
+                (NormalMonomial((1, 0, 0, 0)), LaurentPoly.q_power(1)),
+            ]),
+            2,
+            ("run", 2, 5),
+        ),
+        "times-det": (lambda: TestPackWidth.merged_by_the_determinant(), 2, ("_times_det", 2, 5)),
+        "reduction-step": (
+            lambda: Element.from_monomials(make_config(2, "gl"), [(NormalMonomial((1, 0, 0, 1)), 1)]),
+            1,
+            ("_reduction_step", 1, 1),
+        ),
+    }
+
+    @pytest.mark.parametrize("site", sorted(SITES))
+    def test_a_narrow_pass_is_abandoned_where_it_reads_digits(self, monkeypatch, site):
+        build, width, abort = self.SITES[site]
+        expected = build()
+        rewrite._reduction_step.cache_clear()
+        aborts = record_aborts(monkeypatch)
+        refuse_one_bit_reads(monkeypatch)
+        monkeypatch.setattr(rewrite, "_PACK_WIDTH", width)
+        assert build() == expected
+        assert aborts == [abort]
+
+    def test_an_abandoned_reduction_step_is_not_cached(self, monkeypatch):
+        build, width, _abort = self.SITES["reduction-step"]
+        expected = build()
+        rewrite._reduction_step.cache_clear()
+        refuse_one_bit_reads(monkeypatch)
+        monkeypatch.setattr(rewrite, "_PACK_WIDTH", width)
+        assert build() == expected
+        # The step missed at 1 bit and again at 2, and only the 2-bit one is kept.
+        info = rewrite._reduction_step.cache_info()
+        assert (info.misses, info.currsize) == (2, 1)
+        order, exps = make_config(2, "gl").order, (1, 0, 0, 1)
+        with pytest.raises(rewrite._Untrusted):
+            rewrite._reduction_step(order, exps, width)
+        assert rewrite._reduction_step(order, exps, width + 1)
+        info = rewrite._reduction_step.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (3, 1, 1)
 
 
 def reduction_step_appended(cfg, exps):
@@ -672,8 +802,7 @@ class TestReductionStep:
                 rng.randint(1 if k in targets else 0, max_exp + (k in targets))
                 for k in range(n * n)
             )
-            step, worst = rewrite._reduction_step.__wrapped__(cfg.order, exps, width)
-            assert worst < 1 << (width - 1)
+            step = rewrite._reduction_step.__wrapped__(cfg.order, exps, width)
             step = [(e, d, rewrite._unpack(v, lo, width)) for e, d, (v, lo, _bound) in step]
             expected = reduction_step_appended(cfg, exps)
             assert {(e, d): c for e, d, c in step} == {(e, d): c for e, d, c in expected}
@@ -693,13 +822,13 @@ class TestReductionStep:
         order = make_config(3, "gl", flavor=flavor).order
         width = rewrite._PACK_WIDTH
         step = rewrite._reduction_step.__wrapped__
-        assert step(order, m, width)[0]
+        assert step(order, m, width)
         straighten = rewrite._rewrite
 
         def ascending(order, pending, strategy="leftmost", trace=None):
-            totals, worst = straighten(order, pending, strategy, trace)
+            totals = straighten(order, pending, strategy, trace)
             totals[larger] = (1, 0, 1)
-            return totals, worst
+            return totals
 
         monkeypatch.setattr(rewrite, "_rewrite", ascending)
         with pytest.raises(ArithmeticError, match="does not descend"):
@@ -762,7 +891,7 @@ class TestTimesDeterminant:
 # ``rewrite``'s packed coefficients and its certify-and-redo protocol.
 PACKED_HELPERS = {
     "_pack", "_put", "_certified", "_decode", "_reduced", "_packed_classes", "_rewrite",
-    "_reduction_step", "_det_words", "_times_det",
+    "_reduction_step", "_det_words", "_times_det", "_trust", "_Untrusted",
 }
 
 
