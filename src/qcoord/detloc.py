@@ -6,8 +6,8 @@ over the symmetric group, with ``len`` the inversion count.  It is central,
 which lets the localized variant carry its powers as a separate key and
 lets the special variant substitute ``D = 1``.  The products by ``D`` and the
 determinant reduction step are ``rewrite``'s (:func:`times_determinant`,
-:func:`diagonal_reduction`, re-exported here); this module reads only their
-decoded results.
+:func:`diagonal_reduction`, re-exported here), each key keeping its own ``D``
+power; this module reads only their decoded results.
 """
 
 from __future__ import annotations
@@ -194,18 +194,6 @@ def _reduction_targets(order: GenOrder) -> list[NormalMonomial]:
     return [NormalMonomial(once), NormalMonomial((1,) * size)]
 
 
-def _expand_determinant_powers(cfg_m: AlgebraConfig, e: Element) -> Element:
-    """Replace positive determinant keys by actual determinant products, one
-    product for the keys of each determinant power."""
-    groups: dict[int, dict] = {}
-    for key, coeff in e.terms.items():
-        if key.dpower < 0:
-            raise ValueError("only nonnegative determinant powers can be expanded")
-        groups.setdefault(key.dpower, {})[NormalMonomial(key.exps)] = coeff
-    parts = [times_determinant(Element(cfg_m, terms), z) for z, terms in groups.items()]
-    return sum(parts, Element.zero(cfg_m))
-
-
 def check_identities(n: int) -> CheckReport:
     report = CheckReport("identities", n)
     cfg_m = make_config(n, "m")
@@ -218,7 +206,7 @@ def check_identities(n: int) -> CheckReport:
         cfg_flat = replace(cfg_gl, variant="m")
         for mon in _reduction_targets(cfg_gl.order):
             step = diagonal_reduction(cfg_gl, mon)
-            recombined = _expand_determinant_powers(cfg_flat, step)
+            recombined = times_determinant(cfg_flat, step.terms)
             direct = Element.monomial(cfg_flat, mon)
             report.add_residual(
                 f"{flavor} reduction of {monomial_to_str(mon, cfg_gl.order)}", recombined - direct

@@ -98,13 +98,11 @@ class FrobeniusContext:
     def __post_init__(self):
         if self.variant not in ("m", "gl"):
             raise ValueError("the pairing is defined for the plain and localized variants")
-        CycloRing(self.ell)  # validates odd positive order
+        ring = CycloRing(self.ell)  # validates odd positive order
         if self.order is None:
             object.__setattr__(self, "order", row_major_order(self.n))
-
-    @cached_property
-    def config(self) -> AlgebraConfig:
-        return AlgebraConfig(self.n, self.variant, self.order, CycloRing(self.ell))
+        # Checks the dimension, and the generator order's against it.
+        object.__setattr__(self, "config", AlgebraConfig(self.n, self.variant, self.order, ring))
 
     @property
     def ring(self) -> CycloRing:
@@ -126,8 +124,8 @@ class FrobeniusContext:
 
         By classical linearity over the determinant-free basis of the plain
         variant: a key's determinant power ``z`` splits as ``l*a + r`` with
-        ``r`` in ``[0, l)``.  The keys of each ``(a, r)`` group, stripped of
-        ``D``, are multiplied by ``D**r`` written out in the plain variant;
+        ``r`` in ``[0, l)``.  The keys of each ``Dbar`` power ``a``, each
+        with ``D**r``, are multiplied out in the plain variant in one call;
         of those, only the keys whose residue is the top (every exponent
         ``l - 1`` mod ``l``) are expanded, and the top entry is scaled by
         ``Dbar**a``.  On the plain variant every key has ``z = 0``, so this
@@ -139,12 +137,13 @@ class FrobeniusContext:
             raise ValueError("element lives outside this pairing context")
         ell = self.ell
         last = ell - 1
-        groups: dict[tuple[int, int], dict] = {}
+        groups: dict[int, dict] = {}
         for key, coeff in e.terms.items():
-            groups.setdefault(divmod(key.dpower, ell), {})[NormalMonomial(key.exps)] = coeff
+            d_quot, d_res = divmod(key.dpower, ell)
+            groups.setdefault(d_quot, {})[NormalMonomial(key.exps, d_res)] = coeff
         total: dict[ClassicalMonomial, CycloElem] = {}
-        for (d_quot, d_res), terms in groups.items():
-            flat = times_determinant(Element(self._flat_config, terms), d_res)
+        for d_quot, terms in groups.items():
+            flat = times_determinant(self._flat_config, terms)
             at_top = {
                 key: coeff
                 for key, coeff in flat.terms.items()

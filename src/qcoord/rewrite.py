@@ -21,11 +21,13 @@ word is the tuple of its letters' ranks in the generator order, so an
 inversion is a plain integer comparison.  The relation of each pair of ranks
 is derived from :func:`_relation`, the one definition of the relations, the
 first time the pair is met, and kept in the order's ``relations`` table.
-Words are grouped in classes keyed by ``(length, *exponent table)``; a
+Words are grouped in classes keyed by ``(length, *exponent table)``, then
+the term's ``D`` power where it has one, so one pass takes every power; a
 branch ``x y -> u v`` moves one count from each of the slots of ``x`` and
 ``y`` to those of ``u`` and ``v``, so a branched word's class key follows
 from its parent's without recounting, and an ordered word's exponent table
-is the tail of its class key.  A swap within a class makes the rank word
+(and power) is the tail of its class key.  A swap within a class makes the
+rank word
 lexicographically smaller, so the straightener takes a class's words
 largest first: every word that can reach a given one has been taken before
 it, its coefficient is whole when its turn comes, and no word is
@@ -62,7 +64,8 @@ returns them at once.  ``D``'s normal-form coefficients are all units
 ``sign q**k``, so the product by ``D`` (:func:`_times_det`) is a sign and a
 shift of each packed coefficient, exact at every digit width.  It is the
 engine's one product by ``D``: the reduction step and
-:func:`times_determinant` share it.
+:func:`times_determinant`, which multiplies out each key's own ``D`` power
+in the plain variant, share it.
 
 Both phases compute over ``Z_q`` only, in packed form.  A root-of-unity
 configuration is the base change of the ``Z_q`` form along ``reduce_mod``,
@@ -330,9 +333,10 @@ def _rewrite(order: GenOrder, pending: tuple, strategy: str = "leftmost", trace=
     """Straighten packed words: the one straightening pass of the engine.
 
     ``pending`` is ``(width, classes)``: ``classes`` maps each class key
-    ``(length, *exps)`` to the rank words of that class, each with its
-    coefficient packed at ``width`` bits a digit (:func:`_pack`), and is
-    consumed.  Returns the exponent tables of the ordered monomials reached,
+    ``(length, *exps)``, or ``(length, *exps, dpower)``, to the rank words
+    of that class, each with its coefficient packed at ``width`` bits a
+    digit (:func:`_pack`), and is consumed.  Returns the key tails
+    ``(*exps)`` or ``(*exps, dpower)`` of the ordered monomials reached,
     with their coefficients still packed.  Classes are processed largest
     key first; within a class the chosen adjacent inversion is the leftmost
     (or rightmost) one.
@@ -341,7 +345,7 @@ def _rewrite(order: GenOrder, pending: tuple, strategy: str = "leftmost", trace=
     an inversion makes a word lexicographically smaller, so every word that
     can reach a given one is larger than it: once a word is taken, nothing
     still pending can reach it, its coefficient is whole, and each word is
-    straightened at most once a call, one swap per distinct unordered word
+    straightened at most once per class, one swap per distinct unordered word
     (the termination order of the diamond lemma, used as a schedule).  A
     swapped word larger than every pending word of its class is carried on
     in place; any other is merged into the class and the largest pending
@@ -349,8 +353,8 @@ def _rewrite(order: GenOrder, pending: tuple, strategy: str = "leftmost", trace=
 
     An inversion is ``w[p] > w[p + 1]``, and the relation of a rank pair
     comes from :func:`_rank_relation`, that is from :func:`_relation`.
-    Every word of a class shares its key ``(length, *exps)``: an ordered
-    word's exponent table is the key's tail, and a branch's key is the
+    Every word of a class shares its key: an ordered word's exponent table
+    (and power) is the key's tail, and a branch's key is the
     parent's with one count moved from each of the slots of ``x`` and ``y``
     to those of ``u`` and ``v``, so exponents are never recounted.
     ``trace``, if given, receives one ``(word, produced)`` entry per swap,
@@ -483,9 +487,9 @@ def _rewrite(order: GenOrder, pending: tuple, strategy: str = "leftmost", trace=
     return totals
 
 
-def _certified(run, trace=None) -> tuple[dict, int]:
-    """The packed terms of one whole operation, and the width they are
-    packed at, certified.
+def _certified(ring: LaurentRing | CycloRing, run, trace=None) -> dict:
+    """The terms of one whole operation, certified and decoded into ``ring``
+    (:func:`_decode`).
 
     ``run(width)`` computes the operation with every coefficient packed at
     ``width`` bits a digit and returns its packed terms.  The width starts
@@ -509,7 +513,7 @@ def _certified(run, trace=None) -> tuple[dict, int]:
                 if bound > worst:
                     worst = bound
             if worst < 1 << (width - 1):
-                return terms, width
+                return _decode(ring, terms, width)
         if trace is not None:
             del trace[mark:]
         width = worst.bit_length() + 1
@@ -554,22 +558,19 @@ def _word_item(order: GenOrder, word: Word) -> tuple[tuple, tuple]:
 
 
 def _packed_classes(items, width: int) -> dict:
-    """Pending classes, by ``D`` power, of ``(dpower, key, rank word, c1,
-    c2)`` items: each word with the product of ``c1`` and ``c2`` packed at
-    ``width``, one integer multiplication with the bounds multiplied, summed
-    per word."""
-    groups: dict[int, dict] = {}
-    for dpower, key, word, c1, c2 in items:
-        classes = groups.get(dpower)
-        if classes is None:
-            classes = groups[dpower] = {}
+    """Pending classes of ``(key, rank word, c1, c2)`` items, a ``D`` power
+    in the key's tail where there is one: each word with the product of
+    ``c1`` and ``c2`` packed at ``width``, one integer multiplication with
+    the bounds multiplied, summed per word."""
+    classes: dict[tuple, dict] = {}
+    for key, word, c1, c2 in items:
         bucket = classes.get(key)
         if bucket is None:
             bucket = classes[key] = {}
         v1, lo1, b1 = _pack(c1, width)
         v2, lo2, b2 = _pack(c2, width)
         _put(bucket, word, (v1 * v2, lo1 + lo2, b1 * b2), width)
-    return groups
+    return classes
 
 
 def _rank_word(order: GenOrder, exps: tuple[int, ...]) -> tuple[int, ...]:
@@ -583,18 +584,18 @@ def _rank_word(order: GenOrder, exps: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def _reduced(cfg: AlgebraConfig, items, strategy: str = "leftmost") -> dict:
-    """The normal form of pending items (:func:`_packed_classes`), as
-    coefficients of ``cfg.ring``: straightened, under the variant's
-    constraint and decoded once, all one certified operation."""
+    """The normal form of pending items keyed ``(length, *exps, dpower)``
+    (:func:`_packed_classes`), as coefficients of ``cfg.ring``: every power
+    straightened in one pass, under the variant's constraint and decoded
+    once, all one certified operation."""
 
     def run(width):
         terms = {}
-        for dpower, classes in _packed_classes(items, width).items():
-            for exps, c in _rewrite(cfg.order, (width, classes), strategy).items():
-                terms[_new(NormalMonomial, (exps, dpower))] = c
+        for key, c in _rewrite(cfg.order, (width, _packed_classes(items, width)), strategy).items():
+            terms[_new(NormalMonomial, (key[:-1], key[-1]))] = c
         return _enforce(cfg, terms, width)
 
-    return _decode(cfg.ring, *_certified(run))
+    return _certified(cfg.ring, run)
 
 
 def normal_form_of_word(cfg: AlgebraConfig, word: Word, strategy: str = "leftmost", trace=None) -> dict:
@@ -604,7 +605,7 @@ def normal_form_of_word(cfg: AlgebraConfig, word: Word, strategy: str = "leftmos
     def run(width):
         return _rewrite(cfg.order, (width, {key: {word: (1, 0, 1)}}), strategy, trace)
 
-    return _decode(cfg.ring, *_certified(run, trace))
+    return _certified(cfg.ring, run, trace)
 
 
 # ---------------------------------------------------------------------------
@@ -635,12 +636,12 @@ def _det_word_pairs(n: int) -> tuple[tuple[Word, LaurentPoly], ...]:
 def _det_terms(order: GenOrder) -> dict:
     """Quantum determinant as ordered-monomial exponent tables of ``order``
     with ``Z_q`` coefficients (no D key)."""
-    items = [(0, *_word_item(order, word), c, _ONE) for word, c in _det_word_pairs(order.n)]
+    items = [(*_word_item(order, word), c, _ONE) for word, c in _det_word_pairs(order.n)]
 
     def run(width):
-        return _rewrite(order, (width, _packed_classes(items, width)[0]))
+        return _rewrite(order, (width, _packed_classes(items, width)))
 
-    return _decode(_ZQ, *_certified(run))
+    return _certified(_ZQ, run)
 
 
 @lru_cache(maxsize=_SMALL_CACHE)
@@ -815,27 +816,34 @@ def _enforce(cfg: AlgebraConfig, terms: dict, width: int) -> dict:
     return result
 
 
-def times_determinant(e: Element, k: int) -> Element:
-    """``e * D**k`` with the ``k >= 0`` determinant factors multiplied out in
-    ``e``'s plain algebra, whose keys carry no ``D`` power; ``e`` itself for
-    ``k = 0``, with no determinant built.
-
-    ``e`` is packed once, and the ``k`` products by ``D`` (:func:`_times_det`)
-    run inside one certified operation, decoded once.
+def times_determinant(cfg: AlgebraConfig, terms: dict) -> Element:
+    """``sum c m D**z`` over ``terms`` ``{m: c}``, each key's own power
+    ``z >= 0`` multiplied out in the plain algebra ``cfg``: Horner's way,
+    from the top power down, the running sum times ``D`` (:func:`_times_det`)
+    plus the terms of the next power.  That is ``max z`` products by ``D`` in
+    one certified operation; with no power, the terms as they are.
     """
-    cfg = e.config
-    if cfg.variant != "m" or k < 0:
-        raise ValueError("only nonnegative determinant powers multiply out, in the plain variant")
-    if not k:
-        return e
+    if cfg.variant != "m":
+        raise ValueError("determinant powers multiply out only in the plain variant")
+    if not any(m.dpower for m in terms):
+        return Element(cfg, terms)
+    levels: dict[int, list] = {}
+    for m, c in terms.items():
+        levels.setdefault(m.dpower, []).append((m.exps, c))
+    if min(levels) < 0:
+        raise ValueError("only nonnegative determinant powers multiply out")
+    top = max(levels)
 
     def run(width):
-        terms = {m.exps: _pack(c, width) for m, c in e.terms.items()}
-        for _ in range(k):
-            terms = _times_det(cfg.order, terms, width)
-        return {_new(NormalMonomial, (exps, 0)): c for exps, c in terms.items()}
+        acc: dict[tuple[int, ...], tuple[int, int, int]] = {}
+        for z in range(top, -1, -1):
+            if acc:
+                acc = _times_det(cfg.order, acc, width)
+            for exps, c in levels.get(z, ()):
+                _put(acc, exps, _pack(c, width), width)
+        return {_new(NormalMonomial, (exps, 0)): c for exps, c in acc.items()}
 
-    return Element(cfg, _decode(cfg.ring, *_certified(run)))
+    return Element(cfg, _certified(cfg.ring, run))
 
 
 def diagonal_reduction(cfg: AlgebraConfig, m: NormalMonomial) -> Element | None:
@@ -857,7 +865,7 @@ def diagonal_reduction(cfg: AlgebraConfig, m: NormalMonomial) -> Element | None:
         entries = _reduction_step(cfg.order, m.exps, width)
         return {NormalMonomial(e, _dpower(cfg, m.dpower + d)): c for e, d, c in entries}
 
-    return Element(cfg, _decode(cfg.ring, *_certified(run)))
+    return Element(cfg, _certified(cfg.ring, run))
 
 
 # ---------------------------------------------------------------------------
@@ -947,7 +955,7 @@ class Element(Combination):
                 _put(terms, key, _pack(c, width), width)
             return _enforce(cfg, terms, width)
 
-        return cls(cfg, _decode(cfg.ring, *_certified(run)))
+        return cls(cfg, _certified(cfg.ring, run))
 
     @classmethod
     def from_words(cls, cfg: AlgebraConfig, entries, strategy: str = "leftmost") -> Element:
@@ -959,7 +967,7 @@ class Element(Combination):
             dpower = _dpower(cfg, entry[2] if len(entry) > 2 else 0)
             key, word = _word_item(cfg.order, tuple(entry[0]))
             if c := coerce(entry[1]):
-                items.append((dpower, key, word, c, _ONE))
+                items.append(((*key, dpower), word, c, _ONE))
         return cls(cfg, _reduced(cfg, items, strategy))
 
     # -- queries -----------------------------------------------------------
@@ -1003,8 +1011,8 @@ def multiply(a: Element, b: Element) -> Element:
     No word of generator letters is built: each term's ordered rank word
     comes from its exponent table, and a product of two terms is the
     concatenation of their rank words, in the class whose key adds their
-    exponent tables, among the classes of the sum of their ``D`` powers;
-    its coefficient is the product of the two, packed.
+    exponent tables and their ``D`` powers; its coefficient is the product
+    of the two, packed.
     """
     b = a._operand(b)
     cfg = a.config
@@ -1015,7 +1023,7 @@ def multiply(a: Element, b: Element) -> Element:
     left = [(m, _rank_word(order, m.exps), c) for m, c in a.terms.items()]
     right = [(m, _rank_word(order, m.exps), c) for m, c in b.terms.items()]
     items = [
-        (m1.dpower + m2.dpower, (len(w1) + len(w2), *map(add, m1.exps, m2.exps)), w1 + w2, c1, c2)
+        ((len(w1) + len(w2), *map(add, m1.exps, m2.exps), m1.dpower + m2.dpower), w1 + w2, c1, c2)
         for m1, w1, c1 in left
         for m2, w2, c2 in right
     ]

@@ -7,7 +7,13 @@ import pytest
 from qcoord import frobext
 from qcoord.cli import evaluate, run
 from qcoord.frobext import FrobeniusContext, check_nakayama, nakayama_exponent
-from qcoord.monomial import NormalMonomial, bidegree, canonical_key, make_opposite_order
+from qcoord.monomial import (
+    NormalMonomial,
+    bidegree,
+    canonical_key,
+    make_opposite_order,
+    row_major_order,
+)
 from qcoord.render import monomial_to_str
 from qcoord.report import CheckReport
 from qcoord.rewrite import Element, make_config, multiply, times_determinant
@@ -63,17 +69,23 @@ class TestPhi:
         with pytest.raises(ValueError):
             FrobeniusContext(2, 3, "sl")
 
+    def test_an_order_of_another_dimension_is_rejected_at_construction(self):
+        with pytest.raises(ValueError, match="wrong dimension"):
+            FrobeniusContext(2, 3, "m", row_major_order(3))
+
     @staticmethod
     def phi_of_whole_expansion(ctx, e):
         """``phi`` expanding every key of each ``divmod(z, l)`` group and
-        reading the top entry; ``phi`` itself expands only the top keys."""
+        reading the top entry; ``phi`` itself expands only the top keys,
+        and multiplies out all residues of one ``Dbar`` power at once."""
         groups = {}
         for key, coeff in e.terms.items():
-            groups.setdefault(divmod(key.dpower, ctx.ell), {})[NormalMonomial(key.exps)] = coeff
+            d_quot, d_res = divmod(key.dpower, ctx.ell)
+            groups.setdefault((d_quot, d_res), {})[NormalMonomial(key.exps, d_res)] = coeff
         flat_cfg = make_config(ctx.n, "m", ell=ctx.ell, order=ctx.order)
         total = ClassicalPoly.zero(ctx.ring, ctx.n)
-        for (d_quot, d_res), terms in groups.items():
-            flat = times_determinant(Element(flat_cfg, terms), d_res)
+        for (d_quot, _d_res), terms in groups.items():
+            flat = times_determinant(flat_cfg, terms)
             part = module_expand(flat).entries.get(ctx.top)
             if part is not None:
                 shifted = {

@@ -49,6 +49,8 @@ COMMANDS = [
     f"phi '{TOP2}' --ell 3",
     "phi 't[2,2]^5 t[2,1]^2 t[1,2]^2 t[1,1]^2 + q t[1,2]^3' --ell 3 --json",
     f"phi '{TOP2} D^3 - q t[2,2]^2 t[2,1]^2 t[1,2]^2 t[1,1]^2 D^-3' --ell 3 --variant gl",
+    "phi 't[1,1] t[1,2]^2 t[2,1]^2 t[2,2] D^4 + t[1,2]^2 t[2,1]^2 D^5' --ell 3 --variant gl"
+    " --order opposite",
     "nakayama 't[1,1] t[2,2]^2 + t[1,2] t[2,1]^2' --ell 3",
     "nakayama 't[1,2]^2 t[2,1] D^-1 + t[2,2]' --ell 3 --variant gl --json",
     "basis --n 2 --ell 3",

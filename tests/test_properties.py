@@ -281,7 +281,7 @@ def test_determinant_inserted_mid_word_equals_appended(cfg, data):
     appended = Element.from_words(cfg, [(w + d, c) for d, c in det])
     for p in range(len(w) + 1):
         assert Element.from_words(cfg, [(w[:p] + d + w[p:], c) for d, c in det]) == appended
-    assert times_determinant(Element.monomial(cfg, m), 1) == appended
+    assert times_determinant(cfg, {NormalMonomial(m.exps, 1): cfg.ring.one()}) == appended
 
 
 @pytest.mark.parametrize(

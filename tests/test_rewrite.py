@@ -374,11 +374,13 @@ class TestOperationCounts:
 
 
 class TestEachWordOnce:
-    """Within one ``_rewrite`` call each word is straightened at most once:
-    a class's words are taken largest first, and a swap only makes a word
-    smaller, so no word is reached after it was taken.  Then a call makes
-    one swap per distinct unordered word it meets, and no source word
-    repeats among its ``trace=`` entries."""
+    """Within one ``_rewrite`` call each word is straightened at most once
+    per class: a class's words are taken largest first, and a swap only
+    makes a word smaller, so no word is reached after it was taken.  Then a
+    call makes one swap per distinct unordered word it meets in a class.
+    One call holds every ``D`` power, one class each; no case here meets a
+    word in two classes of one call, so no source word repeats among a
+    call's ``trace=`` entries."""
 
     @staticmethod
     def traced_calls(monkeypatch, strategy):
@@ -690,11 +692,11 @@ class TestPackWidth:
         # and opposite orders no two ordered words reach one word there
         # (none do up to length 7 at n = 2, nor up to length 4 at n = 3).
         cfg = make_config(2, order=GenOrder(2, ((2, 2), (1, 1), (2, 1), (1, 2))))
-        pairs = [
-            (NormalMonomial((1, 0, 0, 1)), LaurentPoly.q_power(1)),
-            (NormalMonomial((0, 1, 1, 0)), LaurentPoly({0: -3, 1: 1})),
-        ]
-        return times_determinant(Element.from_monomials(cfg, pairs), 1)
+        terms = {
+            NormalMonomial((1, 0, 0, 1), 1): LaurentPoly.q_power(1),
+            NormalMonomial((0, 1, 1, 0), 1): LaurentPoly({0: -3, 1: 1}),
+        }
+        return times_determinant(cfg, terms)
 
     # Each place that reads a packed value's digits, other than the
     # straightener's swapped-word merge and ``_enforce``'s (tested above),
@@ -808,6 +810,14 @@ class TestReductionStep:
             assert {(e, d): c for e, d, c in step} == {(e, d): c for e, d, c in expected}
             assert len(step) == len(expected) > 1
 
+    @pytest.mark.parametrize("flavor", FLAVORS)
+    def test_a_monomial_with_a_zero_target_is_refused(self, flavor):
+        order = make_config(2, "gl", flavor=flavor).order
+        # Every target of the one flavor but one, each other slot filled.
+        exps = (2, 1, 1, 0) if flavor == "standard" else (1, 0, 2, 1)
+        with pytest.raises(ValueError, match="every target exponent to be positive"):
+            rewrite._reduction_step.__wrapped__(order, exps, rewrite._PACK_WIDTH)
+
     # ``m`` has every target exponent positive; ``larger`` has its degree
     # and (under the opposite flavor) its antidiagonal degree, and is above
     # it only in the last comparison of the measure, the exponent table.
@@ -836,30 +846,53 @@ class TestReductionStep:
 
 
 class TestTimesDeterminant:
-    """``times_determinant(e, k)`` runs its ``k`` products by ``D`` in one
-    certified operation; it must equal ``k`` products by ``D``'s normal form."""
+    """``times_determinant(cfg, terms)`` multiplies out each key's own ``D``
+    power, Horner's way: ``max z`` products by ``D`` in one certified
+    operation.  It must equal each term times ``D``'s normal form, ``z``
+    times over."""
+
+    POWERS = (0, 1, 3)
+
+    @staticmethod
+    def record_calls(monkeypatch):
+        """Count the ``_times_det`` and ``_certified`` calls that follow."""
+        calls = {"_times_det": 0, "_certified": 0}
+        for name in calls:
+            original = getattr(rewrite, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(rewrite, name, counted)
+        return calls
 
     @pytest.mark.parametrize("ell", [None, 3])
     @pytest.mark.parametrize("n, flavor", [(2, "standard"), (2, "opposite"), (3, "standard")])
-    def test_equals_repeated_products_by_the_determinant(self, n, flavor, ell):
+    def test_equals_repeated_products_by_the_determinant(self, monkeypatch, n, flavor, ell):
         cfg = make_config(n, ell=ell, flavor=flavor)
         det = quantum_determinant(cfg)
         rng = random.Random(f"times-det/{n}/{flavor}/{ell}")
         for _ in range(2):
-            pairs = [
-                (
-                    NormalMonomial(tuple(rng.randint(0, 4 - n) for _ in range(n * n))),
-                    LaurentPoly({rng.randint(-2, 2): rng.choice((-3, -1, 1, 2))}),
-                )
-                for _ in range(3)
-            ]
-            e = Element.from_monomials(cfg, pairs)
-            assert len(e.terms) > 1
-            assert times_determinant(e, 0) is e
-            expected = e
-            for k in (1, 2, 3):
-                expected = multiply(expected, det)
-                assert times_determinant(e, k) == expected, (pairs, k)
+            terms = {}
+            expected = Element.zero(cfg)
+            for z in self.POWERS:
+                exps = tuple(rng.randint(0, 4 - n) for _ in range(n * n))
+                c = cfg.ring.coerce(LaurentPoly({rng.randint(-2, 2): rng.choice((-3, -1, 1, 2))}))
+                terms[NormalMonomial(exps, z)] = c
+                expected = expected + multiply(Element.monomial(cfg, NormalMonomial(exps), c), det**z)
+            calls = self.record_calls(monkeypatch)
+            assert times_determinant(cfg, terms) == expected, terms
+            assert calls == {"_times_det": max(self.POWERS), "_certified": 1}
+            monkeypatch.undo()
+
+    def test_terms_without_a_power_are_returned_untouched(self, monkeypatch):
+        cfg = make_config(2)
+        terms = {NormalMonomial((1, 0, 0, 1)): ONE, NormalMonomial((0, 2, 1, 0)): ONE}
+        calls = self.record_calls(monkeypatch)
+        assert times_determinant(cfg, terms).terms is terms
+        assert times_determinant(cfg, {}).terms == {}
+        assert calls == {"_times_det": 0, "_certified": 0}
 
     @pytest.mark.parametrize("ell", [None, 3])
     def test_a_wide_coefficient_redoes_the_whole_run_wider(self, monkeypatch, ell):
@@ -876,16 +909,48 @@ class TestTimesDeterminant:
             return straighten(order, pending, strategy, trace)
 
         monkeypatch.setattr(rewrite, "_rewrite", recorded)
-        assert times_determinant(e, 2) == expected
+        terms = {NormalMonomial(m.exps, 2): c for m, c in e.terms.items()}
+        assert times_determinant(cfg, terms) == expected
         # Two passes at 64-bit digits, then the same two at the wider width.
         assert widths[:2] == [64, 64] and len(widths) == 4
         assert widths[2] == widths[3] > 64
 
     def test_only_the_plain_variant_and_nonnegative_powers(self):
         with pytest.raises(ValueError, match="plain variant"):
-            times_determinant(Element.one(make_config(2, "gl")), 1)
+            times_determinant(make_config(2, "gl"), Element.one(make_config(2, "gl")).terms)
+        terms = {NormalMonomial((0, 0, 0, 0), -1): ONE, NormalMonomial((1, 0, 0, 0), 1): ONE}
         with pytest.raises(ValueError, match="nonnegative"):
-            times_determinant(Element.one(make_config(2)), -1)
+            times_determinant(make_config(2), terms)
+
+
+class TestMixedDeterminantPowers:
+    """A ``gl`` product straightens the terms of every ``D`` power in one
+    pass, each power in classes of its own."""
+
+    @pytest.mark.parametrize("flavor", FLAVORS)
+    def test_product_equals_the_rightmost_word_oracle(self, flavor):
+        cfg = make_config(2, "gl", flavor=flavor)
+        rng = random.Random(f"mixed-dpowers/{flavor}")
+        for _ in range(4):
+            a, b = (
+                Element.from_monomials(cfg, [
+                    (NormalMonomial(tuple(rng.randint(0, 2) for _ in range(4)), z),
+                     LaurentPoly({rng.randint(-1, 1): rng.choice((-2, 1, 3))}))
+                    for z in powers
+                ])
+                for powers in ((0, 1, -2), (-1, 2))
+            )
+            assert len({m.dpower for m in a.terms}) > 1 and len({m.dpower for m in b.terms}) > 1
+            oracle = Element.from_words(
+                cfg,
+                [
+                    (m1.word(cfg.order) + m2.word(cfg.order), c1 * c2, m1.dpower + m2.dpower)
+                    for m1, c1 in a.terms.items()
+                    for m2, c2 in b.terms.items()
+                ],
+                strategy="rightmost",
+            )
+            assert multiply(a, b) == oracle
 
 
 # ``rewrite``'s packed coefficients and its certify-and-redo protocol.
