@@ -88,7 +88,8 @@ class Witness:
 
 @dataclass(frozen=True)
 class FrobeniusContext:
-    """Parameters of the pairing: dimension, odd root order, and variant."""
+    """Parameters of the pairing: dimension, odd root order, and variant.
+    Its algebra, ``config``, is built and checked at construction."""
 
     n: int
     ell: int
