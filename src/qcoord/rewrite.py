@@ -60,12 +60,21 @@ target.  The quantum determinant ``D`` is central, and ``t0 D`` straightens
 to ``c m + rest`` with ``c`` a unit and ``rest`` strictly smaller, so
 ``m = c**-1 (t0 D - rest)`` trades one target factor per position for a
 determinant factor.  Most products hold no such monomial, and enforcement
-returns them at once.  ``D``'s normal-form coefficients are all units
-``sign q**k``, so the product by ``D`` (:func:`_times_det`) is a sign and a
-shift of each packed coefficient, exact at every digit width.  It is the
-engine's one product by ``D``: the reduction step and
-:func:`times_determinant`, which multiplies out each key's own ``D`` power
-in the plain variant, share it.
+returns them at once.  The step is computed on ``m``'s core
+(:func:`_core`): ``m`` with the order's first and last letters cut down to
+what keeps it violating, one factor at a target, none elsewhere.  The first
+letter ranks below every letter and the last above every letter, so
+``t_f**a X t_l**b`` is ordered whenever ``X`` is; with ``D`` central, the
+normal form of ``t0 D`` is that of the core's ``t0' D`` with ``a`` and
+``b`` added back to every term, coefficients unchanged.  So one cached
+step serves every monomial of a core, and a diagonal power at n = 1 costs
+one step of one letter, not a word of its length.
+
+``D``'s normal-form coefficients are all units ``sign q**k``, so the
+product by ``D`` (:func:`_times_det`) is a sign and a shift of each packed
+coefficient, exact at every digit width.  It is the engine's one product
+by ``D``: the reduction step and :func:`times_determinant`, which
+multiplies out each key's own ``D`` power in the plain variant, share it.
 
 Both phases compute over ``Z_q`` only, in packed form.  A root-of-unity
 configuration is the base change of the ``Z_q`` form along ``reduce_mod``,
@@ -121,11 +130,15 @@ _new = tuple.__new__
 _exps = attrgetter("exps")
 
 # Cache bounds: a process meets a handful of dimensions and generator orders,
-# and about 1,300 distinct reduction steps in a mixed gl/sl workload.
+# and about 800 distinct reduction steps, one per core, in a 4,608-op round
+# of the mixed gl/sl ``localized`` benchmark (1,348 when keyed by the whole
+# monomial).
 _SMALL_CACHE = 64
 _REDUCTION_CACHE = 1 << 14
 # Decoded coefficients: a 26,000-op round of the ``straighten`` benchmark
-# decodes 103,574 terms holding 161 distinct values.
+# decodes 103,574 terms holding 161 distinct values.  A 4,608-op round of
+# ``localized`` holds about 2,082 distinct values, and 4,858 of its 24,326
+# lookups miss; a bound of 4,096 raised its peak memory by about 1.4 MB.
 _DECODE_CACHE = 256
 
 # Largest dimension whose quantum determinant is expanded: the sum has n!
@@ -717,6 +730,31 @@ def _reduction_measure(order: GenOrder):
     return lambda exps: (antidiag_degree(n, exps), sum(exps), exps)
 
 
+@lru_cache(maxsize=_SMALL_CACHE)
+def _ends(order: GenOrder) -> tuple[int, int, int, int]:
+    """The slots ``f`` and ``l`` of ``order``'s first and last letters, and
+    the exponent a core keeps at each (:func:`_core`): 1 at a target, else 0."""
+    targets = _target_positions(order)
+    f, l = order.slots[0], order.slots[-1]
+    return f, l, int(f in targets), int(l in targets)
+
+
+def _core(order: GenOrder, exps: tuple[int, ...]) -> tuple[tuple[int, ...], int, int]:
+    """The core of a violating monomial, as ``(core, a, b)``: ``exps`` with
+    ``a`` factors cut off its first letter's slot ``f`` and ``b`` off its
+    last letter's ``l`` (:func:`_ends`), down to what keeps it violating.
+    At n = 1 the two letters are one, cut once."""
+    f, l, keep_f, keep_l = _ends(order)
+    a = max(exps[f] - keep_f, 0)
+    b = max(exps[l] - keep_l, 0) if l != f else 0
+    if not (a or b):
+        return exps, 0, 0
+    core = list(exps)
+    core[f] -= a
+    core[l] -= b
+    return tuple(core), a, b
+
+
 @lru_cache(maxsize=_REDUCTION_CACHE)
 def _reduction_step(order: GenOrder, exps: tuple[int, ...], width: int):
     """Trade one determinant factor out of a monomial ``m`` with every
@@ -731,10 +769,16 @@ def _reduction_step(order: GenOrder, exps: tuple[int, ...], width: int):
     value decoded, once certified (:func:`_trust`), and its inverse is
     applied to ``rest`` as a sign and a shift of ``lo``.
 
+    Callers pass a core (:func:`_core`) and add the cut exponents back to
+    every entry, so the table holds one step per core, whatever the
+    exponents of the order's end letters; any violating ``exps`` gives its
+    own step exactly.
+
     All emitted monomials are strictly smaller than the input in the
     flavor's reduction measure; that descent is what makes iterated
     enforcement terminate, so it is checked here, for every entry, rather
-    than assumed.
+    than assumed.  Both measures keep their order when one vector is added
+    to both sides, so the check on a core covers its shifted entries too.
     """
     targets = _target_positions(order)
     if not _violates(exps, targets):
@@ -776,8 +820,10 @@ def _enforce(cfg: AlgebraConfig, terms: dict, width: int) -> dict:
     It is returned as it is under ``m``, and when no monomial breaks the
     constraint, which holds for most products.  Otherwise each monomial
     that breaks it is replaced by its reduction step, largest in the
-    reduction measure first: a packed product per entry, ``(v * v2, lo +
-    lo2, bound * b2)``, the bounds multiplied.  Returns the packed result.
+    reduction measure first: the step of its core (:func:`_core`), the cut
+    exponents added back to each entry, and a packed product per entry,
+    ``(v * v2, lo + lo2, bound * b2)``, the bounds multiplied.  Returns the
+    packed result.
     """
     if cfg.variant == "m":
         return terms
@@ -788,6 +834,7 @@ def _enforce(cfg: AlgebraConfig, terms: dict, width: int) -> dict:
             break
     else:
         return terms
+    f, l, _keep_f, _keep_l = _ends(order)
     measure = _reduction_measure(order)
     result: dict[NormalMonomial, tuple[int, int, int]] = {}
     classes: dict[tuple, dict] = {}
@@ -810,7 +857,13 @@ def _enforce(cfg: AlgebraConfig, terms: dict, width: int) -> dict:
     while queue:
         for key, (v, lo, bound) in classes.pop(queue.pop()).items():
             dpowers = (key.dpower, _dpower(cfg, key.dpower + 1))
-            for e2, dshift, (v2, lo2, b2) in _reduction_step(order, key.exps, width):
+            core, a, b = _core(order, key.exps)
+            for e2, dshift, (v2, lo2, b2) in _reduction_step(order, core, width):
+                if a or b:
+                    e2 = list(e2)
+                    e2[f] += a
+                    e2[l] += b
+                    e2 = tuple(e2)
                 key2 = _new(NormalMonomial, (e2, dpowers[dshift]))
                 _put(bucket_of(e2), key2, (v * v2, lo + lo2, bound * b2), width)
     return result
@@ -854,16 +907,26 @@ def diagonal_reduction(cfg: AlgebraConfig, m: NormalMonomial) -> Element | None:
     then traded for a determinant factor, leaving the freed monomial times
     ``D`` plus terms that are strictly smaller in the flavor's reduction
     measure.  Returns ``None`` when the precondition fails.  The result is
-    a single step: its terms may admit further reduction.
+    a single step: its terms may admit further reduction.  It is the step
+    of ``m``'s core (:func:`_core`), the cut exponents added back to each
+    term, as in enforcement.
     """
     if cfg.variant not in ("gl", "sl"):
         raise ValueError("determinant reduction applies to the gl and sl variants")
-    if not _violates(m.exps, _target_positions(cfg.order)):
+    order = cfg.order
+    if not _violates(m.exps, _target_positions(order)):
         return None
+    core, a, b = _core(order, m.exps)
+    f, l, _keep_f, _keep_l = _ends(order)
 
     def run(width):
-        entries = _reduction_step(cfg.order, m.exps, width)
-        return {NormalMonomial(e, _dpower(cfg, m.dpower + d)): c for e, d, c in entries}
+        terms = {}
+        for e, d, c in _reduction_step(order, core, width):
+            e = list(e)
+            e[f] += a
+            e[l] += b
+            terms[NormalMonomial(tuple(e), _dpower(cfg, m.dpower + d))] = c
+        return terms
 
     return Element(cfg, _certified(cfg.ring, run))
 

@@ -501,7 +501,6 @@ class TestTables:
         [
             (["nf", "t[2,2]^9 t[1,1]"], 10),
             (["nf", "(t[1,1]^5 + 1) t[2,2]^5"], 10),
-            (["nf", "t[1,1]^13", "--n", "1", "--variant", "gl"], 13),
         ],
     )
     def test_a_word_above_max_word_len_is_refused_before_it_is_straightened(
@@ -521,6 +520,34 @@ class TestTables:
         )
         with pytest.raises(ValueError, match="a word of 9 letters"):
             Element.from_words(make_config(2), [(((1, 1),) * 9, 1)])
+
+    def test_a_diagonal_power_at_n1_builds_no_word_of_its_length(self, capsys, monkeypatch):
+        # At n = 1 every reduction step of t[1,1]^k has the core t[1,1]:
+        # ``D``'s one letter, never a word of k letters.
+        from qcoord import rewrite
+
+        monkeypatch.setattr(rewrite, "MAX_WORD_LEN", 8)
+        monkeypatch.setattr(rewrite, "_reduction_step", rewrite._reduction_step.__wrapped__)
+        assert run(["nf", "t[1,1]^13", "--n", "1", "--variant", "gl"]) == 0
+        assert capsys.readouterr() == ("D^13\n", "")
+
+    def test_a_core_above_max_word_len_is_refused_before_it_is_straightened(self, monkeypatch):
+        # t11 t12^12 t22 at n = 2 is its own core (each end letter is a
+        # target at exponent 1), so the product by ``D`` builds t12^12 with
+        # ``D``'s two letters.
+        from qcoord import rewrite
+
+        cfg = make_config(2, "gl")
+        rewrite._det_words(cfg.order)
+
+        def never(*args):
+            pytest.fail("a word was straightened")
+
+        monkeypatch.setattr(rewrite, "MAX_WORD_LEN", 8)
+        monkeypatch.setattr(rewrite, "_rewrite", never)
+        monkeypatch.setattr(rewrite, "_reduction_step", rewrite._reduction_step.__wrapped__)
+        with pytest.raises(ValueError, match="a word of 14 letters is too long"):
+            Element.from_monomials(cfg, [(NormalMonomial((1, 12, 0, 1)), 1)])
 
     def test_check_accepts_the_default_of_a_flag_it_does_not_read(self, capsys):
         assert run(["check", "identities", "--variant", "m", "--order", "rowmajor"]) == 0

@@ -845,6 +845,90 @@ class TestReductionStep:
             step(order, m, width)
 
 
+class TestCoreStep:
+    """Enforcement keys each reduction step by its core (``rewrite._core``):
+    the order's first and last letters cut down to what keeps the monomial
+    violating, the cut exponents added back to every entry.  The first
+    letter ranks below every letter and the last above every letter, and
+    ``D`` is central, so the shifted step of the core is the step of the
+    whole monomial, entry for entry."""
+
+    @staticmethod
+    def cases(order, count, rng):
+        """Violating exponent tables, the end letters' exponents up to 6."""
+        n = order.n
+        targets = rewrite._target_positions(order)
+        ends = (order.slots[0], order.slots[-1])
+        for _ in range(count):
+            yield tuple(
+                rng.randint(k in targets, 6 if k in ends else 1 + (k in targets))
+                for k in range(n * n)
+            )
+
+    @staticmethod
+    def shifted_core_step(order, exps, width):
+        """The core's step, uncached, with the cut exponents added back."""
+        core, a, b = rewrite._core(order, exps)
+        f, l = order.slots[0], order.slots[-1]
+        out = []
+        for e, d, c in rewrite._reduction_step.__wrapped__(order, core, width):
+            e = list(e)
+            e[f] += a
+            e[l] += b
+            out.append((tuple(e), d, c))
+        return out
+
+    @pytest.mark.parametrize("flavor", FLAVORS)
+    @pytest.mark.parametrize("variant", ["gl", "sl"])
+    @pytest.mark.parametrize("n, count", [(1, 6), (2, 12), (3, 8), (4, 4)])
+    def test_the_shifted_core_step_is_the_whole_step(self, n, count, variant, flavor):
+        cfg = make_config(n, variant, flavor=flavor)
+        order = cfg.order
+        width = rewrite._PACK_WIDTH
+        measure = rewrite._reduction_measure(order)
+        rng = random.Random(f"core-{n}-{variant}-{flavor}")
+        for exps in self.cases(order, count, rng):
+            whole = {
+                (e, d): rewrite._unpack(v, lo, width)
+                for e, d, (v, lo, _bound) in rewrite._reduction_step.__wrapped__(order, exps, width)
+            }
+            core = self.shifted_core_step(order, exps, width)
+            assert {(e, d): rewrite._unpack(v, lo, width) for e, d, (v, lo, _b) in core} == whole
+            assert max(measure(e) for e, _d, _c in core) < measure(exps)
+            # ``diagonal_reduction`` takes the same core step for the variant.
+            m = NormalMonomial(exps, 0)
+            assert rewrite.diagonal_reduction(cfg, m).terms == {
+                NormalMonomial(e, d if variant == "gl" else 0): c for (e, d), c in whole.items()
+            }
+
+    @pytest.mark.parametrize("flavor", FLAVORS)
+    @pytest.mark.parametrize("variant", ["gl", "sl"])
+    def test_enforcement_equals_enforcement_by_whole_steps(self, monkeypatch, variant, flavor):
+        cfg = make_config(3, variant, flavor=flavor)
+        rng = random.Random(f"core-enforce-{variant}-{flavor}")
+        monomials = [NormalMonomial(exps) for exps in self.cases(cfg.order, 4, rng)]
+        cored = [Element.from_monomials(cfg, [(m, 1)]) for m in monomials]
+        monkeypatch.setattr(rewrite, "_core", lambda order, exps: (exps, 0, 0))
+        monkeypatch.setattr(rewrite, "_reduction_step", rewrite._reduction_step.__wrapped__)
+        assert cored == [Element.from_monomials(cfg, [(m, 1)]) for m in monomials]
+
+    @pytest.mark.parametrize("k", [10, 1000])
+    def test_a_diagonal_power_at_n1_costs_one_step(self, k):
+        rewrite._reduction_step.cache_clear()
+        e = Element.from_monomials(make_config(1, "gl"), [(NormalMonomial((k,)), 1)])
+        assert str(e) == f"D^{k}"
+        assert rewrite._reduction_step.cache_info().misses == 1
+
+    def test_the_last_letter_exponent_costs_no_step(self):
+        cfg = make_config(2, "gl")
+        misses = []
+        for exps in ((7, 1, 1, 9), (7, 1, 1, 30)):
+            rewrite._reduction_step.cache_clear()
+            Element.from_monomials(cfg, [(NormalMonomial(exps), 1)])
+            misses.append(rewrite._reduction_step.cache_info().misses)
+        assert misses == [7, 7]
+
+
 class TestTimesDeterminant:
     """``times_determinant(cfg, terms)`` multiplies out each key's own ``D``
     power, Horner's way: ``max z`` products by ``D`` in one certified
