@@ -4,10 +4,13 @@ the identity suite of the determinant reduction.
 The quantum determinant is ``D = sum_s (-q)**len(s) t[1,s(1)] ... t[n,s(n)]``
 over the symmetric group, with ``len`` the inversion count.  It is central,
 which lets the localized variant carry its powers as a separate key and
-lets the special variant substitute ``D = 1``.  The products by ``D`` and the
-determinant reduction step are ``rewrite``'s (:func:`times_determinant`,
+lets the special variant substitute ``D = 1``.  ``D``'s normal form, the
+products by ``D`` and the determinant reduction step are ``rewrite``'s
+(:func:`quantum_determinant`, :func:`times_determinant` and
 :func:`diagonal_reduction`, re-exported here), each key keeping its own ``D``
-power; this module reads only their decoded results.
+power.  ``D``'s terms are built once per generator order and kept on it
+(``GenOrder.det``); this module reads only decoded results, and the order's
+``targets``.
 """
 
 from __future__ import annotations
@@ -22,26 +25,15 @@ from .report import CheckReport
 from .rewrite import (
     AlgebraConfig,
     Element,
-    _det_terms,
     _det_word_pairs,
     _reduction_step,  # noqa: F401  (never called: the benchmark's tracer test reaches it here)
-    _target_positions,
     diagonal_reduction,
     make_config,
     multiply,
+    quantum_determinant,
     swap_adjacent,
     times_determinant,
 )
-
-
-def quantum_determinant(cfg: AlgebraConfig) -> Element:
-    """``sum_s (-q)**len(s) t[1,s(1)] .. t[n,s(n)]`` in normal form.
-
-    Under the localized (resp. special) variant the normal form collapses
-    to the pure determinant key ``D`` (resp. to ``1``).
-    """
-    det = _det_terms(cfg.order)
-    return Element.from_monomials(cfg, [(NormalMonomial(e), c) for e, c in det.items()])
 
 
 def quantum_determinant_reversed(cfg: AlgebraConfig) -> Element:
@@ -189,8 +181,8 @@ def check_sl_gl_iso(n: int) -> CheckReport:
 
 def _reduction_targets(order: GenOrder) -> list[NormalMonomial]:
     """One factor at each target of ``order``, and every generator once."""
-    targets, size = _target_positions(order), order.n * order.n
-    once = tuple([int(k in targets) for k in range(size)])
+    size = order.n * order.n
+    once = tuple([int(k in order.targets) for k in range(size)])
     return [NormalMonomial(once), NormalMonomial((1,) * size)]
 
 

@@ -19,7 +19,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import combinations, starmap
 from math import isqrt
+from operator import gt
 from typing import NamedTuple
 
 GenIndex = tuple[int, int]
@@ -93,13 +95,7 @@ class Permutation:
         n = len(self.images)
         if sorted(self.images) != list(range(1, n + 1)):
             raise ValueError(f"not a permutation of 1..{n}: {self.images}")
-        inv = sum(
-            1
-            for a in range(n)
-            for b in range(a + 1, n)
-            if self.images[a] > self.images[b]
-        )
-        object.__setattr__(self, "length", inv)
+        object.__setattr__(self, "length", sum(starmap(gt, combinations(self.images, 2))))
 
     def __call__(self, i: int) -> int:
         return self.images[i - 1]
@@ -133,14 +129,17 @@ class GenOrder:
     order must list every generator above the antidiagonal before every
     antidiagonal one, which in turn precede all those below it.
 
-    ``rank_map`` maps each index pair to its rank, and ``slots`` lists the
-    row-major position of each rank's pair.  ``relations`` belongs to
-    the straightener (``rewrite._rewrite``): the commutation relation of each
-    pair of ranks it has met, filled on demand, so it holds at most ``n**4``
-    entries.  ``names`` belongs to the renderer (``render.monomial_to_str``):
-    for each generator symbol it has printed, the ``(slot, "t[i,j]")`` name
-    of every rank, built on first use.  None of the four takes part in
-    equality or hashing, and all configurations of one order share them.
+    The other fields derive from the order alone, take no part in equality
+    or hashing, and are shared by all configurations of the order.  Three
+    are set here: ``rank_map`` (each index pair's rank), ``slots`` (each
+    rank's row-major position) and ``targets`` (the positions a localized
+    normal form keeps from being all positive: the diagonal's, or the
+    antidiagonal's under ``"opposite"``).  The module that owns each other
+    field fills it on first use: ``relations`` (``rewrite._rewrite``), the
+    relation of each pair of ranks met, at most ``n**4``; ``det``
+    (``rewrite._det_words``), ``D``'s normal form, at most ``n!`` terms for
+    ``n <= rewrite.MAX_DET_N``; ``names`` (``render.monomial_to_str``), the
+    ranks' ``(slot, "t[i,j]")`` names for ``t`` and ``tbar``.
     """
 
     n: int
@@ -148,7 +147,9 @@ class GenOrder:
     kind: str = "standard"
     rank_map: dict = field(init=False, repr=False, compare=False, default=None)
     slots: tuple = field(init=False, repr=False, compare=False, default=None)
+    targets: tuple = field(init=False, repr=False, compare=False, default=None)
     relations: dict = field(init=False, repr=False, compare=False, default=None)
+    det: tuple = field(init=False, repr=False, compare=False, default=None)
     names: dict = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
@@ -164,8 +165,10 @@ class GenOrder:
                     "opposite-constrained order must rank the upper antidiagonal "
                     "block first, then the antidiagonal, then the lower block"
                 )
+        targets = [i * n + (n - 1 - i if self.kind == "opposite" else i) for i in range(n)]
         object.__setattr__(self, "rank_map", {g: r for r, g in enumerate(self.seq)})
         object.__setattr__(self, "slots", tuple((i - 1) * n + (j - 1) for i, j in self.seq))
+        object.__setattr__(self, "targets", tuple(targets))
         object.__setattr__(self, "relations", {})
         object.__setattr__(self, "names", {})
 

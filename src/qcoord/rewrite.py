@@ -70,11 +70,11 @@ normal form of ``t0 D`` is that of the core's ``t0' D`` with ``a`` and
 step serves every monomial of a core, and a diagonal power at n = 1 costs
 one step of one letter, not a word of its length.
 
-``D``'s normal-form coefficients are all units ``sign q**k``, so the
-product by ``D`` (:func:`_times_det`) is a sign and a shift of each packed
-coefficient, exact at every digit width.  It is the engine's one product
-by ``D``: the reduction step and :func:`times_determinant`, which
-multiplies out each key's own ``D`` power in the plain variant, share it.
+The product by ``D`` (:func:`_times_det`) multiplies each packed
+coefficient by each of ``D``'s, packed: one integer product.  It is the
+engine's one product by ``D``: the reduction step and
+:func:`times_determinant`, which multiplies out each key's own ``D`` power
+in the plain variant, share it.
 
 Both phases compute over ``Z_q`` only, in packed form.  A root-of-unity
 configuration is the base change of the ``Z_q`` form along ``reduce_mod``,
@@ -85,8 +85,11 @@ reduced there, and decoded into the configuration's ring once at the end
 so equal coefficients of results are one shared object, never mutated.
 
 Straightening, ``D``, its targets and the reduction step depend on the
-:class:`GenOrder` alone and are cached by it, so every configuration of one
-order shares them, whatever its variant and ring.  The variant is read only by
+:class:`GenOrder` alone, so every configuration of one order shares them,
+whatever its variant and ring.  The order carries the relation table, ``D``
+(``order.det``, from :func:`_det_words`) and the targets, each bounded by
+``n``; the reduction steps sit in one bounded table keyed by the order and
+the core (:func:`_reduction_step`).  The variant is read only by
 :func:`_enforce` (and :func:`_dpower`), the ring by :func:`_decode` and
 :class:`Element`.
 """
@@ -96,7 +99,7 @@ from __future__ import annotations
 from bisect import bisect_left, insort
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import permutations
+from itertools import chain, permutations
 from math import factorial
 from operator import add, attrgetter
 
@@ -137,8 +140,9 @@ _SMALL_CACHE = 64
 _REDUCTION_CACHE = 1 << 14
 # Decoded coefficients: a 26,000-op round of the ``straighten`` benchmark
 # decodes 103,574 terms holding 161 distinct values.  A 4,608-op round of
-# ``localized`` holds about 2,082 distinct values, and 4,858 of its 24,326
-# lookups miss; a bound of 4,096 raised its peak memory by about 1.4 MB.
+# ``localized`` (seed 1) holds 2,082 distinct values, one key each, and
+# 3,842 of its 24,326 lookups miss; a bound of 4,096 raised its peak memory
+# by about 1.4 MB.
 _DECODE_CACHE = 256
 
 # Largest dimension whose quantum determinant is expanded: the sum has n!
@@ -148,8 +152,13 @@ MAX_DET_N = 8
 
 # Longest word the engine builds, checked before the word exists.  A word of
 # 10**6 letters with no swap to make (``nf 't[1,1]^999999 t[1,1]'``) takes
-# about 1 s (Python 3.11, 2 cores), while one of 10**8 runs out of memory.
+# 0.08 s and 39 MB (Python 3.11, 2 cores), while one of 10**8 runs out of
+# memory.
 MAX_WORD_LEN = 10**6
+
+# Longest word whose inversion searches are tabulated (:func:`_spans`): a
+# table for the 10**6 letters of ``nf 't[1,1]^999999 t[1,1]'`` held 189 MB.
+_SPAN_TABLE_LEN = 256
 
 # Digit width, in bits, that an operation packs its coefficients at first
 # (:func:`_certified`).  An operation that must read a value whose l1 bound
@@ -262,13 +271,27 @@ def _rank_relation(order: GenOrder, x: int, y: int):
     return entry
 
 
+class _Spans:
+    """The inversion searches of a word of length ``k`` by start position
+    ``s``, built when asked: up to ``k - 2`` (leftmost) or down to 0 (rightmost)."""
+
+    __slots__ = ("stop", "step")
+
+    def __init__(self, k: int, rightmost: bool):
+        self.stop, self.step = (-1, -1) if rightmost else (k - 1, 1)
+
+    def __getitem__(self, s: int) -> range:
+        return range(s, self.stop, self.step)
+
+
 @lru_cache(maxsize=_SMALL_CACHE)
-def _spans(k: int, rightmost: bool) -> tuple[range, ...]:
-    """The inversion searches of a word of length ``k``, by start position:
-    ``s`` up to ``k - 2`` (leftmost), or ``s`` down to 0 (rightmost)."""
-    if rightmost:
-        return tuple(range(s, -1, -1) for s in range(k - 1)) or (range(0),)
-    return tuple(range(s, k - 1) for s in range(k - 1)) or (range(0),)
+def _spans(k: int, rightmost: bool) -> tuple[range, ...] | _Spans:
+    """:class:`_Spans`, tabulated for a word of at most ``_SPAN_TABLE_LEN``
+    letters."""
+    spans = _Spans(k, rightmost)
+    if k > _SPAN_TABLE_LEN:
+        return spans
+    return tuple([spans[s] for s in range(k - 1)]) or (range(0),)
 
 
 def _pack(c, width: int) -> tuple[int, int, int]:
@@ -406,7 +429,7 @@ def _rewrite(order: GenOrder, pending: tuple, strategy: str = "leftmost", trace=
             # Branches keep the length: most passes meet a single one.
             k = key[0]
             spans = _spans(k, rightmost)
-            first = spans[-1] if rightmost else spans[0]
+            first = spans[k - 2 if rightmost and k > 1 else 0]
         # The class's pending words, ascending and kept in step with
         # ``bucket``, so the last one is the largest; a class of one word
         # needs no order.
@@ -456,18 +479,7 @@ def _rewrite(order: GenOrder, pending: tuple, strategy: str = "leftmost", trace=
                         target = packed[bkey] = {}
                         insort(queue, bkey)
                     bv = (v << wide) - v
-                    if sign < 0:
-                        bv = -bv
-                    cur = target.get(branched)
-                    if cur is None:
-                        target[branched] = bv, lo - 1, 2 * bound
-                    else:
-                        cur = _add(cur, bv, lo - 1, 2 * bound, width)
-                        if cur[0]:
-                            target[branched] = cur
-                        else:
-                            _trust(cur[2], width)
-                            del target[branched]
+                    _put(target, branched, (bv if sign > 0 else -bv, lo - 1, 2 * bound), width)
                 word[p] = y
                 word[p + 1] = x
                 lo += qexp
@@ -541,18 +553,27 @@ def _decoded(v: int, lo: int, width: int, ell: int | None = None) -> LaurentPoly
     return c if ell is None else CycloRing(ell).coerce(c)
 
 
-def _decode(ring: LaurentRing | CycloRing, terms: dict, width: int) -> dict:
-    """Certified packed terms as coefficients of ``ring``.  Each distinct
-    value is decoded once while it stays in the bounded table
-    :func:`_decoded`.  A root-of-unity coefficient is reduced and dropped if
-    it vanishes; over ``Z_q`` none does, as the engine never stores a zero.
+def _trim(v: int, lo: int, width: int) -> tuple[int, int]:
+    """A nonzero packed ``(v, lo)`` with its zero low digits dropped."""
+    z = ((v & -v).bit_length() - 1) // width
+    return v >> width * z, lo + z
 
-    Equal coefficients are one shared object, in every result that holds
-    them: a decoded coefficient must never be mutated."""
+
+def _decode(ring: LaurentRing | CycloRing, terms: dict, width: int) -> dict:
+    """Certified packed terms as coefficients of ``ring``.  A value's zero
+    low digits are dropped first (:func:`_trim`), so it has one key in the
+    bounded table :func:`_decoded` and is decoded once while it stays there.
+    A root-of-unity coefficient is reduced and dropped if it vanishes; over
+    ``Z_q`` none does, as the engine never stores a zero.  Equal coefficients
+    are one shared object in every result that holds them: a decoded
+    coefficient must never be mutated."""
+    mask = (1 << width) - 1
     if isinstance(ring, LaurentRing):
-        return {key: _decoded(v, lo, width) for key, (v, lo, _bound) in terms.items()}
+        return {key: _decoded(v, lo, width) if v & mask else _decoded(*_trim(v, lo, width), width)
+                for key, (v, lo, _bound) in terms.items()}
     ell = ring.ell
-    return {key: c for key, (v, lo, _bound) in terms.items() if (c := _decoded(v, lo, width, ell))}
+    return {key: c for key, (v, lo, _bound) in terms.items()
+            if (c := _decoded(*((v, lo) if v & mask else _trim(v, lo, width)), width, ell))}
 
 
 def _word_item(order: GenOrder, word: Word) -> tuple[tuple, tuple]:
@@ -637,40 +658,28 @@ def _det_word_pairs(n: int) -> tuple[tuple[Word, LaurentPoly], ...]:
             f"the quantum determinant at n={n} has {factorial(n)} terms; "
             f"determinants are limited to n <= {MAX_DET_N}"
         )
+    rows = range(1, n + 1)
     out = []
-    for images in permutations(range(1, n + 1)):
-        sigma = Permutation(images)
-        word = tuple((r, sigma(r)) for r in range(1, n + 1))
-        out.append((word, LaurentPoly({sigma.length: (-1) ** sigma.length})))
+    for images in permutations(rows):
+        k = Permutation(images).length
+        out.append((tuple(zip(rows, images)), LaurentPoly({k: (-1) ** k})))
     return tuple(out)
 
 
-@lru_cache(maxsize=_SMALL_CACHE)
-def _det_terms(order: GenOrder) -> dict:
-    """Quantum determinant as ordered-monomial exponent tables of ``order``
-    with ``Z_q`` coefficients (no D key)."""
-    items = [(*_word_item(order, word), c, _ONE) for word, c in _det_word_pairs(order.n)]
-
-    def run(width):
-        return _rewrite(order, (width, _packed_classes(items, width)))
-
-    return _certified(_ZQ, run)
-
-
-@lru_cache(maxsize=_SMALL_CACHE)
-def _det_words(order: GenOrder) -> tuple[tuple[tuple, tuple, int, int], int]:
-    """``D``'s terms as ``(exps, ordered rank word, sign, k)``, for the
-    coefficient ``sign q**k``, and the median rank of their letters, where
-    :func:`_times_det` splits.  Every coefficient of ``D``'s normal form is
-    such a unit, at every ``n`` and under both flavors."""
-    det = []
-    for e, c in _det_terms(order).items():
-        unit = _ZQ.unit_power(c)
-        if unit is None:
-            raise ArithmeticError(f"the determinant coefficient {c!r} is not a unit")
-        det.append((e, _rank_word(order, e), *unit))
-    letters = sorted(r for _e, d, _sign, _k in det for r in d)
-    return tuple(det), letters[len(letters) // 2]
+def _det_words(order: GenOrder) -> tuple[tuple[tuple, tuple, LaurentPoly], int]:
+    """``D``'s normal form as ``(exps, ordered rank word, c)`` terms, ``c``
+    in ``Z_q``, and the median rank of their letters, where
+    :func:`_times_det` splits: ``order.det``, built on first use."""
+    if order.det is None:
+        items = [(*_word_item(order, word), c, _ONE) for word, c in _det_word_pairs(order.n)]
+        det = _certified(_ZQ, lambda w: _rewrite(order, (w, _packed_classes(items, w))))
+        # A term keeps the bidegree of ``D``'s words, one letter in each row
+        # and column, so its ordered word is one of theirs, sorted.
+        words = {key[1:]: word for key, word, _c, _one in items}
+        det = tuple([(e, tuple(sorted(words[e])), c) for e, c in det.items()])
+        letters = sorted(chain.from_iterable([d for _e, d, _c in det]))
+        object.__setattr__(order, "det", (det, letters[len(letters) // 2]))
+    return order.det
 
 
 def _times_det(order: GenOrder, terms: dict, width: int) -> dict:
@@ -685,11 +694,11 @@ def _times_det(order: GenOrder, terms: dict, width: int) -> dict:
     at ``p`` meets about ``|p - c_g|`` inversions, with ``c_g`` the letters
     of ``w`` ranked below ``g``, so the best ``p`` is a median of the
     ``c_g``: that of the median letter, as ``c_g`` grows with ``g``'s rank.
-    ``D``'s coefficients are units ``sign q**k`` (:func:`_det_words`), so a
-    product with a packed ``(v, lo, bound)`` is ``(sign v, lo + k, bound)``,
-    exact at every width.
+    Each of ``D``'s coefficients (:func:`_det_words`) is packed once per
+    call and multiplies a packed ``(v, lo, bound)`` as one integer product.
     """
     det, median = _det_words(order)
+    det = [(e, d, *_pack(c, width)) for e, d, c in det]
     classes: dict[tuple, dict] = {}
     for exps, (v, lo, bound) in terms.items():
         _check_word_len(sum(exps) + order.n)
@@ -697,20 +706,13 @@ def _times_det(order: GenOrder, terms: dict, width: int) -> dict:
         p = bisect_left(word, median)
         head, tail = word[:p], word[p:]
         length = len(word) + order.n
-        for e, d, sign, k in det:
+        for e, d, dv, dlo, db in det:
             key = (length, *map(add, exps, e))
             bucket = classes.get(key)
             if bucket is None:
                 bucket = classes[key] = {}
-            _put(bucket, head + d + tail, (sign * v, lo + k, bound), width)
+            _put(bucket, head + d + tail, (v * dv, lo + dlo, bound * db), width)
     return _rewrite(order, (width, classes))
-
-
-@lru_cache(maxsize=_SMALL_CACHE)
-def _target_positions(order: GenOrder) -> tuple[int, ...]:
-    """The diagonal's row-major positions, or the antidiagonal's under an opposite order."""
-    n = order.n
-    return tuple(i * n + (i if order.kind == "standard" else n - 1 - i) for i in range(n))
 
 
 def _violates(exps: tuple[int, ...], targets: tuple[int, ...]) -> bool:
@@ -730,23 +732,16 @@ def _reduction_measure(order: GenOrder):
     return lambda exps: (antidiag_degree(n, exps), sum(exps), exps)
 
 
-@lru_cache(maxsize=_SMALL_CACHE)
-def _ends(order: GenOrder) -> tuple[int, int, int, int]:
-    """The slots ``f`` and ``l`` of ``order``'s first and last letters, and
-    the exponent a core keeps at each (:func:`_core`): 1 at a target, else 0."""
-    targets = _target_positions(order)
-    f, l = order.slots[0], order.slots[-1]
-    return f, l, int(f in targets), int(l in targets)
-
-
 def _core(order: GenOrder, exps: tuple[int, ...]) -> tuple[tuple[int, ...], int, int]:
     """The core of a violating monomial, as ``(core, a, b)``: ``exps`` with
-    ``a`` factors cut off its first letter's slot ``f`` and ``b`` off its
-    last letter's ``l`` (:func:`_ends`), down to what keeps it violating.
-    At n = 1 the two letters are one, cut once."""
-    f, l, keep_f, keep_l = _ends(order)
-    a = max(exps[f] - keep_f, 0)
-    b = max(exps[l] - keep_l, 0) if l != f else 0
+    ``a`` factors cut off the slot ``order.slots[0]`` of the order's first
+    letter and ``b`` off the slot ``order.slots[-1]`` of its last, down to
+    what keeps it violating: one factor at a target (``order.targets``),
+    none elsewhere.  At n = 1 the two letters are one, cut once."""
+    f, l = order.slots[0], order.slots[-1]
+    targets = order.targets
+    a = exps[f] - (f in targets)
+    b = exps[l] - (l in targets) if l != f else 0
     if not (a or b):
         return exps, 0, 0
     core = list(exps)
@@ -769,10 +764,9 @@ def _reduction_step(order: GenOrder, exps: tuple[int, ...], width: int):
     value decoded, once certified (:func:`_trust`), and its inverse is
     applied to ``rest`` as a sign and a shift of ``lo``.
 
-    Callers pass a core (:func:`_core`) and add the cut exponents back to
-    every entry, so the table holds one step per core, whatever the
-    exponents of the order's end letters; any violating ``exps`` gives its
-    own step exactly.
+    Callers pass a core (:func:`_cored_step`), so the table holds one step
+    per core, whatever the exponents of the order's end letters; any
+    violating ``exps`` gives its own step exactly.
 
     All emitted monomials are strictly smaller than the input in the
     flavor's reduction measure; that descent is what makes iterated
@@ -780,12 +774,11 @@ def _reduction_step(order: GenOrder, exps: tuple[int, ...], width: int):
     than assumed.  Both measures keep their order when one vector is added
     to both sides, so the check on a core covers its shifted entries too.
     """
-    targets = _target_positions(order)
-    if not _violates(exps, targets):
+    if not _violates(exps, order.targets):
         raise ValueError("reduction requires every target exponent to be positive")
 
     t0 = list(exps)
-    for t in targets:
+    for t in order.targets:
         t0[t] -= 1
     t0 = tuple(t0)
     product = _times_det(order, {t0: (1, 0, 1)}, width)
@@ -805,6 +798,20 @@ def _reduction_step(order: GenOrder, exps: tuple[int, ...], width: int):
     return tuple(out)
 
 
+def _cored_step(order: GenOrder, exps: tuple[int, ...], width: int):
+    """The reduction step of a violating ``exps``, as entries of
+    :func:`_reduction_step`: its core's step (:func:`_core`), with the cut
+    exponents added back to every entry."""
+    core, a, b = _core(order, exps)
+    step = _reduction_step(order, core, width)
+    if not (a or b):
+        return step
+    cut = [0] * len(exps)
+    cut[order.slots[0]] = a
+    cut[order.slots[-1]] += b
+    return [(tuple(map(add, e, cut)), d, c) for e, d, c in step]
+
+
 def _dpower(cfg: AlgebraConfig, z: int) -> int:
     """The determinant power a key of ``cfg`` carries for ``D**z``: ``z``
     under ``gl``, 0 under ``sl`` (where ``D = 1``); ``m`` has no ``D``."""
@@ -820,21 +827,19 @@ def _enforce(cfg: AlgebraConfig, terms: dict, width: int) -> dict:
     It is returned as it is under ``m``, and when no monomial breaks the
     constraint, which holds for most products.  Otherwise each monomial
     that breaks it is replaced by its reduction step, largest in the
-    reduction measure first: the step of its core (:func:`_core`), the cut
-    exponents added back to each entry, and a packed product per entry,
-    ``(v * v2, lo + lo2, bound * b2)``, the bounds multiplied.  Returns the
-    packed result.
+    reduction measure first (:func:`_cored_step`), with a packed product
+    per entry, ``(v * v2, lo + lo2, bound * b2)``, the bounds multiplied.
+    Returns the packed result.
     """
     if cfg.variant == "m":
         return terms
     order = cfg.order
-    targets = _target_positions(order)
+    targets = order.targets
     for key in terms:
         if _violates(key.exps, targets):
             break
     else:
         return terms
-    f, l, _keep_f, _keep_l = _ends(order)
     measure = _reduction_measure(order)
     result: dict[NormalMonomial, tuple[int, int, int]] = {}
     classes: dict[tuple, dict] = {}
@@ -857,13 +862,7 @@ def _enforce(cfg: AlgebraConfig, terms: dict, width: int) -> dict:
     while queue:
         for key, (v, lo, bound) in classes.pop(queue.pop()).items():
             dpowers = (key.dpower, _dpower(cfg, key.dpower + 1))
-            core, a, b = _core(order, key.exps)
-            for e2, dshift, (v2, lo2, b2) in _reduction_step(order, core, width):
-                if a or b:
-                    e2 = list(e2)
-                    e2[f] += a
-                    e2[l] += b
-                    e2 = tuple(e2)
+            for e2, dshift, (v2, lo2, b2) in _cored_step(order, key.exps, width):
                 key2 = _new(NormalMonomial, (e2, dpowers[dshift]))
                 _put(bucket_of(e2), key2, (v * v2, lo + lo2, bound * b2), width)
     return result
@@ -908,27 +907,32 @@ def diagonal_reduction(cfg: AlgebraConfig, m: NormalMonomial) -> Element | None:
     ``D`` plus terms that are strictly smaller in the flavor's reduction
     measure.  Returns ``None`` when the precondition fails.  The result is
     a single step: its terms may admit further reduction.  It is the step
-    of ``m``'s core (:func:`_core`), the cut exponents added back to each
-    term, as in enforcement.
+    enforcement takes (:func:`_cored_step`).
     """
     if cfg.variant not in ("gl", "sl"):
         raise ValueError("determinant reduction applies to the gl and sl variants")
     order = cfg.order
-    if not _violates(m.exps, _target_positions(order)):
+    if not _violates(m.exps, order.targets):
         return None
-    core, a, b = _core(order, m.exps)
-    f, l, _keep_f, _keep_l = _ends(order)
 
     def run(width):
-        terms = {}
-        for e, d, c in _reduction_step(order, core, width):
-            e = list(e)
-            e[f] += a
-            e[l] += b
-            terms[NormalMonomial(tuple(e), _dpower(cfg, m.dpower + d))] = c
-        return terms
+        return {
+            NormalMonomial(e, _dpower(cfg, m.dpower + d)): c
+            for e, d, c in _cored_step(order, m.exps, width)
+        }
 
     return Element(cfg, _certified(cfg.ring, run))
+
+
+def quantum_determinant(cfg: AlgebraConfig) -> Element:
+    """``sum_s (-q)**len(s) t[1,s(1)] .. t[n,s(n)]`` in normal form, from
+    ``D``'s terms (:func:`_det_words`).
+
+    Under the localized (resp. special) variant the normal form collapses
+    to the pure determinant key ``D`` (resp. to ``1``).
+    """
+    det, _median = _det_words(cfg.order)
+    return Element.from_monomials(cfg, [(NormalMonomial(e), c) for e, _d, c in det])
 
 
 # ---------------------------------------------------------------------------
@@ -1006,7 +1010,7 @@ class Element(Combination):
         items = []
         for m, coeff in pairs:
             exps = m.exps
-            if len(exps) != size or any(e < 0 for e in exps):
+            if len(exps) != size or min(exps) < 0:
                 raise ValueError(f"bad exponent table {exps}")
             key = NormalMonomial(tuple(exps), _dpower(cfg, m.dpower))
             if c := coerce(coeff):

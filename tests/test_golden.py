@@ -18,6 +18,7 @@ import pytest
 
 from qcoord import rewrite
 from qcoord.cli import run
+from qcoord.monomial import make_opposite_order, row_major_order
 
 GOLDEN = Path(__file__).with_name("golden_cli.txt")
 
@@ -113,8 +114,9 @@ def test_transcript_is_byte_identical():
 def test_transcript_is_byte_identical_from_a_three_bit_start_width(monkeypatch):
     """With every operation packed at 3-bit digits first, most passes are
     abandoned or refused and redone wider; not a byte of output changes.
-    The determinant caches are cleared so that they are rebuilt that way."""
-    caches = (rewrite._det_terms, rewrite._det_words, rewrite._reduction_step, rewrite._decoded)
+    The generator orders, which carry ``D``, and the reduction and decoding
+    tables are cleared so that they are rebuilt that way."""
+    caches = (row_major_order, make_opposite_order, rewrite._reduction_step, rewrite._decoded)
     for cache in caches:
         cache.cache_clear()
     monkeypatch.setattr(rewrite, "_PACK_WIDTH", 3)

@@ -43,7 +43,7 @@ from qcoord.rewrite import (
     FLAVORS,
     VARIANTS,
     Element,
-    _det_terms,
+    _det_words,
     make_config,
     multiply,
     normal_form_of_word,
@@ -277,7 +277,7 @@ def test_determinant_inserted_mid_word_equals_appended(cfg, data):
     ``times_determinant``, whose one split is chosen for all of ``D``'s words."""
     m = data.draw(monomials(cfg))
     w = m.word(cfg.order)
-    det = [(NormalMonomial(e).word(cfg.order), c) for e, c in _det_terms(cfg.order).items()]
+    det = [(NormalMonomial(e).word(cfg.order), c) for e, _d, c in _det_words(cfg.order)[0]]
     appended = Element.from_words(cfg, [(w + d, c) for d, c in det])
     for p in range(len(w) + 1):
         assert Element.from_words(cfg, [(w[:p] + d + w[p:], c) for d, c in det]) == appended

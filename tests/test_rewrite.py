@@ -5,6 +5,7 @@ import pickle
 import random
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from itertools import product
 from pathlib import Path
@@ -41,6 +42,15 @@ from qcoord.rewrite import (
 )
 
 ONE = LaurentPoly(1)
+
+
+def fresh_start():
+    """Drop every per-order table: the cached generator orders, so new ones
+    carry empty relation tables and no ``D``, and the reduction steps, which
+    equal orders share."""
+    row_major_order.cache_clear()
+    make_opposite_order.cache_clear()
+    rewrite._reduction_step.cache_clear()
 
 
 def random_word(rng, n, max_len=5):
@@ -364,8 +374,7 @@ class TestOperationCounts:
             return straighten(order, pending, strategy, trace)
 
         monkeypatch.setattr(rewrite, "_rewrite", traced)
-        rewrite._det_terms.cache_clear()
-        rewrite._reduction_step.cache_clear()
+        fresh_start()
         heavy = NormalMonomial((3, 1, 0, 0, 3, 1, 1, 0, 3))
         e = Element.from_monomials(make_config(3, "gl"), [(heavy, 1)])
         assert self.counts(trace) == (894, 573, 32)
@@ -394,8 +403,7 @@ class TestEachWordOnce:
             return straighten(order, pending, strategy, calls[-1])
 
         monkeypatch.setattr(rewrite, "_rewrite", traced)
-        for cache in (rewrite._det_terms, rewrite._det_words, rewrite._reduction_step):
-            cache.cache_clear()
+        fresh_start()
         return calls
 
     @staticmethod
@@ -510,6 +518,17 @@ class TestDecodeTable:
         cold = self.results()
         assert cold == warm
 
+    @pytest.mark.parametrize("ring", [LaurentRing(), CycloRing(5)], ids=["Z_q", "Z_eps(5)"])
+    def test_one_value_has_one_key_whatever_its_zero_low_digits(self, ring):
+        # 1 packed at ``lo`` 0, -2 and -4, and -q^3 at ``lo`` 3 and 2.
+        terms = {0: (1, 0, 1), 1: (2**128, -2, 1), 2: (2**256, -4, 1),
+                 3: (-1, 3, 1), 4: (-(2**64), 2, 1)}
+        rewrite._decoded.cache_clear()
+        out = rewrite._decode(ring, terms, 64)
+        assert out[0] == ring.one() and out[0] is out[1] is out[2]
+        assert out[3] == -ring.q_power(3) and out[3] is out[4]
+        assert rewrite._decoded.cache_info().currsize == 2
+
     def test_arithmetic_on_a_shared_coefficient_leaves_it_unchanged(self):
         cfg = make_config(2)
         word = self.WORDS[0]
@@ -523,6 +542,49 @@ class TestDecodeTable:
         assert all(r is not shared and r.terms is not shared.terms for r in results)
         assert shared.terms == before
         assert normal_form_of_word(cfg, word)[exps] is shared
+
+
+class TestSpans:
+    """A word above ``_SPAN_TABLE_LEN`` letters has its inversion searches
+    built as the scan reaches them, not tabulated: one range per position
+    would hold about 48 bytes a letter."""
+
+    # t[1,2] is above t[1,1] and in its row: each swap is one q-shift.
+    WORDS = [((2, 2),) * 8 + ((1, 1),) * 8, ((1, 2),) + ((1, 1),) * 300, ((1, 1),) * 400]
+
+    @pytest.mark.parametrize("strategy", ["leftmost", "rightmost"])
+    def test_untabulated_spans_straighten_as_tabulated_ones(self, monkeypatch, strategy):
+        cfg = make_config(2)
+        rewrite._spans.cache_clear()
+        runs = []
+        for bound in (rewrite._SPAN_TABLE_LEN, 0):
+            monkeypatch.setattr(rewrite, "_SPAN_TABLE_LEN", bound)
+            traces = [[] for _ in self.WORDS]
+            runs.append([normal_form_of_word(cfg, w, strategy, t) for w, t in zip(self.WORDS, traces)])
+            runs[-1].append(traces)
+            rewrite._spans.cache_clear()
+        assert runs[0] == runs[1]
+        assert runs[0][1] == {(300, 1, 0, 0): LaurentPoly.q_power(-300)}
+
+    @pytest.mark.parametrize("strategy", ["leftmost", "rightmost"])
+    def test_a_long_word_leaves_no_span_table_sized_by_its_length(self, strategy):
+        cfg = make_config(2)
+        for word in (((1, 1),) * 100_000, ((1, 2),) + ((1, 1),) * 2000):
+            rewrite._spans.cache_clear()
+            tracemalloc.start()
+            try:
+                nf = normal_form_of_word(cfg, word, strategy)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert len(nf) == 1
+            assert peak < 48 * len(word)
+
+
+@pytest.mark.parametrize("exps", [(1, -1, 0, 0), (0, 0, 0, -2), (1, 0, 0), (0,) * 5])
+def test_from_monomials_refuses_a_bad_exponent_table(exps):
+    with pytest.raises(ValueError, match="bad exponent table"):
+        Element.from_monomials(make_config(2), [(NormalMonomial(exps), 1)])
 
 
 def record_aborts(monkeypatch):
@@ -576,8 +638,7 @@ class TestPackWidth:
 
     @staticmethod
     def fresh_heavy():
-        for cache in (rewrite._det_terms, rewrite._det_words, rewrite._reduction_step):
-            cache.cache_clear()
+        fresh_start()
         return Element.from_monomials(make_config(3, "gl"), [(TestPackWidth.HEAVY, 1)])
 
     def test_narrow_start_width_is_redone_to_the_same_result(self, monkeypatch):
@@ -621,11 +682,10 @@ class TestPackWidth:
 
     @staticmethod
     def record_passes(monkeypatch):
-        """Clear the determinant caches and record each ``_rewrite`` and
-        ``_enforce`` call that returns as ``(width, largest bound of a
-        returned term)``."""
-        for cache in (rewrite._det_terms, rewrite._det_words, rewrite._reduction_step):
-            cache.cache_clear()
+        """Start from fresh orders (:func:`fresh_start`) and record each
+        ``_rewrite`` and ``_enforce`` call that returns as ``(width, largest
+        bound of a returned term)``."""
+        fresh_start()
         passes = {"rewrite": [], "enforce": []}
         straighten, enforce = rewrite._rewrite, rewrite._enforce
 
@@ -772,15 +832,12 @@ def reduction_step_appended(cfg, exps):
     """The determinant reduction step with ``D``'s words appended after the
     whole ordered word of ``t0``, as it was first computed: the reference
     for the mid-word insertion of ``_times_det``."""
-    targets = rewrite._target_positions(cfg.order)
-    t0 = tuple(e - (k in targets) for k, e in enumerate(exps))
+    t0 = tuple(e - (k in cfg.order.targets) for k, e in enumerate(exps))
     t0_word = NormalMonomial(t0).word(cfg.order)
+    flat = replace(cfg, variant="m")
     product = Element.from_words(
-        replace(cfg, variant="m"),
-        [
-            (t0_word + NormalMonomial(e).word(cfg.order), c)
-            for e, c in rewrite._det_terms(cfg.order).items()
-        ],
+        flat,
+        [(t0_word + m.word(cfg.order), c) for m, c in quantum_determinant(flat).terms.items()],
     )
     product = {m.exps: c for m, c in product.terms.items()}
     inv = LaurentRing().invert_unit(product.pop(exps))
@@ -796,7 +853,7 @@ class TestReductionStep:
     @pytest.mark.parametrize("n, cases, max_exp", [(2, 12, 3), (3, 12, 2), (4, 6, 1)])
     def test_matches_the_end_appended_reference(self, n, cases, max_exp, variant, flavor):
         cfg = make_config(n, variant, flavor=flavor)
-        targets = rewrite._target_positions(cfg.order)
+        targets = cfg.order.targets
         width = rewrite._PACK_WIDTH
         rng = random.Random(n * 100 + len(variant) + len(flavor))
         for _ in range(cases):
@@ -857,7 +914,7 @@ class TestCoreStep:
     def cases(order, count, rng):
         """Violating exponent tables, the end letters' exponents up to 6."""
         n = order.n
-        targets = rewrite._target_positions(order)
+        targets = order.targets
         ends = (order.slots[0], order.slots[-1])
         for _ in range(count):
             yield tuple(
@@ -1109,15 +1166,11 @@ class TestConfigHash:
 
 
 class TestOrderKeyedCaches:
-    """The straightening and determinant-reduction caches are keyed by the
-    generator order: every configuration of one order shares ``D`` and every
-    reduction step, whatever its variant and ring, and an unequal order
-    keeps entries of its own."""
-
-    @staticmethod
-    def clear():
-        for cache in (rewrite._det_terms, rewrite._det_words, rewrite._reduction_step):
-            cache.cache_clear()
+    """What the engine derives from a generator order is kept per order:
+    the order carries its targets and ``D`` (``GenOrder.targets`` and
+    ``det``), and the reduction steps sit in one table keyed by the order.
+    Every configuration of one order shares them, whatever its variant and
+    ring, and an unequal order builds its own."""
 
     @pytest.mark.parametrize("flavor", FLAVORS)
     def test_configs_of_one_flavor_share_one_order(self, flavor):
@@ -1134,19 +1187,20 @@ class TestOrderKeyedCaches:
             replace(sl, variant="gl"),
             replace(gl, ring=CycloRing(7)),
         ]
-        self.clear()
+        fresh_start()
         m = NormalMonomial(TestConfigHash.M)
         for cfg in configs:
             # t11 t22 t33 = D - rest, one reduction step.
             assert Element.from_monomials(cfg, [(m, 1)]).terms
         info = rewrite._reduction_step.cache_info()
         assert (info.misses, info.hits, info.currsize) == (1, len(configs) - 1, 1)
-        assert rewrite._det_terms.cache_info().currsize == 1
+        assert gl.order.det is not None
+        assert all(cfg.order.det is gl.order.det for cfg in configs)
 
     def test_the_heavy_monomial_pays_its_reduction_steps_once_across_variants_and_rings(self):
         # ``TestOperationCounts.test_gl_enforcement``'s 28 misses, paid by
         # the first configuration only.
-        self.clear()
+        fresh_start()
         for cfg in [
             make_config(3, "gl"),
             make_config(3, "sl"),
@@ -1157,19 +1211,55 @@ class TestOrderKeyedCaches:
         info = rewrite._reduction_step.cache_info()
         assert (info.misses, info.currsize) == (28, 28)
 
+    @pytest.mark.parametrize("flavor", FLAVORS)
+    def test_every_configuration_of_one_order_shares_one_determinant(self, flavor):
+        fresh_start()
+        configs = [make_config(3, variant, ell=ell, flavor=flavor)
+                   for variant in ("m", "gl", "sl") for ell in (None, 3)]
+        assert configs[0].order.det is None
+        for cfg in configs:
+            quantum_determinant(cfg)
+        det = configs[0].order.det
+        assert det is not None and all(cfg.order.det is det for cfg in configs)
+
     def test_an_unequal_order_keeps_its_own_determinant(self):
         order = row_major_order(3)
         seq = list(order.seq)
         random.Random(3).shuffle(seq)
         custom = GenOrder(3, tuple(seq))
         assert (custom.n, custom.kind) == (order.n, order.kind) and custom != order
-        orders = [order, make_opposite_order(3), custom]
-        rewrite._det_terms.cache_clear()
-        for other in orders:
+        for other in [order, make_opposite_order(3), custom]:
             for cfg in (make_config(3, "gl", order=other), make_config(3, "sl", ell=3, order=other)):
-                assert rewrite._det_terms(cfg.order) == rewrite._det_terms.__wrapped__(other)
-        assert rewrite._det_terms.cache_info().currsize == len(orders)
-        assert rewrite._det_terms(custom) != rewrite._det_terms(order)
+                assert rewrite._det_words(cfg.order) is other.det
+            # An equal order built apart builds an equal ``D`` of its own.
+            twin = GenOrder(other.n, other.seq, other.kind)
+            assert twin == other and twin.det is None
+            assert rewrite._det_words(twin) == other.det and twin.det is not other.det
+
+        def normal_form(order):
+            return {e: c for e, _d, c in order.det[0]}
+
+        assert normal_form(custom) != normal_form(order)
+        # Not every coefficient of ``D`` is a unit under this order, and the
+        # product by ``D`` is still exact.
+        assert any(len(c.terms) > 1 for c in normal_form(custom).values())
+        cfg = make_config(3, order=custom)
+        m = NormalMonomial((1, 0, 2, 0, 1, 0, 1, 1, 0), 2)
+        det = quantum_determinant(cfg)
+        assert times_determinant(cfg, {m: ONE}) == multiply(
+            Element.monomial(cfg, NormalMonomial(m.exps)), multiply(det, det))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_targets_are_the_diagonal_or_the_antidiagonal(self, n):
+        diagonal = tuple((i - 1) * n + (i - 1) for i in range(1, n + 1))
+        antidiagonal = tuple((i - 1) * n + (n - i) for i in range(1, n + 1))
+        seq = list(row_major_order(n).seq)
+        random.Random(n).shuffle(seq)
+        assert row_major_order(n).targets == GenOrder(n, tuple(seq)).targets == diagonal
+        assert make_opposite_order(n).targets == antidiagonal
+        m = NormalMonomial(tuple(range(1, n * n + 1)))
+        assert min(m.exps[t] for t in diagonal) == m.min_diag()
+        assert min(m.exps[t] for t in antidiagonal) == m.min_antidiag()
 
     def test_every_cache_is_bounded_and_keyed_by_no_configuration(self):
         import importlib
@@ -1193,15 +1283,18 @@ class TestOrderKeyedCaches:
                             found[f"{module.__name__}.{name}"] = fn
         assert {
             "qcoord.rewrite._reduction_step",
-            "qcoord.rewrite._det_terms",
-            "qcoord.rewrite._det_words",
-            "qcoord.rewrite._target_positions",
+            "qcoord.rewrite._spans",
+            "qcoord.rewrite._decoded",
+            "qcoord.rewrite._det_word_pairs",
         } <= set(found)
         for name, fn in found.items():
             maxsize = fn.cache_parameters()["maxsize"]
             assert isinstance(maxsize, int) and maxsize > 0, name
             for param in inspect.signature(fn).parameters.values():
                 assert "AlgebraConfig" not in str(param.annotation), (name, param.name)
+                # What is derived from an order alone is kept on the order.
+                if name != "qcoord.rewrite._reduction_step":
+                    assert "GenOrder" not in str(param.annotation), (name, param.name)
 
 
 class TestRelationTable:
