@@ -152,7 +152,7 @@ class LaurentPoly(Combination):
         return LaurentPoly(k)
 
     @classmethod
-    def q_power(cls, k: int = 1) -> LaurentPoly:
+    def q_power(cls, k: int) -> LaurentPoly:
         """The monomial ``q**k`` (``k`` may be negative)."""
         return cls({k: 1})
 

@@ -265,16 +265,17 @@ class FrobeniusContext:
 
     # -- the twist -------------------------------------------------------------
 
-    def nakayama(self, e: Element, inverse: bool = False) -> Element:
-        """Rescale every monomial by the root-of-unity twist; keys unchanged."""
+    def nakayama(self, e: Element) -> Element:
+        """Rescale every monomial by the root-of-unity twist; keys unchanged.
+        The twist has order dividing ``l``, so its inverse is its ``l - 1``-th
+        power."""
         if e.config is not self.config and e.config != self.config:
             raise ValueError("element lives outside this pairing context")
-        flip = -1 if inverse else 1
         weights = self._twist_weights
         q_power = self.ring.q_power
         out = {}
         for key, coeff in e.terms.items():  # a unit times nonzero is nonzero
-            out[key] = coeff * q_power(flip * sum(map(mul, key.exps, weights)))
+            out[key] = coeff * q_power(sum(map(mul, key.exps, weights)))
         return Element(self.config, out)
 
     @cached_property
@@ -290,29 +291,37 @@ def default_symmetry_pairs(n: int, ell: int):
     """Deterministic pair sample for the pairing-symmetry check.
 
     Exhaustive when the full grid is small; otherwise a fixed stride sample
-    of ``_SYMMETRY_SAMPLE`` pairs.
+    of ``_SYMMETRY_SAMPLE`` pairs of the grid of :func:`enumerate_basis`,
+    each monomial decoded from its index there without listing the basis.
     """
-    basis = list(enumerate_basis(n, ell, "m"))
-    total = len(basis) * len(basis)
+    CycloRing(ell)  # validates odd positive ell
+    size = ell ** (n * n)
+    total = size * size
     if total <= 7000:
+        basis = list(enumerate_basis(n, ell, "m"))
         return [(x, y) for x in basis for y in basis]
-    stride = max(total // _SYMMETRY_SAMPLE, 1)
-    pairs = []
-    for idx in range(0, total, stride):
-        if len(pairs) == _SYMMETRY_SAMPLE:
-            break
-        pairs.append((basis[idx // len(basis)], basis[idx % len(basis)]))
-    return pairs
+
+    def monomial(index: int) -> NormalMonomial:
+        # The base-l digits of ``index``, most significant first, are the
+        # exponents, as ``enumerate_basis`` lists them.
+        exps = [0] * (n * n)
+        for slot in reversed(range(n * n)):
+            index, exps[slot] = divmod(index, ell)
+        return NormalMonomial(tuple(exps))
+
+    stride = total // _SYMMETRY_SAMPLE
+    return [(monomial(idx // size), monomial(idx % size))
+            for idx in range(0, total, stride)[:_SYMMETRY_SAMPLE]]
 
 
-def check_nakayama(n: int, ell: int, symmetry_pairs=None) -> CheckReport:
+def check_nakayama(n: int, ell: int) -> CheckReport:
     """Verify the Nakayama identity ``B(x, y) == B(nu(y), x)`` exactly.
 
     Two families of cases, each with residual ``B(x, y) - B(nu(y), x)``:
     the twist cases ``B(m, t) == B(nu(t), m)`` for every generator
     ``t = t[i,j]``, where ``nu(t) = eps**(2*(n+1-i-j)) * t``, and every
-    residue basis monomial ``m``; and the symmetry cases on the supplied (or
-    default) sample of monomial pairs, which may lie outside the basis.
+    residue basis monomial ``m``; and the symmetry cases on the sample of
+    monomial pairs :func:`default_symmetry_pairs`.
 
     The basis is graded once and bucketed by bidegree mod ``l``.  By the
     bigrading lemma (module docstring) both sides of a twist case vanish
@@ -356,11 +365,7 @@ def check_nakayama(n: int, ell: int, symmetry_pairs=None) -> CheckReport:
                 else:
                     report.add(label, "0", True)
 
-    if symmetry_pairs is None:
-        symmetry_pairs = default_symmetry_pairs(n, ell)
-    for x, y in symmetry_pairs:
-        (x_name, ex), (y_name, ey) = (
-            basis.get(m) or (name(m), ctx.element(m)) for m in (x, y)
-        )
+    for x, y in default_symmetry_pairs(n, ell):
+        (x_name, ex), (y_name, ey) = basis[x], basis[y]
         case(f"B({x_name}, {y_name}) symmetry", ex, ey, ctx.nakayama(ey))
     return report

@@ -200,21 +200,14 @@ class AlgebraConfig:
 
 
 def make_config(
-    n: int,
-    variant: str = "m",
-    *,
-    ell: int | None = None,
-    flavor: str | None = None,
-    order: GenOrder | None = None,
+    n: int, variant: str = "m", *, ell: int | None = None, flavor: str | None = None
 ) -> AlgebraConfig:
-    """The algebra of ``n``, ``variant`` and ``ell``; ``flavor`` picks the
-    order when none is given, and must otherwise agree with its kind."""
+    """The algebra of ``n``, ``variant`` and ``ell``, in the generator order
+    of ``flavor`` (row-major when none is given).  Any other order goes
+    straight to :class:`AlgebraConfig`."""
     if flavor not in (None, *FLAVORS):
         raise ValueError(f"unknown basis flavor {flavor!r}")
-    if order is None:
-        order = make_opposite_order(n) if flavor == "opposite" else row_major_order(n)
-    elif flavor not in (None, order.kind):
-        raise ValueError(f"the {flavor} flavor needs an order of that kind, not {order.kind}")
+    order = make_opposite_order(n) if flavor == "opposite" else row_major_order(n)
     ring = LaurentRing() if ell is None else CycloRing(ell)
     return AlgebraConfig(n, variant, order, ring)
 
@@ -328,14 +321,6 @@ def _unpack(v: int, lo: int, width: int) -> LaurentPoly:
     return _laurent(terms)
 
 
-def _add(c: tuple[int, int, int], v: int, lo: int, bound: int, width: int) -> tuple[int, int, int]:
-    """The packed sum of ``c`` and ``(v, lo, bound)``, aligned at the lower ``lo``."""
-    cv, clo, cbound = c
-    if clo <= lo:
-        return cv + (v << width * (lo - clo)), clo, cbound + bound
-    return v + (cv << width * (clo - lo)), lo, cbound + bound
-
-
 class _Untrusted(Exception):
     """Raised by :func:`_trust` with the l1 bound of a packed value whose
     digits must be read and are too narrow for it."""
@@ -350,19 +335,34 @@ def _trust(bound: int, width: int) -> None:
         raise _Untrusted(bound)
 
 
-def _put(bucket: dict, key, c: tuple[int, int, int], width: int) -> None:
-    """Add the packed ``c`` to ``bucket[key]``, dropping the key when the sum
-    vanishes, once that zero is certified."""
+def _put(
+    bucket: dict, key, c: tuple[int, int, int], width: int, waiting: list | None = None
+) -> None:
+    """Add the packed ``c`` to ``bucket[key]``, one integer addition aligned
+    at the lower ``lo`` with the bounds added, and drop the key when the sum
+    vanishes, once that zero is certified.  ``waiting``, if given, is the
+    bucket's keys in ascending order, kept in step."""
     cur = bucket.get(key)
     if cur is None:
         bucket[key] = c
+        if waiting is not None:
+            insort(waiting, key)
         return
-    cur = _add(cur, *c, width)
-    if cur[0]:
-        bucket[key] = cur
+    v, lo, bound = c
+    cv, clo, cbound = cur
+    if clo <= lo:
+        v = cv + (v << width * (lo - clo))
+        lo = clo
     else:
-        _trust(cur[2], width)
+        v += cv << width * (clo - lo)
+    bound += cbound
+    if v:
+        bucket[key] = v, lo, bound
+    else:
+        _trust(bound, width)
         del bucket[key]
+        if waiting is not None:
+            del waiting[bisect_left(waiting, key)]
 
 
 def _rewrite(order: GenOrder, pending: tuple, strategy: str = "leftmost", trace=None):
@@ -488,18 +488,7 @@ def _rewrite(order: GenOrder, pending: tuple, strategy: str = "leftmost", trace=
                     if swapped <= waiting[-1]:
                         # A larger pending word may still reach the swapped
                         # one: merge it in and take the largest.
-                        cur = bucket.get(swapped)
-                        if cur is None:
-                            bucket[swapped] = v, lo, bound
-                            insort(waiting, swapped)
-                        else:
-                            cur = _add(cur, v, lo, bound, width)
-                            if cur[0]:
-                                bucket[swapped] = cur
-                            else:
-                                _trust(cur[2], width)
-                                del bucket[swapped]
-                                del waiting[bisect_left(waiting, swapped)]
+                        _put(bucket, swapped, (v, lo, bound), width, waiting)
                         break
                 # The swapped word is larger than every pending one, so no
                 # other word reaches it and its coefficient is whole: carry
@@ -512,7 +501,7 @@ def _rewrite(order: GenOrder, pending: tuple, strategy: str = "leftmost", trace=
     return totals
 
 
-def _certified(ring: LaurentRing | CycloRing, run, trace=None) -> dict:
+def _certified(ring: LaurentRing | CycloRing, run) -> dict:
     """The terms of one whole operation, certified and decoded into ``ring``
     (:func:`_decode`).
 
@@ -520,12 +509,11 @@ def _certified(ring: LaurentRing | CycloRing, run, trace=None) -> dict:
     ``width`` bits a digit and returns its packed terms.  The width starts
     at ``_PACK_WIDTH``.  A pass that could not certify a value it had to
     read (:func:`_trust`), or whose terms' bounds do not certify their
-    decoding, is discarded, with its ``trace`` entries, and the operation
-    is redone at the narrowest width that certifies that bound.  The width
-    grows with each pass, and every bound a pass meets is one of the exact
-    computation's, so the loop ends.
+    decoding, is discarded, and the operation is redone at the narrowest
+    width that certifies that bound.  The width grows with each pass, and
+    every bound a pass meets is one of the exact computation's, so the loop
+    ends.
     """
-    mark = 0 if trace is None else len(trace)
     width = _PACK_WIDTH
     while True:
         try:
@@ -539,8 +527,6 @@ def _certified(ring: LaurentRing | CycloRing, run, trace=None) -> dict:
                     worst = bound
             if worst < 1 << (width - 1):
                 return _decode(ring, terms, width)
-        if trace is not None:
-            del trace[mark:]
         width = worst.bit_length() + 1
 
 
@@ -632,14 +618,14 @@ def _reduced(cfg: AlgebraConfig, items, strategy: str = "leftmost") -> dict:
     return _certified(cfg.ring, run)
 
 
-def normal_form_of_word(cfg: AlgebraConfig, word: Word, strategy: str = "leftmost", trace=None) -> dict:
+def normal_form_of_word(cfg: AlgebraConfig, word: Word, strategy: str = "leftmost") -> dict:
     """Exponent-table expansion of a single word (no determinant reduction)."""
     key, word = _word_item(cfg.order, tuple(word))
 
     def run(width):
-        return _rewrite(cfg.order, (width, {key: {word: (1, 0, 1)}}), strategy, trace)
+        return _rewrite(cfg.order, (width, {key: {word: (1, 0, 1)}}), strategy)
 
-    return _certified(cfg.ring, run, trace)
+    return _certified(cfg.ring, run)
 
 
 # ---------------------------------------------------------------------------
@@ -674,9 +660,11 @@ def _det_words(order: GenOrder) -> tuple[tuple[tuple, tuple, LaurentPoly], int]:
         items = [(*_word_item(order, word), c, _ONE) for word, c in _det_word_pairs(order.n)]
         det = _certified(_ZQ, lambda w: _rewrite(order, (w, _packed_classes(items, w))))
         # A term keeps the bidegree of ``D``'s words, one letter in each row
-        # and column, so its ordered word is one of theirs, sorted.
-        words = {key[1:]: word for key, word, _c, _one in items}
-        det = tuple([(e, tuple(sorted(words[e])), c) for e, c in det.items()])
+        # and column, so its ordered word is one of theirs, sorted; the
+        # words are looked up by the class keys they already hold.
+        words = {key: word for key, word, _c, _one in items}
+        n = order.n
+        det = tuple([(e, tuple(sorted(words[(n, *e)])), c) for e, c in det.items()])
         letters = sorted(chain.from_iterable([d for _e, d, _c in det]))
         object.__setattr__(order, "det", (det, letters[len(letters) // 2]))
     return order.det

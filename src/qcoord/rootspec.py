@@ -37,7 +37,7 @@ class ClassicalPoly(Combination):
 
     __slots__ = ("ring", "n")
 
-    def __init__(self, ring: CycloRing, n: int, terms: dict | None = None):
+    def __init__(self, ring: CycloRing, n: int, terms: dict):
         self.ring = ring
         self.n = n
         self.terms: dict[ClassicalMonomial, CycloElem] = (

@@ -10,6 +10,7 @@ from itertools import product
 
 import pytest
 
+from qcoord import frobext
 from qcoord.coeff import specialize_at_one
 from qcoord.detloc import (
     check_central,
@@ -193,9 +194,11 @@ def test_criterion_08_nondegeneracy_witnesses():
     assert failures == []
 
 
-def test_criterion_09_nakayama_identity():
+def test_criterion_09_nakayama_identity(monkeypatch):
     report23 = check_nakayama(2, 3)  # exhaustive 81x81 symmetry grid included
-    report25 = check_nakayama(2, 5, symmetry_pairs=[])
+    # the twist cases alone at l = 5
+    monkeypatch.setattr(frobext, "default_symmetry_pairs", lambda n, ell: [])
+    report25 = check_nakayama(2, 5)
     ok = (
         report23.passed
         and report25.passed

@@ -1,6 +1,7 @@
 """Tests for the pairing functional, non-degeneracy witnesses and the twist."""
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -29,6 +30,12 @@ from qcoord.rootspec import (
 @pytest.fixture(scope="module")
 def ctx23():
     return FrobeniusContext(2, 3)
+
+
+def twist_cases_only(monkeypatch):
+    """Make :func:`check_nakayama` run its twist cases alone, with no
+    symmetry pairs."""
+    monkeypatch.setattr(frobext, "default_symmetry_pairs", lambda n, ell: [])
 
 
 def classical_unit(ctx, k, dpower=0):
@@ -82,7 +89,7 @@ class TestPhi:
         for key, coeff in e.terms.items():
             d_quot, d_res = divmod(key.dpower, ctx.ell)
             groups.setdefault((d_quot, d_res), {})[NormalMonomial(key.exps, d_res)] = coeff
-        flat_cfg = make_config(ctx.n, "m", ell=ctx.ell, order=ctx.order)
+        flat_cfg = replace(ctx.config, variant="m")
         total = ClassicalPoly.zero(ctx.ring, ctx.n)
         for (d_quot, _d_res), terms in groups.items():
             flat = times_determinant(flat_cfg, terms)
@@ -317,10 +324,14 @@ class TestNakayama:
             )
 
     def test_invertible(self, ctx23):
+        # nu**l is the identity, so nu**(l - 1) inverts nu.
         rng = random.Random(97)
         for _ in range(10):
             e = ctx23.element(NormalMonomial(tuple(rng.randint(0, 2) for _ in range(4))))
-            assert ctx23.nakayama(ctx23.nakayama(e), inverse=True) == e
+            twisted = e
+            for _ in range(ctx23.ell):
+                twisted = ctx23.nakayama(twisted)
+            assert twisted == e
 
     def test_symmetry_on_sample_pairs(self, ctx23):
         # B(x, y) == B(nu(y), x)
@@ -370,16 +381,29 @@ class TestZeroOnSmaller:
 
 
 class TestNakayamaSuite:
+    @pytest.mark.parametrize("n, ell", [(1, 3), (2, 3), (2, 5), (3, 3), (2, 7)])
+    def test_symmetry_pairs_are_the_stride_sample_of_the_listed_basis(self, n, ell):
+        basis = list(enumerate_basis(n, ell, "m"))
+        size = len(basis)
+        total = size * size
+        stride = 1 if total <= 7000 else total // frobext._SYMMETRY_SAMPLE
+        indices = range(0, total, stride)
+        if stride > 1:
+            indices = indices[: frobext._SYMMETRY_SAMPLE]
+        expected = [(basis[k // size], basis[k % size]) for k in indices]
+        assert frobext.default_symmetry_pairs(n, ell) == expected
+
     def test_trivial_dimension(self):
         report = check_nakayama(1, 3)
         assert report.passed
 
-    def test_twist_identity_small(self):
-        report = check_nakayama(2, 3, symmetry_pairs=[])
+    def test_twist_identity_small(self, monkeypatch):
+        twist_cases_only(monkeypatch)
+        report = check_nakayama(2, 3)
         assert report.passed
         assert len(report.cases) == 4 * 81
 
-    def test_twist_cases_match_straightened_words(self):
+    def test_twist_cases_match_straightened_words(self, monkeypatch):
         """The suite pairs through ``bform``, which skips the products the
         grading proves phi-null; here every twist case is recomputed by
         straightening the concatenated word, so the straightener checks it
@@ -387,7 +411,8 @@ class TestNakayamaSuite:
         n, ell = 2, 3
         ctx = FrobeniusContext(n, ell)
         cfg = ctx.config
-        cases = iter(check_nakayama(n, ell, symmetry_pairs=[]).cases)
+        twist_cases_only(monkeypatch)
+        cases = iter(check_nakayama(n, ell).cases)
         nonzero = 0
         for i, j in [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]:
             scalar = ctx.ring.q_power(nakayama_exponent(n, i, j))
@@ -463,7 +488,8 @@ class TestNakayamaBuckets:
 
     def test_mistwisted_family_at_n3_equals_pairing_every_case(self, monkeypatch):
         self.mistwist(monkeypatch)
-        bulk = check_nakayama(3, 3, symmetry_pairs=[]).cases
+        twist_cases_only(monkeypatch)
+        bulk = check_nakayama(3, 3).cases
         assert len(bulk) == 9 * 3**9
         assert bulk == per_case_nakayama(3, 3, []).cases
         assert any(not c.passed for c in bulk)

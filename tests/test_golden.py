@@ -130,5 +130,13 @@ def test_suite_stdout_digest(command):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == DIGESTS[command]
 
 
+def test_readme_api_sketch_runs():
+    """The README's Python API sketch runs as written: the documented API
+    keeps every name and option it uses."""
+    readme = GOLDEN.parent.parent.joinpath("README.md").read_text(encoding="utf-8")
+    sketch = readme.split("## Python API sketch", 1)[1].split("```python\n", 1)[1]
+    exec(compile(sketch.split("```", 1)[0], "README.md", "exec"), {})
+
+
 if __name__ == "__main__":
     GOLDEN.write_text(transcript(), encoding="utf-8")

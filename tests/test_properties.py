@@ -28,13 +28,14 @@ drawn from a fixed seed.
 
 import random
 import re
+from dataclasses import replace
 
 import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from qcoord.cli import evaluate
-from qcoord.coeff import CycloRing, LaurentPoly
+from qcoord.coeff import CycloRing, LaurentPoly, LaurentRing
 from qcoord.detloc import quantum_determinant
 from qcoord.frobext import FrobeniusContext
 from qcoord.monomial import GenOrder, NormalMonomial, bidegree, row_major_order
@@ -42,6 +43,7 @@ from qcoord.render import monomial_to_str
 from qcoord.rewrite import (
     FLAVORS,
     VARIANTS,
+    AlgebraConfig,
     Element,
     _det_words,
     make_config,
@@ -186,7 +188,10 @@ def _shuffled_order(n: int, seed: int) -> GenOrder:
 
 @pytest.mark.parametrize(
     "cfg",
-    [make_config(3, variant, order=_shuffled_order(3, seed)) for variant, seed in (("m", 1), ("gl", 2))],
+    [
+        AlgebraConfig(3, variant, _shuffled_order(3, seed), LaurentRing())
+        for variant, seed in (("m", 1), ("gl", 2))
+    ],
     ids=lambda cfg: f"n3-{cfg.variant}-shuffled",
 )
 @settings(SETTINGS, max_examples=6)
@@ -377,7 +382,7 @@ def phi_per_key(ctx, e):
     """``phi`` on ``gl`` computed one key at a time: a key ``(m, z)`` with
     ``z = l*a + r`` gives the top entry of ``m D**r`` multiplied out on the
     plain variant, times ``Dbar**a``."""
-    flat = make_config(ctx.n, ell=ctx.ell, order=ctx.order)
+    flat = replace(ctx.config, variant="m")
     det = quantum_determinant(flat)
     zero_exps = (0,) * (ctx.n * ctx.n)
     total = ClassicalPoly.zero(ctx.ring, ctx.n)

@@ -31,6 +31,7 @@ from qcoord.monomial import (
     weight,
 )
 from qcoord.rewrite import (
+    AlgebraConfig,
     Element,
     _relation,
     make_config,
@@ -51,6 +52,21 @@ def fresh_start():
     row_major_order.cache_clear()
     make_opposite_order.cache_clear()
     rewrite._reduction_step.cache_clear()
+
+
+def record_rewrites(monkeypatch, strategy=None):
+    """Wrap ``rewrite._rewrite`` so that each call appends ``(width, trace)``
+    to the returned list: its digit width and its own ``trace=`` entries, one
+    per swap.  Every call runs under ``strategy`` when one is given."""
+    calls = []
+    straighten = rewrite._rewrite
+
+    def recorded(order, pending, call_strategy="leftmost", trace=None):
+        calls.append((pending[0], []))
+        return straighten(order, pending, strategy or call_strategy, calls[-1][1])
+
+    monkeypatch.setattr(rewrite, "_rewrite", recorded)
+    return calls
 
 
 def random_word(rng, n, max_len=5):
@@ -174,23 +190,16 @@ class TestMultiply:
 
 class TestFlavor:
     def test_the_order_kind_is_the_flavor(self):
-        assert make_config(2, "gl", flavor="opposite").order.kind == "opposite"
-        assert make_config(2, "gl", order=make_opposite_order(2)) == make_config(
-            2, "gl", flavor="opposite"
-        )
+        assert make_config(2, "gl", flavor="opposite").order == make_opposite_order(2)
         assert make_config(2, "gl").order.kind == "standard"
 
-    @pytest.mark.parametrize(
-        "flavor,order",
-        [("standard", make_opposite_order(2)), ("opposite", row_major_order(2)), ("diagonal", None)],
-    )
-    def test_make_config_refuses_a_flavor_its_order_does_not_have(self, flavor, order):
-        with pytest.raises(ValueError):
-            make_config(2, "gl", flavor=flavor, order=order)
+    def test_make_config_refuses_an_unknown_flavor(self):
+        with pytest.raises(ValueError, match="unknown basis flavor"):
+            make_config(2, "gl", flavor="diagonal")
 
 
 class TestTerminationMeasure:
-    def test_measure_decreases_along_every_step(self):
+    def test_measure_decreases_along_every_step(self, monkeypatch):
         # a swap keeps the weight and removes one inversion; a branch drops
         # the weight outright
         cfg = make_config(2)
@@ -205,20 +214,22 @@ class TestTerminationMeasure:
             )
 
         gens = [(i, j) for i in range(1, 3) for j in range(1, 3)]
+        calls = record_rewrites(monkeypatch)
         for length in range(5):
             for word in product(gens, repeat=length):
-                trace = []
-                normal_form_of_word(cfg, word, trace=trace)
-                for src, produced in trace:
-                    m_src = (weight(src, 2), inversions(src))
-                    for out, kind in produced:
-                        m_out = (weight(out, 2), inversions(out))
-                        assert m_out < m_src
-                        if kind == "swap":
-                            assert m_out[0] == m_src[0]
-                            assert m_out[1] == m_src[1] - 1
-                        else:
-                            assert m_out[0] < m_src[0]
+                normal_form_of_word(cfg, word)
+        assert len(calls) == sum(4**length for length in range(5))
+        for _width, trace in calls:
+            for src, produced in trace:
+                m_src = (weight(src, 2), inversions(src))
+                for out, kind in produced:
+                    m_out = (weight(out, 2), inversions(out))
+                    assert m_out < m_src
+                    if kind == "swap":
+                        assert m_out[0] == m_src[0]
+                        assert m_out[1] == m_src[1] - 1
+                    else:
+                        assert m_out[0] < m_src[0]
 
 
 class TestFiltration:
@@ -343,41 +354,38 @@ class TestElementBasics:
 
 
 class TestOperationCounts:
-    """The counts the benchmark's layer probes report: ``trace=`` entries
-    (one per swap, a ``"branch"`` product per nested-corner swap), the swaps
-    among them whose relation shifts by a power of ``q``, and misses of the
-    ``_reduction_step`` cache."""
+    """The counts the benchmark's layer probes report: ``_rewrite``'s
+    ``trace=`` entries (one per swap, a ``"branch"`` product per nested-corner
+    swap), the swaps among them whose relation shifts by a power of ``q``,
+    and misses of the ``_reduction_step`` cache."""
 
     @staticmethod
-    def counts(trace) -> tuple[int, int, int]:
-        """Swaps, q-shifts and branches of a trace.  A swap's position is
-        where its source and swapped words first differ."""
-        qshifts = branches = 0
-        for src, produced in trace:
-            swapped = produced[0][0]
-            p = next(i for i, (a, b) in enumerate(zip(src, swapped)) if a != b)
-            qshifts += _relation(src[p], src[p + 1])[0] != 0
-            branches += len(produced) > 1
-        return len(trace), qshifts, branches
+    def counts(calls) -> tuple[int, int, int]:
+        """Swaps, q-shifts and branches of the traces of recorded calls
+        (:func:`record_rewrites`).  A swap's position is where its source
+        and swapped words first differ."""
+        swaps = qshifts = branches = 0
+        for _width, trace in calls:
+            swaps += len(trace)
+            for src, produced in trace:
+                swapped = produced[0][0]
+                p = next(i for i, (a, b) in enumerate(zip(src, swapped)) if a != b)
+                qshifts += _relation(src[p], src[p + 1])[0] != 0
+                branches += len(produced) > 1
+        return swaps, qshifts, branches
 
-    def test_diagonal_word_k8(self):
-        trace = []
-        nf = normal_form_of_word(make_config(2), ((2, 2),) * 8 + ((1, 1),) * 8, trace=trace)
-        assert self.counts(trace) == (1422, 882, 204)
+    def test_diagonal_word_k8(self, monkeypatch):
+        calls = record_rewrites(monkeypatch)
+        nf = normal_form_of_word(make_config(2), ((2, 2),) * 8 + ((1, 1),) * 8)
+        assert len(calls) == 1 and self.counts(calls) == (1422, 882, 204)
         assert len(nf) == 9
 
     def test_gl_enforcement(self, monkeypatch):
-        trace = []
-        straighten = rewrite._rewrite
-
-        def traced(order, pending, strategy="leftmost"):
-            return straighten(order, pending, strategy, trace)
-
-        monkeypatch.setattr(rewrite, "_rewrite", traced)
+        calls = record_rewrites(monkeypatch)
         fresh_start()
         heavy = NormalMonomial((3, 1, 0, 0, 3, 1, 1, 0, 3))
         e = Element.from_monomials(make_config(3, "gl"), [(heavy, 1)])
-        assert self.counts(trace) == (894, 573, 32)
+        assert self.counts(calls) == (894, 573, 32)
         assert rewrite._reduction_step.cache_info().misses == 28
         assert len(e.terms) == 55
 
@@ -393,16 +401,9 @@ class TestEachWordOnce:
 
     @staticmethod
     def traced_calls(monkeypatch, strategy):
-        """Run every ``_rewrite`` call under ``strategy``, each with a trace
-        of its own, and return the list of those traces."""
-        calls = []
-        straighten = rewrite._rewrite
-
-        def traced(order, pending, _strategy="leftmost", trace=None):
-            calls.append([])
-            return straighten(order, pending, strategy, calls[-1])
-
-        monkeypatch.setattr(rewrite, "_rewrite", traced)
+        """Record every ``_rewrite`` call (:func:`record_rewrites`) under
+        ``strategy``, from fresh orders."""
+        calls = record_rewrites(monkeypatch, strategy)
         fresh_start()
         return calls
 
@@ -438,17 +439,18 @@ class TestEachWordOnce:
         build, swaps = self.CASES[case]
         calls = self.traced_calls(monkeypatch, strategy)
         build()
-        assert calls and any(calls)
-        for trace in calls:
+        traces = [trace for _width, trace in calls]
+        assert traces and any(traces)
+        for trace in traces:
             sources = [src for src, _produced in trace]
             assert len(set(sources)) == len(sources)
         if swaps is not None:
-            assert sum(map(len, calls)) == swaps
+            assert sum(map(len, traces)) == swaps
 
     def test_top3x3_swaps_each_word_once(self, monkeypatch):
         calls = self.traced_calls(monkeypatch, "leftmost")
         self.top_square(3, 3)
-        assert sum(map(len, calls)) == 12002
+        assert sum(len(trace) for _width, trace in calls) == 12002
 
 
 class TestDecodeTable:
@@ -557,11 +559,12 @@ class TestSpans:
         cfg = make_config(2)
         rewrite._spans.cache_clear()
         runs = []
+        calls = record_rewrites(monkeypatch)
         for bound in (rewrite._SPAN_TABLE_LEN, 0):
             monkeypatch.setattr(rewrite, "_SPAN_TABLE_LEN", bound)
-            traces = [[] for _ in self.WORDS]
-            runs.append([normal_form_of_word(cfg, w, strategy, t) for w, t in zip(self.WORDS, traces)])
-            runs[-1].append(traces)
+            calls.clear()
+            runs.append([normal_form_of_word(cfg, w, strategy) for w in self.WORDS])
+            runs[-1].append(list(calls))
             rewrite._spans.cache_clear()
         assert runs[0] == runs[1]
         assert runs[0][1] == {(300, 1, 0, 0): LaurentPoly.q_power(-300)}
@@ -643,24 +646,19 @@ class TestPackWidth:
 
     def test_narrow_start_width_is_redone_to_the_same_result(self, monkeypatch):
         cfg = make_config(2)
-        trace = []
-        expected = normal_form_of_word(cfg, self.K8, trace=trace)
         heavy = self.fresh_heavy()
-        widths = []
-        straighten = rewrite._rewrite
-
-        def recorded(order, pending, strategy="leftmost", trace=None):
-            widths.append(pending[0])
-            return straighten(order, pending, strategy, trace)
-
-        monkeypatch.setattr(rewrite, "_rewrite", recorded)
+        calls = record_rewrites(monkeypatch)
+        expected = normal_form_of_word(cfg, self.K8)
+        ((_width, trace),) = calls
+        calls.clear()
         monkeypatch.setattr(rewrite, "_PACK_WIDTH", 3)
-        narrow_trace = []
-        assert normal_form_of_word(cfg, self.K8, trace=narrow_trace) == expected
-        assert narrow_trace == trace
-        assert widths[0] == 3 and len(widths) == 2 and widths[1] > 3
-        widths.clear()
+        assert normal_form_of_word(cfg, self.K8) == expected
+        # The redone pass is the whole operation again, swap for swap.
+        (narrow, _abandoned), (wide, redone) = calls
+        assert narrow == 3 and wide > 3 and redone == trace
+        calls.clear()
         assert self.fresh_heavy() == heavy
+        widths = [width for width, _trace in calls]
         assert widths.count(3) < len(widths)
 
     def test_a_sum_that_vanishes_only_when_packed_is_not_trusted(self, monkeypatch):
@@ -751,7 +749,7 @@ class TestPackWidth:
         # q - 3: their sum q - 4 vanishes at q = 2**2.  Under the row-major
         # and opposite orders no two ordered words reach one word there
         # (none do up to length 7 at n = 2, nor up to length 4 at n = 3).
-        cfg = make_config(2, order=GenOrder(2, ((2, 2), (1, 1), (2, 1), (1, 2))))
+        cfg = AlgebraConfig(2, "m", GenOrder(2, ((2, 2), (1, 1), (2, 1), (1, 2))), LaurentRing())
         terms = {
             NormalMonomial((1, 0, 0, 1), 1): LaurentPoly.q_power(1),
             NormalMonomial((0, 1, 1, 0), 1): LaurentPoly({0: -3, 1: 1}),
@@ -1042,16 +1040,10 @@ class TestTimesDeterminant:
         pairs = [(NormalMonomial((1, 0, 0, 1)), 2**62), (NormalMonomial((0, 1, 1, 0)), 1)]
         e = Element.from_monomials(cfg, pairs)
         expected = multiply(multiply(e, det), det)
-        widths = []
-        straighten = rewrite._rewrite
-
-        def recorded(order, pending, strategy="leftmost", trace=None):
-            widths.append(pending[0])
-            return straighten(order, pending, strategy, trace)
-
-        monkeypatch.setattr(rewrite, "_rewrite", recorded)
+        calls = record_rewrites(monkeypatch)
         terms = {NormalMonomial(m.exps, 2): c for m, c in e.terms.items()}
         assert times_determinant(cfg, terms) == expected
+        widths = [width for width, _trace in calls]
         # Two passes at 64-bit digits, then the same two at the wider width.
         assert widths[:2] == [64, 64] and len(widths) == 4
         assert widths[2] == widths[3] > 64
@@ -1229,7 +1221,10 @@ class TestOrderKeyedCaches:
         custom = GenOrder(3, tuple(seq))
         assert (custom.n, custom.kind) == (order.n, order.kind) and custom != order
         for other in [order, make_opposite_order(3), custom]:
-            for cfg in (make_config(3, "gl", order=other), make_config(3, "sl", ell=3, order=other)):
+            for cfg in (
+                AlgebraConfig(3, "gl", other, LaurentRing()),
+                AlgebraConfig(3, "sl", other, CycloRing(3)),
+            ):
                 assert rewrite._det_words(cfg.order) is other.det
             # An equal order built apart builds an equal ``D`` of its own.
             twin = GenOrder(other.n, other.seq, other.kind)
@@ -1243,7 +1238,7 @@ class TestOrderKeyedCaches:
         # Not every coefficient of ``D`` is a unit under this order, and the
         # product by ``D`` is still exact.
         assert any(len(c.terms) > 1 for c in normal_form(custom).values())
-        cfg = make_config(3, order=custom)
+        cfg = AlgebraConfig(3, "m", custom, LaurentRing())
         m = NormalMonomial((1, 0, 2, 0, 1, 0, 1, 1, 0), 2)
         det = quantum_determinant(cfg)
         assert times_determinant(cfg, {m: ONE}) == multiply(
@@ -1298,14 +1293,15 @@ class TestOrderKeyedCaches:
 
 
 class TestRelationTable:
-    def test_holds_only_the_pairs_met(self):
+    def test_holds_only_the_pairs_met(self, monkeypatch):
         # a fresh order, so no other test has filled its table
         n = 30
         order = GenOrder(n, row_major_order(n).seq)
-        cfg = make_config(n, order=order)
+        cfg = AlgebraConfig(n, "m", order, LaurentRing())
         word = ((2, 2), (1, 1), (30, 30), (1, 30), (30, 1))
-        trace = []
-        normal_form_of_word(cfg, word, trace=trace)
+        calls = record_rewrites(monkeypatch)
+        normal_form_of_word(cfg, word)
+        ((_width, trace),) = calls
         rank = order.rank_map
         met = set()
         for src, produced in trace:
@@ -1319,7 +1315,7 @@ class TestRelationTable:
 
     def test_each_pair_is_derived_once(self, monkeypatch):
         n = 3
-        cfg = make_config(n, order=GenOrder(n, row_major_order(n).seq))
+        cfg = AlgebraConfig(n, "m", GenOrder(n, row_major_order(n).seq), LaurentRing())
         derived = []
 
         def counted(x, y):
