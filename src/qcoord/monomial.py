@@ -138,8 +138,10 @@ class GenOrder:
     field fills it on first use: ``relations`` (``rewrite._rewrite``), the
     relation of each pair of ranks met, at most ``n**4``; ``det``
     (``rewrite._det_words``), ``D``'s normal form, at most ``n!`` terms for
-    ``n <= rewrite.MAX_DET_N``; ``names`` (``render.monomial_to_str``), the
-    ranks' ``(slot, "t[i,j]")`` names for ``t`` and ``tbar``.
+    ``n <= rewrite.MAX_DET_N``; ``cuts`` (``rewrite._cuts``), the letters a
+    reduction step's core cuts down, at most ``n**2``; ``names``
+    (``render.monomial_to_str``), the ranks' ``(slot, "t[i,j]")`` names for
+    ``t`` and ``tbar``.
     """
 
     n: int
@@ -150,6 +152,7 @@ class GenOrder:
     targets: tuple = field(init=False, repr=False, compare=False, default=None)
     relations: dict = field(init=False, repr=False, compare=False, default=None)
     det: tuple = field(init=False, repr=False, compare=False, default=None)
+    cuts: tuple = field(init=False, repr=False, compare=False, default=None)
     names: dict = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):

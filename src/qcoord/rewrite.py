@@ -61,14 +61,21 @@ to ``c m + rest`` with ``c`` a unit and ``rest`` strictly smaller, so
 ``m = c**-1 (t0 D - rest)`` trades one target factor per position for a
 determinant factor.  Most products hold no such monomial, and enforcement
 returns them at once.  The step is computed on ``m``'s core
-(:func:`_core`): ``m`` with the order's first and last letters cut down to
-what keeps it violating, one factor at a target, none elsewhere.  The first
-letter ranks below every letter and the last above every letter, so
-``t_f**a X t_l**b`` is ordered whenever ``X`` is; with ``D`` central, the
-normal form of ``t0 D`` is that of the core's ``t0' D`` with ``a`` and
-``b`` added back to every term, coefficients unchanged.  So one cached
-step serves every monomial of a core, and a diagonal power at n = 1 costs
-one step of one letter, not a word of its length.
+(:func:`_core`).  Only nested-corner pairs branch, so a letter ``g`` with
+no nested partner ranked below it q-commutes with every letter below it:
+``g**a`` times an ordered word is the ordered word with ``a`` more factors
+of ``g``, times a power of ``q`` read off the exponents ``g`` crosses.  So
+is an ordered word times ``g**a`` when ``g`` has no nested partner ranked
+above it.  The core cuts every such letter (:func:`_cuts`, derived from
+:func:`_relation` once per order) down to what keeps ``m`` violating, one
+factor at a target and none elsewhere; with ``D`` central, the normal form
+of ``t0 D`` is that of the core's ``t0' D`` with the cuts added back to
+every term and each coefficient times a power of ``q`` that is linear in
+the cut exponents (:func:`_cored_step`).  So one cached step serves every
+monomial of a core.  At n = 3 only ``t[2,2]``
+stays in a core, in both flavors; at n = 2 every violating monomial has the
+one core ``t[1,1] t[2,2]``, or its antidiagonal, and a diagonal power at
+n = 1 costs one step of one letter, not a word of its length.
 
 The product by ``D`` (:func:`_times_det`) multiplies each packed
 coefficient by each of ``D``'s, packed: one integer product.  It is the
@@ -87,11 +94,11 @@ so equal coefficients of results are one shared object, never mutated.
 Straightening, ``D``, its targets and the reduction step depend on the
 :class:`GenOrder` alone, so every configuration of one order shares them,
 whatever its variant and ring.  The order carries the relation table, ``D``
-(``order.det``, from :func:`_det_words`) and the targets, each bounded by
-``n``; the reduction steps sit in one bounded table keyed by the order and
-the core (:func:`_reduction_step`).  The variant is read only by
-:func:`_enforce` (and :func:`_dpower`), the ring by :func:`_decode` and
-:class:`Element`.
+(``order.det``, from :func:`_det_words`), the targets and the cut letters
+(``order.cuts``), each bounded by ``n``; the reduction steps sit in one
+bounded table keyed by the order and the core (:func:`_reduction_step`).
+The variant is read only by :func:`_enforce` (and :func:`_dpower`), the
+ring by :func:`_decode` and :class:`Element`.
 """
 
 from __future__ import annotations
@@ -101,7 +108,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, permutations
 from math import factorial
-from operator import add, attrgetter
+from operator import add, attrgetter, mul, sub
 
 from .coeff import Combination, CycloElem, CycloRing, LaurentPoly, LaurentRing
 from .monomial import (
@@ -133,9 +140,9 @@ _new = tuple.__new__
 _exps = attrgetter("exps")
 
 # Cache bounds: a process meets a handful of dimensions and generator orders,
-# and about 800 distinct reduction steps, one per core, in a 4,608-op round
-# of the mixed gl/sl ``localized`` benchmark (1,348 when keyed by the whole
-# monomial).
+# and 8 distinct reduction steps, one per core, in a seed-1 4,608-op round of
+# the mixed gl/sl ``localized`` benchmark (797 with only the order's first
+# and last letters cut, 1,348 when keyed by the whole monomial).
 _SMALL_CACHE = 64
 _REDUCTION_CACHE = 1 << 14
 # Decoded coefficients: a 26,000-op round of the ``straighten`` benchmark
@@ -165,6 +172,12 @@ _SPAN_TABLE_LEN = 256
 # reaches 2**63 is redone wider; among the documented probes only
 # t[2,2]^16 t[1,1]^16 at n = 2 needs it.
 _PACK_WIDTH = 64
+
+# Most digits :func:`_unpack` reads, and most terms :func:`_pack` sums, one
+# by one; longer values are split in halves.  Splitting is as fast at 64
+# digits of 64 bits (Python 3.11, 2 cores) and faster above, while the
+# ``localized`` benchmark packs and decodes values of a few digits.
+_DIGIT_RUN = 32
 
 
 def _check_word_len(length: int) -> None:
@@ -296,16 +309,48 @@ def _pack(c, width: int) -> tuple[int, int, int]:
         ((lo, v),) = terms.items()
         return v, lo, abs(v)
     lo = min(terms)
-    v = sum([c_e << width * (e - lo) for e, c_e in terms.items()])
+    if len(terms) > _DIGIT_RUN:
+        v = _joined(sorted(terms.items()), width)
+    else:
+        v = sum([c_e << width * (e - lo) for e, c_e in terms.items()])
     return v, lo, sum(map(abs, terms.values()))
+
+
+def _joined(items: list, width: int) -> int:
+    """``sum c_e * 2**(width * (e - lo))`` over ascending ``(e, c_e)`` items
+    from ``lo``, the first exponent.  Each term added to a running sum copies
+    it, so summing ``d`` digits one by one costs ``d**2`` words: the items
+    are joined in halves, the upper half shifted once."""
+    if len(items) <= _DIGIT_RUN:
+        lo = items[0][0]
+        return sum([c_e << width * (e - lo) for e, c_e in items])
+    h = len(items) // 2
+    shift = width * (items[h][0] - items[0][0])
+    return _joined(items[:h], width) + (_joined(items[h:], width) << shift)
 
 
 def _unpack(v: int, lo: int, width: int) -> LaurentPoly:
     """The Laurent polynomial of a packed ``(v, lo)``, read in signed digits
-    of base ``2**width``: exact when every coefficient has |c| < 2**(width - 1)."""
+    of base ``2**width``: exact when every coefficient has |c| < 2**(width - 1).
+
+    Each digit read shifts the whole rest of ``v``, so reading ``d`` digits
+    one by one costs ``d**2`` words of copying.  A value of more than
+    ``_DIGIT_RUN`` digits is split first, on a whole digit ``k``: the low
+    digits, read as a signed value, are the value of ``v``'s low ``k`` digits
+    between ``-2**(k w - 1)`` and ``2**(k w - 1)``, since every coefficient
+    is below half a digit; the high digits are ``v`` minus that, shifted.
+    """
     half = 1 << (width - 1)
     if -half <= v < half:
         return _laurent({lo: v})
+    if v.bit_length() > _DIGIT_RUN * width:
+        k = v.bit_length() // (2 * width)
+        bits = k * width
+        low = v & ((1 << bits) - 1)
+        if low >> (bits - 1):
+            low -= 1 << bits
+        high = _unpack((v - low) >> bits, lo + k, width).terms
+        return _laurent({**_unpack(low, lo, width).terms, **high} if low else high)
     mask = (1 << width) - 1
     terms = {}
     while v:
@@ -720,22 +765,45 @@ def _reduction_measure(order: GenOrder):
     return lambda exps: (antidiag_degree(n, exps), sum(exps), exps)
 
 
-def _core(order: GenOrder, exps: tuple[int, ...]) -> tuple[tuple[int, ...], int, int]:
-    """The core of a violating monomial, as ``(core, a, b)``: ``exps`` with
-    ``a`` factors cut off the slot ``order.slots[0]`` of the order's first
-    letter and ``b`` off the slot ``order.slots[-1]`` of its last, down to
-    what keeps it violating: one factor at a target (``order.targets``),
-    none elsewhere.  At n = 1 the two letters are one, cut once."""
-    f, l = order.slots[0], order.slots[-1]
-    targets = order.targets
-    a = exps[f] - (f in targets)
-    b = exps[l] - (l in targets) if l != f else 0
-    if not (a or b):
-        return exps, 0, 0
+def _cuts(order: GenOrder) -> tuple:
+    """The letters a reduction step's core cuts down (:func:`_core`), as
+    ``(slot, keep, crossed)`` triples: ``order.cuts``, derived from
+    :func:`_relation` on first use.
+
+    A letter ``g`` that branches with none of the letters ranked below it
+    q-commutes with each of them (``_relation(g, h)`` is ``(qexp, None)``),
+    so for an ordered ``E``, ``g**a E`` is the ordered ``E + a[g]`` times
+    ``q**(a c_g(E))``, with ``c_g(E) = sum_h qexp(g, h) E[h]`` over the
+    letters ``h`` below ``g``: it is cut toward the left end.  Failing that,
+    a letter that branches with none of the letters ranked above it is cut
+    toward the right end: ``E g**a`` is ``E + a[g]`` times
+    ``q**(a c_g(E))``, now summed over the letters above ``g`` with
+    ``qexp(h, g) = -qexp(g, h)``.  ``crossed`` holds the ``(slot of h,
+    q-exponent)`` pairs of that sum with a nonzero exponent; ``keep`` is what
+    the core keeps of ``g``, 1 at a target and 0 elsewhere.
+    """
+    if order.cuts is None:
+        seq, slots = order.seq, order.slots
+        cuts = []
+        for r, g in enumerate(seq):
+            for side, sign in ((range(r), 1), (range(r + 1, len(seq)), -1)):
+                relations = [(slots[h], _relation(g, seq[h])) for h in side]
+                if all(branch is None for _slot, (_qexp, branch) in relations):
+                    crossed = tuple([(h, sign * qexp) for h, (qexp, _b) in relations if qexp])
+                    cuts.append((slots[r], int(slots[r] in order.targets), crossed))
+                    break
+        object.__setattr__(order, "cuts", tuple(cuts))
+    return order.cuts
+
+
+def _core(order: GenOrder, exps: tuple[int, ...]) -> tuple[int, ...]:
+    """The core of a violating monomial: ``exps`` with each letter of
+    :func:`_cuts` cut down to what keeps it violating, one factor at a
+    target and none elsewhere.  Every other letter keeps its exponent."""
     core = list(exps)
-    core[f] -= a
-    core[l] -= b
-    return tuple(core), a, b
+    for slot, keep, _crossed in _cuts(order):
+        core[slot] = keep
+    return tuple(core)
 
 
 @lru_cache(maxsize=_REDUCTION_CACHE)
@@ -746,15 +814,17 @@ def _reduction_step(order: GenOrder, exps: tuple[int, ...], width: int):
     ``t0`` is ``m`` with one factor taken off at each target.  A single
     straightening of ``t0 D`` (:func:`_times_det`) gives ``c m + rest`` with
     ``c`` a unit, so ``m = c**-1 (t0 D - rest)``.  Returns the entries
-    ``(exps', dshift, coeff)``, ``coeff`` packed.  ``(t0, 1, c**-1)``
+    ``(exps', dshift, coeff, corr)``, ``coeff`` packed.  ``(t0, 1, c**-1)``
     carries the freed determinant factor, and each term ``c2 e2`` of
     ``rest`` gives ``(e2, 0, -c**-1 c2)``.  ``c = sign q**k`` is the only
     value decoded, once certified (:func:`_trust`), and its inverse is
     applied to ``rest`` as a sign and a shift of ``lo``.
 
-    Callers pass a core (:func:`_cored_step`), so the table holds one step
-    per core, whatever the exponents of the order's end letters; any
-    violating ``exps`` gives its own step exactly.
+    ``corr`` is the q-power an entry gains per factor added back at each
+    slot (:func:`_cored_step`): ``c_g(exps') - c_g(m)`` at the slot of each
+    letter ``g`` of :func:`_cuts`, 0 elsewhere.  Callers pass a core, so
+    the table holds one step per core, whatever the exponents of the cut
+    letters; any violating ``exps`` gives its own step exactly.
 
     All emitted monomials are strictly smaller than the input in the
     flavor's reduction measure; that descent is what makes iterated
@@ -781,23 +851,42 @@ def _reduction_step(order: GenOrder, exps: tuple[int, ...], width: int):
     measure = _reduction_measure(order)
     if max(map(measure, [t0, *product])) >= measure(exps):
         raise ArithmeticError("determinant reduction emitted a monomial that does not descend")
-    out = [(t0, 1, (sign, k, 1))]
-    out += [(e2, 0, (-sign * v2, lo2 + k, b2)) for e2, (v2, lo2, b2) in product.items()]
+    cuts = _cuts(order)
+
+    def corr(e2):
+        out = [0] * len(exps)
+        for slot, _keep, crossed in cuts:
+            out[slot] = sum([qexp * (e2[h] - exps[h]) for h, qexp in crossed])
+        return tuple(out)
+
+    out = [(t0, 1, (sign, k, 1), corr(t0))]
+    out += [(e2, 0, (-sign * v2, lo2 + k, b2), corr(e2)) for e2, (v2, lo2, b2) in product.items()]
     return tuple(out)
 
 
 def _cored_step(order: GenOrder, exps: tuple[int, ...], width: int):
-    """The reduction step of a violating ``exps``, as entries of
-    :func:`_reduction_step`: its core's step (:func:`_core`), with the cut
-    exponents added back to every entry."""
-    core, a, b = _core(order, exps)
+    """The reduction step of a violating ``exps``, as ``(exps', dshift,
+    coeff)`` entries: its core's step (:func:`_core`,
+    :func:`_reduction_step`), with what was cut added back to every entry.
+
+    Take a left cut of ``g`` by ``a``, from ``m`` down to ``m'``.  Then
+    ``t0(m) = q**(-a c_g(t0(m'))) g**a t0(m')`` (:func:`_cuts`), and as ``D``
+    is central, ``t0(m) D`` is ``g**a`` times the core's ``t0(m') D = sum
+    s_E E``: each term ``E`` becomes ``E + a[g]`` with ``q**(a c_g(E))``.
+    The coefficient of ``m`` gains ``q**(a (c_g(m') - c_g(t0(m'))))``, so
+    once it is divided out every entry gains ``q**(a (c_g(E) - c_g(m')))``,
+    its ``t0`` included; a right cut, ``t0(m') D g**a``, is the same with
+    its own ``c_g``.  Cuts of several letters compose one at a time, and
+    ``c_g`` is linear, so their powers add: ``sum_g a_g corr_g``, one short
+    dot product with the entry's cached ``corr``.
+    """
+    core = _core(order, exps)
     step = _reduction_step(order, core, width)
-    if not (a or b):
-        return step
-    cut = [0] * len(exps)
-    cut[order.slots[0]] = a
-    cut[order.slots[-1]] += b
-    return [(tuple(map(add, e, cut)), d, c) for e, d, c in step]
+    cut = tuple(map(sub, exps, core))
+    return [
+        (tuple(map(add, e, cut)), d, (v, lo + sum(map(mul, cut, corr)), b))
+        for e, d, (v, lo, b), corr in step
+    ]
 
 
 def _dpower(cfg: AlgebraConfig, z: int) -> int:

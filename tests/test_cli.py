@@ -532,12 +532,12 @@ class TestTables:
         assert capsys.readouterr() == ("D^13\n", "")
 
     def test_a_core_above_max_word_len_is_refused_before_it_is_straightened(self, monkeypatch):
-        # t11 t12^12 t22 at n = 2 is its own core (each end letter is a
-        # target at exponent 1), so the product by ``D`` builds t12^12 with
-        # ``D``'s two letters.
+        # t11 t22^12 t33 at n = 3 is its own core: t22 is the one letter
+        # that no core cuts, and t11 and t33 are targets at exponent 1.  So
+        # the product by ``D`` builds t22^11 with ``D``'s three letters.
         from qcoord import rewrite
 
-        cfg = make_config(2, "gl")
+        cfg = make_config(3, "gl")
         rewrite._det_words(cfg.order)
 
         def never(*args):
@@ -547,7 +547,7 @@ class TestTables:
         monkeypatch.setattr(rewrite, "_rewrite", never)
         monkeypatch.setattr(rewrite, "_reduction_step", rewrite._reduction_step.__wrapped__)
         with pytest.raises(ValueError, match="a word of 14 letters is too long"):
-            Element.from_monomials(cfg, [(NormalMonomial((1, 12, 0, 1)), 1)])
+            Element.from_monomials(cfg, [(NormalMonomial((1, 0, 0, 0, 12, 0, 0, 0, 1)), 1)])
 
     def test_check_accepts_the_default_of_a_flag_it_does_not_read(self, capsys):
         assert run(["check", "identities", "--variant", "m", "--order", "rowmajor"]) == 0

@@ -385,8 +385,8 @@ class TestOperationCounts:
         fresh_start()
         heavy = NormalMonomial((3, 1, 0, 0, 3, 1, 1, 0, 3))
         e = Element.from_monomials(make_config(3, "gl"), [(heavy, 1)])
-        assert self.counts(calls) == (894, 573, 32)
-        assert rewrite._reduction_step.cache_info().misses == 28
+        assert self.counts(calls) == (26, 14, 6)
+        assert rewrite._reduction_step.cache_info().misses == 3
         assert len(e.terms) == 55
 
 
@@ -544,6 +544,74 @@ class TestDecodeTable:
         assert all(r is not shared and r.terms is not shared.terms for r in results)
         assert shared.terms == before
         assert normal_form_of_word(cfg, word)[exps] is shared
+
+
+def unpack_digit_by_digit(v, lo, width):
+    """The signed base-``2**width`` digits of ``v`` from ``lo`` up, read one
+    at a time: the reference for ``rewrite._unpack``."""
+    half = 1 << (width - 1)
+    mask = (1 << width) - 1
+    terms = {}
+    while v:
+        d = v & mask
+        v >>= width
+        if d >= half:
+            terms[lo] = d - mask - 1
+            v += 1
+        elif d:
+            terms[lo] = d
+        lo += 1
+    return terms
+
+
+class TestDigits:
+    """``_unpack`` and ``_pack`` split a value of more than ``_DIGIT_RUN``
+    digits or terms in halves; every value must read and pack as it does
+    digit by digit, term by term."""
+
+    WIDTHS = (3, 5, 64, 66, 71)
+    COUNTS = (1, 2, 3, 8, 9, 32, 33, 34, 64, 65, 200)
+
+    @classmethod
+    def digit_lists(cls, width, rng):
+        """Signed digit lists below half a digit, with a nonzero top: random,
+        at the extremes, and with a top digit that carries (a positive top
+        over a negative digit, whose unsigned form borrows from it)."""
+        half = 1 << (width - 1)
+        for count in cls.COUNTS:
+            for _ in range(4):
+                digits = [rng.choice([0, half - 1, 1 - half, rng.randint(1 - half, half - 1)])
+                          for _ in range(count)]
+                digits[-1] = rng.choice([1, -1, half - 1, 1 - half])
+                yield digits
+            if count > 1:
+                yield [1 - half] * (count - 1) + [1]
+                yield [0] * (count - 2) + [-1, 1]
+
+    @pytest.mark.parametrize("width", WIDTHS)
+    def test_a_split_reading_equals_the_digit_by_digit_one(self, width):
+        rng = random.Random(f"digits-{width}")
+        for digits in self.digit_lists(width, rng):
+            v = sum(d << width * i for i, d in enumerate(digits))
+            expected = {i - 3: d for i, d in enumerate(digits) if d}
+            assert unpack_digit_by_digit(v, -3, width) == expected
+            got = rewrite._unpack(v, -3, width).terms
+            assert got == expected and list(got) == sorted(got)
+            assert rewrite._pack(LaurentPoly(expected), width) == (
+                v >> width * (min(expected) + 3), min(expected), sum(map(abs, digits))
+            )
+
+    @pytest.mark.parametrize("width", WIDTHS)
+    def test_a_split_packing_equals_the_term_by_term_one(self, width):
+        # Coefficients of any size, not only below half a digit, in any
+        # order of the terms.
+        rng = random.Random(f"pack-{width}")
+        for count in self.COUNTS:
+            exps = rng.sample(range(-40, 3 * count + 40), count)
+            terms = {e: rng.choice([1, -1]) * rng.randint(1, 2 ** rng.randint(1, 90)) for e in exps}
+            lo = min(terms)
+            v = sum(c << width * (e - lo) for e, c in terms.items())
+            assert rewrite._pack(LaurentPoly(terms), width) == (v, lo, sum(map(abs, terms.values())))
 
 
 class TestSpans:
@@ -860,7 +928,7 @@ class TestReductionStep:
                 for k in range(n * n)
             )
             step = rewrite._reduction_step.__wrapped__(cfg.order, exps, width)
-            step = [(e, d, rewrite._unpack(v, lo, width)) for e, d, (v, lo, _bound) in step]
+            step = [(e, d, rewrite._unpack(v, lo, width)) for e, d, (v, lo, _bound), _corr in step]
             expected = reduction_step_appended(cfg, exps)
             assert {(e, d): c for e, d, c in step} == {(e, d): c for e, d, c in expected}
             assert len(step) == len(expected) > 1
@@ -902,59 +970,90 @@ class TestReductionStep:
 
 class TestCoreStep:
     """Enforcement keys each reduction step by its core (``rewrite._core``):
-    the order's first and last letters cut down to what keeps the monomial
-    violating, the cut exponents added back to every entry.  The first
-    letter ranks below every letter and the last above every letter, and
-    ``D`` is central, so the shifted step of the core is the step of the
-    whole monomial, entry for entry."""
+    every letter that branches with no letter on one side of the order
+    (``rewrite._cuts``) cut down to what keeps the monomial violating, the
+    cut exponents added back to every entry with a power of ``q`` for the
+    letters each cut one crosses.  ``D`` is central, so the shifted step of
+    the core is the step of the whole monomial, entry for entry."""
 
     @staticmethod
     def cases(order, count, rng):
-        """Violating exponent tables, the end letters' exponents up to 6."""
+        """Violating exponent tables, the cut letters' exponents up to 4."""
         n = order.n
         targets = order.targets
-        ends = (order.slots[0], order.slots[-1])
+        cut = {slot for slot, _keep, _crossed in rewrite._cuts(order)}
         for _ in range(count):
             yield tuple(
-                rng.randint(k in targets, 6 if k in ends else 1 + (k in targets))
+                rng.randint(k in targets, 4 if k in cut else 1 + (k in targets))
                 for k in range(n * n)
             )
 
     @staticmethod
-    def shifted_core_step(order, exps, width):
-        """The core's step, uncached, with the cut exponents added back."""
-        core, a, b = rewrite._core(order, exps)
-        f, l = order.slots[0], order.slots[-1]
-        out = []
-        for e, d, c in rewrite._reduction_step.__wrapped__(order, core, width):
-            e = list(e)
-            e[f] += a
-            e[l] += b
-            out.append((tuple(e), d, c))
-        return out
+    def unpacked(step, width):
+        return {(e, d): rewrite._unpack(v, lo, width) for e, d, (v, lo, _bound), *_corr in step}
 
     @pytest.mark.parametrize("flavor", FLAVORS)
     @pytest.mark.parametrize("variant", ["gl", "sl"])
-    @pytest.mark.parametrize("n, count", [(1, 6), (2, 12), (3, 8), (4, 4)])
+    @pytest.mark.parametrize("n, count", [(1, 6), (2, 12), (3, 8), (4, 4), (5, 1)])
     def test_the_shifted_core_step_is_the_whole_step(self, n, count, variant, flavor):
         cfg = make_config(n, variant, flavor=flavor)
         order = cfg.order
         width = rewrite._PACK_WIDTH
         measure = rewrite._reduction_measure(order)
         rng = random.Random(f"core-{n}-{variant}-{flavor}")
+        corrected = 0
         for exps in self.cases(order, count, rng):
-            whole = {
-                (e, d): rewrite._unpack(v, lo, width)
-                for e, d, (v, lo, _bound) in rewrite._reduction_step.__wrapped__(order, exps, width)
-            }
-            core = self.shifted_core_step(order, exps, width)
-            assert {(e, d): rewrite._unpack(v, lo, width) for e, d, (v, lo, _b) in core} == whole
-            assert max(measure(e) for e, _d, _c in core) < measure(exps)
+            whole = self.unpacked(rewrite._reduction_step.__wrapped__(order, exps, width), width)
+            cored = rewrite._cored_step(order, exps, width)
+            assert self.unpacked(cored, width) == whole
+            assert max(measure(e) for e, _d, _c in cored) < measure(exps)
+            # The core's step with the cut only added back, no power of q.
+            core = rewrite._core(order, exps)
+            cut = [e - c for e, c in zip(exps, core)]
+            core_step = self.unpacked(rewrite._reduction_step(order, core, width), width)
+            shifted = {(tuple(map(sum, zip(e, cut))), d): c for (e, d), c in core_step.items()}
+            corrected += shifted != whole
             # ``diagonal_reduction`` takes the same core step for the variant.
             m = NormalMonomial(exps, 0)
             assert rewrite.diagonal_reduction(cfg, m).terms == {
                 NormalMonomial(e, d if variant == "gl" else 0): c for (e, d), c in whole.items()
             }
+        # From n = 2 on, a cut letter crosses letters of its side.
+        assert corrected if n > 1 else not corrected
+
+    @pytest.mark.parametrize("flavor", FLAVORS)
+    def test_the_cut_letters_branch_with_no_letter_on_their_side(self, flavor):
+        for n in range(1, 6):
+            order = make_config(n, "gl", flavor=flavor).order
+            seq, slots = order.seq, order.slots
+            for slot, keep, crossed in rewrite._cuts(order):
+                r = slots.index(slot)
+                g = seq[r]
+                assert keep == (slot in order.targets)
+                below = [_relation(g, h) for h in seq[:r]]
+                above = [_relation(g, h) for h in seq[r + 1:]]
+                if any(branch for _q, branch in below):
+                    # A right cut: nothing above to branch with, and each
+                    # letter above crossed with the opposite power.
+                    assert not any(branch for _q, branch in above)
+                    side, sign = seq[r + 1:], -1
+                else:
+                    side, sign = seq[:r], 1
+                assert crossed == tuple(
+                    (slots[seq.index(h)], sign * _relation(g, h)[0])
+                    for h in side if _relation(g, h)[0]
+                )
+            uncut = [g for g, slot in zip(seq, slots)
+                     if slot not in [s for s, _k, _c in rewrite._cuts(order)]]
+            # Every uncut letter branches on both sides.
+            for g in uncut:
+                r = seq.index(g)
+                assert any(_relation(g, h)[1] for h in seq[:r])
+                assert any(_relation(g, h)[1] for h in seq[r + 1:])
+            if n == 3:
+                assert uncut == [(2, 2)]
+            if n == 4 and flavor == "standard":
+                assert uncut == [(2, 2), (2, 3), (3, 2), (3, 3)]
 
     @pytest.mark.parametrize("flavor", FLAVORS)
     @pytest.mark.parametrize("variant", ["gl", "sl"])
@@ -963,7 +1062,7 @@ class TestCoreStep:
         rng = random.Random(f"core-enforce-{variant}-{flavor}")
         monomials = [NormalMonomial(exps) for exps in self.cases(cfg.order, 4, rng)]
         cored = [Element.from_monomials(cfg, [(m, 1)]) for m in monomials]
-        monkeypatch.setattr(rewrite, "_core", lambda order, exps: (exps, 0, 0))
+        monkeypatch.setattr(rewrite, "_core", lambda order, exps: exps)
         monkeypatch.setattr(rewrite, "_reduction_step", rewrite._reduction_step.__wrapped__)
         assert cored == [Element.from_monomials(cfg, [(m, 1)]) for m in monomials]
 
@@ -975,13 +1074,15 @@ class TestCoreStep:
         assert rewrite._reduction_step.cache_info().misses == 1
 
     def test_the_last_letter_exponent_costs_no_step(self):
+        # At n = 2 every letter is cut, so every violating monomial shares
+        # the one core t11 t22.
         cfg = make_config(2, "gl")
         misses = []
         for exps in ((7, 1, 1, 9), (7, 1, 1, 30)):
             rewrite._reduction_step.cache_clear()
             Element.from_monomials(cfg, [(NormalMonomial(exps), 1)])
             misses.append(rewrite._reduction_step.cache_info().misses)
-        assert misses == [7, 7]
+        assert misses == [1, 1]
 
 
 class TestTimesDeterminant:
@@ -1190,7 +1291,7 @@ class TestOrderKeyedCaches:
         assert all(cfg.order.det is gl.order.det for cfg in configs)
 
     def test_the_heavy_monomial_pays_its_reduction_steps_once_across_variants_and_rings(self):
-        # ``TestOperationCounts.test_gl_enforcement``'s 28 misses, paid by
+        # ``TestOperationCounts.test_gl_enforcement``'s 3 misses, paid by
         # the first configuration only.
         fresh_start()
         for cfg in [
@@ -1201,7 +1302,7 @@ class TestOrderKeyedCaches:
         ]:
             Element.from_monomials(cfg, [(TestPackWidth.HEAVY, 1)])
         info = rewrite._reduction_step.cache_info()
-        assert (info.misses, info.currsize) == (28, 28)
+        assert (info.misses, info.currsize) == (3, 3)
 
     @pytest.mark.parametrize("flavor", FLAVORS)
     def test_every_configuration_of_one_order_shares_one_determinant(self, flavor):
