@@ -19,21 +19,19 @@ from .coeff import (
     specialize_at_one,
 )
 from .detloc import (
-    Permutation,
     check_central,
     check_identities,
     check_sl_gl_iso,
     diagonal_reduction,
-    from_wedge_key,
     quantum_determinant,
     quantum_determinant_reversed,
     sl_gl_iso,
-    to_wedge_key,
 )
 from .frobext import FrobeniusContext, Witness, check_nakayama, nakayama_exponent
 from .monomial import (
     GenOrder,
     NormalMonomial,
+    Permutation,
     Weight,
     Word,
     antidiag_region,
@@ -47,7 +45,6 @@ from .rewrite import (
     make_config,
     multiply,
     normal_form_of_word,
-    normalize,
     swap_adjacent,
 )
 from .rootspec import (
@@ -91,14 +88,12 @@ __all__ = [
     "diagonal_reduction",
     "enumerate_basis",
     "frobenius_image",
-    "from_wedge_key",
     "make_config",
     "make_opposite_order",
     "module_expand",
     "multiply",
     "nakayama_exponent",
     "normal_form_of_word",
-    "normalize",
     "quantum_determinant",
     "quantum_determinant_reversed",
     "reduce_mod",
@@ -107,6 +102,5 @@ __all__ = [
     "specialize",
     "specialize_at_one",
     "swap_adjacent",
-    "to_wedge_key",
     "weight",
 ]

@@ -20,6 +20,7 @@ Exit codes: 0 success, 1 failed check, 2 usage, parse or input error (also
 ``--n`` above ``MAX_N``, ``--ell`` above ``MAX_ELL``, or a suite given a
 non-default flag it does not read), or a command too large to finish (out
 of memory, recursion limit, ``basis --json`` above ``MAX_BASIS_JSON`` keys,
+``check nakayama`` above ``frobext.MAX_NAKAYAMA_CASES`` cases,
 a quantum determinant expanded at ``n`` above ``rewrite.MAX_DET_N``, or a
 word longer than ``rewrite.MAX_WORD_LEN`` letters, refused before it is built),
 and ``EXIT_BROKEN_PIPE`` when standard output is closed before the command

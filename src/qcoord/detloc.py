@@ -19,7 +19,6 @@ from dataclasses import replace
 
 from .coeff import LaurentPoly
 from .monomial import GenOrder, NormalMonomial
-from .monomial import Permutation  # noqa: F401  (re-exported)
 from .render import monomial_to_str
 from .report import CheckReport
 from .rewrite import (
@@ -62,53 +61,6 @@ def check_central(n: int, ell: int | None = None) -> CheckReport:
             residual = multiply(det, t) - multiply(t, det)
             report.add_residual(f"D t[{i},{j}] - t[{i},{j}] D", residual)
     return report
-
-
-# ---------------------------------------------------------------------------
-# Re-keying between the two presentations of localized normal monomials:
-# nonpositive determinant powers with min(diagonal + {power}) zero, versus
-# arbitrary powers with min(diagonal) zero.
-# ---------------------------------------------------------------------------
-
-
-def is_vee_key(m: NormalMonomial) -> bool:
-    return m.min_diag() == 0
-
-
-def is_wedge_key(m: NormalMonomial) -> bool:
-    return m.dpower <= 0 and min(m.min_diag(), -m.dpower) == 0
-
-
-def to_wedge_key(m: NormalMonomial) -> NormalMonomial:
-    """Bijection from arbitrary-power keys to nonpositive-power keys.
-
-    A nonnegative determinant power is absorbed into the diagonal
-    exponents; a negative one is kept.  Inverse of :func:`from_wedge_key`.
-    """
-    if not is_vee_key(m):
-        raise ValueError(f"{m} does not satisfy the min-diagonal-zero constraint")
-    if m.dpower <= 0:
-        return m
-    n = m.n
-    exps = list(m.exps)
-    for i in range(1, n + 1):
-        exps[(i - 1) * n + (i - 1)] += m.dpower
-    return NormalMonomial(tuple(exps), 0)
-
-
-def from_wedge_key(m: NormalMonomial) -> NormalMonomial:
-    if not is_wedge_key(m):
-        raise ValueError(f"{m} is not a nonpositive-power key")
-    if m.dpower < 0:
-        return m
-    shift = m.min_diag()
-    if shift == 0:
-        return m
-    n = m.n
-    exps = list(m.exps)
-    for i in range(1, n + 1):
-        exps[(i - 1) * n + (i - 1)] -= shift
-    return NormalMonomial(tuple(exps), shift)
 
 
 # ---------------------------------------------------------------------------

@@ -215,10 +215,6 @@ class NormalMonomial(NamedTuple):
             letters.extend([g] * e)
         return tuple(letters)
 
-    def min_diag(self) -> int:
-        n = self.n
-        return min(self.exps[(i - 1) * n + (i - 1)] for i in range(1, n + 1))
-
     def min_antidiag(self) -> int:
         n = self.n
         return min(self.exps[(i - 1) * n + (n - i)] for i in range(1, n + 1))

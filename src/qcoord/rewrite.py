@@ -1144,11 +1144,6 @@ class Element(Combination):
         return f"<Element {self}>"
 
 
-def normalize(e: Element) -> Element:
-    """Re-reduce an element; the identity on anything already in normal form."""
-    return Element.from_monomials(e.config, e.terms.items())
-
-
 def multiply(a: Element, b: Element) -> Element:
     """Product of two elements, returned in normal form.
 

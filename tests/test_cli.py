@@ -321,6 +321,39 @@ class TestRun:
         assert run(["basis", "--n", "1", "--ell", "3", "--variant", "gl", "--json"]) == 2
         assert "would list 3^2 keys, more than 8" in capsys.readouterr().err
 
+    def test_nakayama_refused_above_case_cap(self, capsys, monkeypatch):
+        from qcoord import frobext
+
+        cap = frobext.MAX_NAKAYAMA_CASES
+        # n=1, l=3: 3 twist cases and the 9 pairs of the 3-monomial grid, run
+        # whole; exactly at the cap the suite runs
+        monkeypatch.setattr(frobext, "MAX_NAKAYAMA_CASES", 12)
+        assert run(["check", "nakayama", "--n", "1", "--ell", "3"]) == 0
+        assert capsys.readouterr().out == "check nakayama (n=1, ell=3): PASS (12 cases)\n"
+        monkeypatch.setattr(frobext, "MAX_NAKAYAMA_CASES", 11)
+        assert run(["check", "nakayama", "--n", "1", "--ell", "3"]) == 2
+        assert capsys.readouterr().err == (
+            "error: check nakayama would run 1*3^1 + 9 cases, more than 11\n"
+        )
+
+        def never(*args):
+            pytest.fail("the basis was enumerated")
+
+        monkeypatch.setattr(frobext, "enumerate_basis", never)
+        # n=3, l=3: the 9 * 3^9 twist cases fit; with the sample of 500, one over
+        monkeypatch.setattr(frobext, "MAX_NAKAYAMA_CASES", 9 * 3**9 + 499)
+        assert run(["check", "nakayama", "--n", "3", "--ell", "3"]) == 2
+        assert capsys.readouterr().err == (
+            "error: check nakayama would run 9*3^9 + 500 cases, more than 177646\n"
+        )
+        monkeypatch.setattr(frobext, "MAX_NAKAYAMA_CASES", cap)
+        for n, ell in ((3, 5), (4, 3), (2, 21), (100, 3)):
+            assert run(["check", "nakayama", "--n", str(n), "--ell", str(ell)]) == 2
+            assert capsys.readouterr() == ("", (
+                f"error: check nakayama would run {n * n}*{ell}^{n * n} twist cases, "
+                f"more than {cap}\n"
+            ))
+
     @pytest.mark.parametrize("argv", [["det", "--n", "9"], ["check", "iso", "--n", "9"]])
     def test_determinant_above_size_limit_exits_two(self, capsys, argv):
         assert run(argv) == 2
@@ -387,26 +420,41 @@ class TestMain:
             assert child.wait(timeout=60) == EXIT_BROKEN_PIPE
             assert child.stderr.read() == b""
 
-    def test_a_long_product_word_exits_two_within_seconds(self):
-        # under a 1 GB address-space limit, so that a regression ends in a
-        # MemoryError in the child, not in memory taken from the machine
+    @staticmethod
+    def run_capped(*argv):
+        """Run to the end under a 1 GB address-space limit, so that a
+        regression ends in a MemoryError in the child, not in memory taken
+        from the machine."""
+
         def limit():
             resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
         env = dict(os.environ, PYTHONPATH=str(Path(qcoord.__file__).parents[1]))
-        argv = ["nf", "t[2,2]^100000000 t[1,1]"]
-        child = subprocess.run(
+        return subprocess.run(
             [sys.executable, "-c", "from qcoord.cli import main; main()", *argv],
             capture_output=True,
             env=env,
             timeout=60,
             preexec_fn=limit,
         )
+
+    def test_a_long_product_word_exits_two_within_seconds(self):
+        child = self.run_capped("nf", "t[2,2]^100000000 t[1,1]")
         assert (child.returncode, child.stdout, child.stderr) == (
             2,
             b"",
             b"error: a word of 100000001 letters is too long; "
             b"words are limited to 1000000 letters\n",
+        )
+
+    def test_an_oversized_nakayama_check_exits_two_up_front(self):
+        # 17,578,125 twist cases: unrefused, the suite ran for seconds into
+        # the memory cap, then ended in exit 1, 2, 120 or 134 by where it ran out
+        child = self.run_capped("check", "nakayama", "--n", "3", "--ell", "5")
+        assert (child.returncode, child.stdout, child.stderr) == (
+            2,
+            b"",
+            b"error: check nakayama would run 9*5^9 twist cases, more than 524288\n",
         )
 
     def test_exit_code_is_kept_when_output_is_read(self):
@@ -424,15 +472,13 @@ class TestTables:
     @pytest.mark.parametrize("variant", ["gl", "sl"])
     @pytest.mark.parametrize("n", [1, 2])
     def test_a_generator_prints_as_its_normal_form(self, capsys, n, variant, flavor):
-        from qcoord.rewrite import normalize
-
         cfg = make_config(n, variant, flavor=flavor)
         order = "rowmajor" if flavor == "standard" else "opposite"
         flags = ["--n", str(n), "--variant", variant, "--order", order]
         for i in range(1, n + 1):
             for j in range(1, n + 1):
                 t = Element.generator(cfg, i, j)
-                assert t == normalize(t)
+                assert t == Element.from_monomials(t.config, t.terms.items())
                 printed = []
                 for spelling in (f"t[{i},{j}]", f"t[{i},{j}] * 1"):
                     assert run(["nf", spelling, *flags]) == 0

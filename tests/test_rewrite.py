@@ -37,7 +37,6 @@ from qcoord.rewrite import (
     make_config,
     multiply,
     normal_form_of_word,
-    normalize,
     swap_adjacent,
     times_determinant,
 )
@@ -137,7 +136,7 @@ class TestNormalize:
         cfg = make_config(2)
         for _ in range(20):
             e = Element.from_words(cfg, [(random_word(rng, 2), 1)])
-            assert normalize(e) == e
+            assert Element.from_monomials(e.config, e.terms.items()) == e
 
     def test_distinct_monomials_never_merge(self):
         cfg = make_config(2)
@@ -1354,7 +1353,6 @@ class TestOrderKeyedCaches:
         assert row_major_order(n).targets == GenOrder(n, tuple(seq)).targets == diagonal
         assert make_opposite_order(n).targets == antidiagonal
         m = NormalMonomial(tuple(range(1, n * n + 1)))
-        assert min(m.exps[t] for t in diagonal) == m.min_diag()
         assert min(m.exps[t] for t in antidiagonal) == m.min_antidiag()
 
     def test_every_cache_is_bounded_and_keyed_by_no_configuration(self):
