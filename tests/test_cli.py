@@ -253,11 +253,34 @@ class TestRun:
                 ["nf", "(t[1,1] + 1)^-1"],
                 "parse error at offset 14: negative power is allowed only on q and D",
             ),
+            (
+                ["nf", "q + %"],
+                "parse error at offset 4: unexpected character '%' "
+                "(expected number, q, t, D, operator)",
+            ),
+            (["nf", "q )"], "parse error at offset 2: trailing input ')' (expected end of input)"),
+            (
+                ["nf", "t[1,1]t[2,2]"],
+                "parse error at offset 6: adjacent factors need whitespace or '*' (expected *)",
+            ),
+            (["nf", "D"], "parse error at offset 0: D needs the gl or sl variant"),
+            (["nf", "t[3,1]"], "parse error at offset 0: index t[3,1] out of range for n=2"),
+            (["nf", "()"], "parse error at offset 1: found ')' (expected expression)"),
+            (["nf", ""], "parse error at offset 0: input ended (expected expression)"),
+            (["nf", "t 1"], "parse error at offset 2: found '1' (expected [)"),
+            (["nf", "t[,1]"], "parse error at offset 2: found ',' (expected row index)"),
+            (["nf", "t[1,"], "parse error at offset 4: input ended (expected column index)"),
+            (["nf", "q^"], "parse error at offset 2: input ended (expected integer exponent)"),
         ],
     )
     def test_bad_input_is_one_line_and_exit_two(self, capsys, argv, message):
         assert run(argv) == 2
         assert capsys.readouterr().err == message + "\n"
+
+    def test_a_digit_int_rejects_is_one_line_and_exit_two(self, capsys):
+        # '²' passes str.isdigit but not int(); only the exit and the line count are promised.
+        assert run(["nf", "1²"]) == 2
+        assert len(capsys.readouterr().err.splitlines()) == 1
 
     def test_unknown_subcommand(self, capsys):
         assert run(["bogus"]) == 2
