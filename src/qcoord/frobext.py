@@ -338,13 +338,15 @@ def check_nakayama(n: int, ell: int) -> CheckReport:
     cases all go through ``bform``.  Labels, order and case count are those
     of pairing every case.
     """
-    ctx = FrobeniusContext(n, ell)
+    CycloRing(ell)  # validates odd positive ell before anything is counted or built
     # l > 1 to the cap's bit length already exceeds it: no huge power is formed.
     twists = n * n * ell ** min(n * n, MAX_NAKAYAMA_CASES.bit_length())
     pairs = default_symmetry_pairs(n, ell) if twists <= MAX_NAKAYAMA_CASES else ()
-    if twists + len(pairs) > MAX_NAKAYAMA_CASES:
+    # A dimension below 1 is left to the context's error.
+    if n > 0 and twists + len(pairs) > MAX_NAKAYAMA_CASES:
         cases = f"{n * n}*{ell}^{n * n}" + (f" + {len(pairs)}" if pairs else " twist")
         raise ValueError(f"check nakayama would run {cases} cases, more than {MAX_NAKAYAMA_CASES}")
+    ctx = FrobeniusContext(n, ell)
     cfg = ctx.config
     one = ctx.ring.one()
     report = CheckReport("nakayama", n, ell)

@@ -1,23 +1,30 @@
 """Tests for the expression parser, evaluator and command line driver."""
 
+import contextlib
+import io
 import json
 import os
 import random
 import resource
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qcoord
 
+from qcoord import cli
 from qcoord.cli import EXIT_BROKEN_PIPE, MAX_NESTING, ParseError, evaluate, parse, run
 from qcoord.coeff import LaurentPoly
 from qcoord.detloc import quantum_determinant
 from qcoord.monomial import NormalMonomial, make_opposite_order, row_major_order
 from qcoord.render import element_to_str
 from qcoord.rewrite import Element, make_config
+from test_properties import SETTINGS
 
 
 class TestParse:
@@ -324,6 +331,32 @@ class TestRun:
         assert run(["det"]) == 2
         assert capsys.readouterr().err == message
 
+    def test_resource_error_is_written_after_the_command_is_freed(self, capsys, monkeypatch):
+        # Printing while the traceback still holds the command's frames can
+        # raise a second MemoryError, ending in a traceback and exit 1.
+        from qcoord import cli
+
+        class Held:
+            pass
+
+        refs, alive = [], []
+
+        def exhausted(args):
+            held = Held()
+            refs.append(weakref.ref(held))
+            raise MemoryError
+
+        def spy(message):
+            alive.append(refs[0]() is not None)
+            return fail(message)
+
+        fail = cli._fail
+        monkeypatch.setitem(cli.COMMANDS, "det", cli.COMMANDS["det"]._replace(handler=exhausted))
+        monkeypatch.setattr(cli, "_fail", spy)
+        assert run(["det"]) == 2
+        assert capsys.readouterr().err == "error: out of memory\n"
+        assert alive == [False]
+
     def test_basis_json_refused_above_cap(self, capsys, monkeypatch):
         from qcoord import cli
 
@@ -375,6 +408,34 @@ class TestRun:
             assert capsys.readouterr() == ("", (
                 f"error: check nakayama would run {n * n}*{ell}^{n * n} twist cases, "
                 f"more than {cap}\n"
+            ))
+
+    def test_nakayama_refuses_before_building_its_context(self, monkeypatch):
+        from qcoord import frobext
+
+        def never(*args):
+            pytest.fail("a pairing context was built")
+
+        monkeypatch.setattr(frobext, "FrobeniusContext", never)
+        with pytest.raises(ValueError, match="would run 1000000\\*3\\^1000000 twist cases"):
+            frobext.check_nakayama(1000, 3)
+        with pytest.raises(ValueError, match="odd positive"):
+            frobext.check_nakayama(1000, 4)
+
+    def test_confluence_refused_above_word_cap(self, capsys, monkeypatch):
+        from qcoord import cli
+
+        def never(*args, **kwargs):
+            pytest.fail("an algebra was built")
+
+        # --n 4 straightens sum(16**k for k <= 5) words and runs; --n 5 does not
+        assert sum(16**k for k in range(cli.MAX_CONFLUENCE_LEN + 1)) <= cli.MAX_CONFLUENCE_WORDS
+        monkeypatch.setattr(cli, "make_config", never)
+        for n, words in ((5, 10172526), (1000, sum(10**(6 * k) for k in range(6)))):
+            assert run(["check", "pbw-confluence", "--n", str(n)]) == 2
+            assert capsys.readouterr() == ("", (
+                f"error: check pbw-confluence would straighten {words} words, "
+                f"more than {cli.MAX_CONFLUENCE_WORDS}\n"
             ))
 
     @pytest.mark.parametrize("argv", [["det", "--n", "9"], ["check", "iso", "--n", "9"]])
@@ -621,3 +682,67 @@ class TestTables:
     def test_check_accepts_the_default_of_a_flag_it_does_not_read(self, capsys):
         assert run(["check", "identities", "--variant", "m", "--order", "rowmajor"]) == 0
         assert capsys.readouterr().out == "check identities (n=2): PASS (7 cases)\n"
+
+
+# Expressions from the grammar: exponents up to 3 on atoms only, and indices
+# up to 3, so that at n <= 2 every draw runs in milliseconds.
+_ATOMS = st.tuples(
+    st.sampled_from(["q", "D", "0", "2", "t[1,1]", "t[1,2]", "t[2,1]", "t[2,2]", "t[3,1]"]),
+    st.sampled_from(["", "", "^0", "^3", "^-1"]),
+).map("".join)
+_EXPRESSIONS = st.recursive(
+    _ATOMS,
+    lambda inner: st.one_of(
+        st.tuples(inner, st.sampled_from([" + ", " - ", "-", " * ", " ", ""]), inner).map("".join),
+        inner.map(lambda e: f"({e})"),
+        inner.map(lambda e: f"-{e}"),
+    ),
+    max_leaves=6,
+)
+
+
+@st.composite
+def _expressions(draw):
+    """A grammar expression, one time in three with a stray character spliced in."""
+    expr = draw(_EXPRESSIONS)
+    stray = draw(st.sampled_from(["", "", "%", "x", "²", "٣", "\t", "]", "(", "^"]))
+    k = draw(st.integers(0, len(expr)))
+    return expr[:k] + stray + expr[k:] if draw(st.integers(0, 2)) == 0 else expr
+
+
+# Each shared flag's valid values, then its invalid ones.
+_FLAG_VALUES = {
+    "--n": (["1", "2"], ["0", "-1", "1001", "two"]),
+    "--ell": (["1", "3", "5"], ["4", "-3", "1001"]),
+    "--variant": (["m", "gl", "sl"], ["xx"]),
+    "--order": (["rowmajor", "opposite"], ["xx"]),
+}
+
+
+@st.composite
+def _command_lines(draw):
+    """A command line with valid flags, or with one flag's value invalid."""
+    command = draw(st.sampled_from([*cli.COMMANDS]))
+    positional = {"nf": 1, "mul": 2, "expand": 1, "phi": 1, "nakayama": 1}.get(command, 0)
+    argv = [command, *(draw(_expressions()) for _ in range(positional))]
+    if command == "check":
+        argv.append(draw(st.sampled_from([*cli.SUITES, "bogus"])))
+    invalid = draw(st.sampled_from([None, None, *_FLAG_VALUES]))
+    for flag, (valid, bad) in _FLAG_VALUES.items():
+        value = draw(st.sampled_from(bad if flag == invalid else [None, *valid]))
+        argv += [flag, value] if value is not None else []
+    return argv + (["--json"] if draw(st.booleans()) else [])
+
+
+class TestFuzz:
+    @settings(SETTINGS, max_examples=200)
+    @given(_command_lines())
+    def test_every_command_line_ends_in_an_exit_code(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run(argv)
+        assert code in (0, 1, 2)
+        if code == 2 and not err.getvalue().startswith("usage:"):
+            assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n")
+        if code != 2:
+            assert err.getvalue() == ""
