@@ -381,7 +381,7 @@ class TestZeroOnSmaller:
 
 
 class TestNakayamaSuite:
-    @pytest.mark.parametrize("n, ell", [(1, 3), (2, 3), (2, 5), (3, 3), (2, 7)])
+    @pytest.mark.parametrize("n, ell", [(1, 3), (2, 3), (2, 5), (3, 3), (2, 7), (1, 83), (1, 85)])
     def test_symmetry_pairs_are_the_stride_sample_of_the_listed_basis(self, n, ell):
         basis = list(enumerate_basis(n, ell, "m"))
         size = len(basis)
