@@ -23,8 +23,8 @@ reaches the top only when every row sum and every column sum of ``m``, plus
 :meth:`FrobeniusContext.bform` multiplies only the graded components of
 ``x`` and ``y`` whose bidegrees sum to that of the top; skipping the others
 is exact, not an approximation.  :func:`check_nakayama` applies the same
-lemma in bulk: it grades the residue basis once, buckets it by grade, and
-pairs a generator only with the bucket complementary to its own grade.
+lemma in bulk: it grades the residue basis once and pairs a generator only
+with the monomials whose grade complements its own.
 """
 
 from __future__ import annotations
@@ -295,16 +295,15 @@ class FrobeniusContext:
 def default_symmetry_pairs(n: int, ell: int):
     """Deterministic pair sample for the pairing-symmetry check.
 
-    Exhaustive when the full grid is small; otherwise a fixed stride sample
-    of ``_SYMMETRY_SAMPLE`` pairs of the grid of :func:`enumerate_basis`,
-    each monomial decoded from its index there without listing the basis.
+    The whole grid of pairs of :func:`enumerate_basis` when it has at most
+    7,000; otherwise a fixed stride sample of ``_SYMMETRY_SAMPLE`` pairs of
+    it.  Each monomial is decoded from its index there without listing the
+    basis.
     """
     CycloRing(ell)  # validates odd positive ell
     size = ell ** (n * n)
     total = size * size
-    if total <= 7000:
-        basis = list(enumerate_basis(n, ell, "m"))
-        return [(x, y) for x in basis for y in basis]
+    count = total if total <= 7000 else _SYMMETRY_SAMPLE
 
     def monomial(index: int) -> NormalMonomial:
         # The base-l digits of ``index``, most significant first, are the
@@ -314,9 +313,8 @@ def default_symmetry_pairs(n: int, ell: int):
             index, exps[slot] = divmod(index, ell)
         return NormalMonomial(tuple(exps))
 
-    stride = total // _SYMMETRY_SAMPLE
     return [(monomial(idx // size), monomial(idx % size))
-            for idx in range(0, total, stride)[:_SYMMETRY_SAMPLE]]
+            for idx in range(0, total, total // count)[:count]]
 
 
 def check_nakayama(n: int, ell: int) -> CheckReport:
@@ -328,15 +326,15 @@ def check_nakayama(n: int, ell: int) -> CheckReport:
     residue basis monomial ``m``; and the symmetry cases on the sample of
     monomial pairs :func:`default_symmetry_pairs`.
 
-    The basis is graded once and bucketed by bidegree mod ``l``.  By the
-    bigrading lemma (module docstring) both sides of a twist case vanish
-    unless ``m`` lies in the bucket complementary to the grade of ``t``
-    (``nu`` keeps keys, so ``nu(t)`` has the grade of ``t``); only those
-    cases are paired, through :meth:`FrobeniusContext.bform`, and every
-    other one is recorded with residual ``0`` without building anything.
-    At n=3, l=3 that pairs 729 of the 177,147 twist cases.  The symmetry
-    cases all go through ``bform``.  Labels, order and case count are those
-    of pairing every case.
+    Each basis monomial is named and graded, by bidegree mod ``l``, once.
+    By the bigrading lemma (module docstring) both sides of a twist case
+    vanish unless the grade of ``m`` complements that of ``t`` (``nu`` keeps
+    keys, so ``nu(t)`` has the grade of ``t``); only those cases build the
+    element of ``m`` and pair it through :meth:`FrobeniusContext.bform`, and
+    every other one is recorded with residual ``0`` without building
+    anything.  At n=3, l=3 that pairs 729 of the 177,147 twist cases.  The
+    symmetry cases all go through ``bform``.  Labels, order and case count
+    are those of pairing every case.
     """
     CycloRing(ell)  # validates odd positive ell before anything is counted or built
     # l > 1 to the cap's bit length already exceeds it: no huge power is formed.
@@ -350,35 +348,28 @@ def check_nakayama(n: int, ell: int) -> CheckReport:
     cfg = ctx.config
     one = ctx.ring.one()
     report = CheckReport("nakayama", n, ell)
+    basis = {
+        m: (monomial_to_str(m, cfg.order) or "1", _grade(m, ell))
+        for m in enumerate_basis(n, ell, "m")
+    }
 
-    def name(m: NormalMonomial) -> str:
-        return monomial_to_str(m, cfg.order) or "1"
-
-    # Plain residue monomials are normal forms, so their elements are built
-    # trusted; each is built, named and graded once for both families.
-    basis: dict[NormalMonomial, tuple[str, Element]] = {}
-    buckets: dict[tuple[int, ...], set[NormalMonomial]] = {}
-    for m in enumerate_basis(n, ell, "m"):
-        basis[m] = name(m), Element(cfg, {m: one})
-        buckets.setdefault(_grade(m, ell), set()).add(m)
-
-    def case(label: str, x: Element, y: Element, nu_y: Element) -> None:
-        report.add_residual(label, ctx.bform(x, y) - ctx.bform(nu_y, x))
+    def case(label: str, x: NormalMonomial, y: NormalMonomial) -> None:
+        # Plain residue monomials and generators are normal forms, so their
+        # elements are built trusted.
+        ex, ey = Element(cfg, {x: one}), Element(cfg, {y: one})
+        report.add_residual(label, ctx.bform(ex, ey) - ctx.bform(ctx.nakayama(ey), ex))
 
     for i in range(1, n + 1):
         for j in range(1, n + 1):
-            t = Element.generator(cfg, i, j)
-            nu_t = ctx.nakayama(t)
-            (key,) = t.terms
-            paired = buckets.get(ctx._complement(_grade(key, ell)), ())
-            for m, (m_name, e) in basis.items():
+            (t,) = Element.generator(cfg, i, j).terms
+            want = ctx._complement(_grade(t, ell))
+            for m, (m_name, grade) in basis.items():
                 label = f"t[{i},{j}] twisted past {m_name}"
-                if m in paired:
-                    case(label, e, t, nu_t)
+                if grade == want:
+                    case(label, m, t)
                 else:
                     report.add(label, "0", True)
 
     for x, y in pairs:
-        (x_name, ex), (y_name, ey) = basis[x], basis[y]
-        case(f"B({x_name}, {y_name}) symmetry", ex, ey, ctx.nakayama(ey))
+        case(f"B({basis[x][0]}, {basis[y][0]}) symmetry", x, y)
     return report

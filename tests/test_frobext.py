@@ -465,14 +465,14 @@ def per_case_nakayama(n, ell, symmetry_pairs):
 
 
 class TestNakayamaBuckets:
-    """``check_nakayama`` records the twist cases outside a generator's
-    complementary bucket as ``0`` without pairing them; its report must be
-    the one that pairs every case.  Under the true twist every residual is
-    ``0`` either way, so both run under a twist off by one power of the root:
-    its residuals are nonzero exactly where a pairing is, and a suite that
-    paired the wrong bucket would record those cases as ``0``.  Under the
-    true twist, the golden digests of ``check nakayama --json`` at (2,3) and
-    (2,5), and CI's smoke step at (3,3), pin the suite's report."""
+    """``check_nakayama`` records the twist cases whose monomial's grade does
+    not complement the generator's as ``0`` without pairing them; its report
+    must be the one that pairs every case.  Under the true twist every
+    residual is ``0`` either way, so both run under a twist off by one power
+    of the root: its residuals are nonzero exactly where a pairing is, and a
+    suite that paired the wrong grade would record those cases as ``0``.
+    Under the true twist, the golden digests of ``check nakayama --json`` at
+    (2,3) and (2,5), and CI's smoke step at (3,3), pin the suite's report."""
 
     @staticmethod
     def mistwist(monkeypatch):
