@@ -21,8 +21,9 @@ Exit codes: 0 success, 1 failed check, 2 usage, parse or input error (also
 non-default flag it does not read), or a command too large to finish (out
 of memory, recursion limit, ``basis --json`` above ``MAX_BASIS_JSON`` keys,
 ``check nakayama`` above ``frobext.MAX_NAKAYAMA_CASES`` cases, ``check
-pbw-confluence`` above ``MAX_CONFLUENCE_WORDS`` words, a quantum determinant
-expanded at ``n`` above ``rewrite.MAX_DET_N``, or a word longer than
+pbw-confluence`` above ``MAX_CONFLUENCE_WORDS`` words, ``check identities``
+at ``n`` above ``detloc.MAX_IDENTITIES_N``, a quantum determinant expanded
+at ``n`` above ``rewrite.MAX_DET_N``, or a word longer than
 ``rewrite.MAX_WORD_LEN`` letters, refused before it is built), and
 ``EXIT_BROKEN_PIPE`` when standard output is closed before the command has
 written it all.
@@ -41,7 +42,7 @@ from functools import reduce
 from . import detloc, frobext, rootspec
 from .render import element_to_str, monomial_to_str
 from .report import CheckReport
-from .rewrite import AlgebraConfig, Element, make_config, multiply, normal_form_of_word
+from .rewrite import VARIANTS, AlgebraConfig, Element, make_config, multiply, normal_form_of_word
 
 # Deepest parenthesis nesting the parser accepts.  Parsing and evaluation
 # take a few stack frames per level, so this keeps both far below the
@@ -383,9 +384,9 @@ COMMANDS = {
 # The flags every command shares, as ``add_argument`` keywords.
 _FLAGS = {
     "n": dict(type=int, default=2, help="matrix dimension (default 2)"),
-    "variant": dict(choices=("m", "gl", "sl"), default="m", help="algebra variant"),
+    "variant": dict(choices=VARIANTS, default="m", help="algebra variant"),
     "ell": dict(type=int, default=None, help="odd root-of-unity order"),
-    "order": dict(choices=("rowmajor", "opposite"), default="rowmajor", help="generator order"),
+    "order": dict(choices=_FLAVOR, default="rowmajor", help="generator order"),
     "json": dict(action="store_true", help="machine-readable output"),
 }
 

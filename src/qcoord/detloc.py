@@ -34,6 +34,12 @@ from .rewrite import (
     times_determinant,
 )
 
+# Largest dimension ``check identities`` runs at.  Its diagonal reductions
+# grow fast: n=6 took 1.45-1.66 s at 47.5 MB, n=7 58.6 s at 1,103 MB (whole
+# processes, Python 3.11, 2 cores); n=8, which ``MAX_DET_N`` admits, was
+# never run.
+MAX_IDENTITIES_N = 6
+
 
 def quantum_determinant_reversed(cfg: AlgebraConfig) -> Element:
     """The reversed-row expansion ``sum_s (-q)**(-len(s)) t[n,s(n)] .. t[1,s(1)]``.
@@ -139,6 +145,12 @@ def _reduction_targets(order: GenOrder) -> list[NormalMonomial]:
 
 
 def check_identities(n: int) -> CheckReport:
+    # Refused before any algebra is built; a dimension below 1 is make_config's error.
+    if n > MAX_IDENTITIES_N:
+        raise ValueError(
+            f"check identities at n={n} is too large; "
+            f"the suite is limited to n <= {MAX_IDENTITIES_N}"
+        )
     report = CheckReport("identities", n)
     cfg_m = make_config(n, "m")
     det = quantum_determinant(cfg_m)

@@ -213,12 +213,12 @@ class AlgebraConfig:
 
 
 def make_config(
-    n: int, variant: str = "m", *, ell: int | None = None, flavor: str | None = None
+    n: int, variant: str = "m", *, ell: int | None = None, flavor: str = "standard"
 ) -> AlgebraConfig:
     """The algebra of ``n``, ``variant`` and ``ell``, in the generator order
-    of ``flavor`` (row-major when none is given).  Any other order goes
+    of ``flavor`` (row-major for ``"standard"``).  Any other order goes
     straight to :class:`AlgebraConfig`."""
-    if flavor not in (None, *FLAVORS):
+    if flavor not in FLAVORS:
         raise ValueError(f"unknown basis flavor {flavor!r}")
     order = make_opposite_order(n) if flavor == "opposite" else row_major_order(n)
     ring = LaurentRing() if ell is None else CycloRing(ell)

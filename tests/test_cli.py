@@ -438,6 +438,19 @@ class TestRun:
                 f"more than {cli.MAX_CONFLUENCE_WORDS}\n"
             ))
 
+    def test_identities_refused_above_size_limit(self, capsys, monkeypatch):
+        from qcoord import detloc
+
+        def never(*args, **kwargs):
+            pytest.fail("an algebra was built")
+
+        # --n 7 ran 58.6 s at 1,103 MB before it was refused
+        monkeypatch.setattr(detloc, "make_config", never)
+        assert run(["check", "identities", "--n", "7"]) == 2
+        assert capsys.readouterr() == ("", (
+            "error: check identities at n=7 is too large; the suite is limited to n <= 6\n"
+        ))
+
     @pytest.mark.parametrize("argv", [["det", "--n", "9"], ["check", "iso", "--n", "9"]])
     def test_determinant_above_size_limit_exits_two(self, capsys, argv):
         assert run(argv) == 2
