@@ -54,6 +54,11 @@ COMMANDS = [
     " --order opposite",
     "nakayama 't[1,1] t[2,2]^2 + t[1,2] t[2,1]^2' --ell 3",
     "nakayama 't[1,2]^2 t[2,1] D^-1 + t[2,2]' --ell 3 --variant gl --json",
+    # At l = 9, deg phi_9 = 6 < l - 1: twists land on the reduced residues
+    # of eps^6, eps^7 and eps^8, and two coefficients have several terms.
+    "nakayama 't[1,1] t[2,2]^2 + q^7 t[1,2]^4 t[2,1] + (1 - 2 q^5) t[2,2]^8' --ell 9",
+    "nakayama 'q^7 t[1,2]^2 t[2,1] D^-1 + (q + q^8) t[2,2]^3 + t[1,1]^4 t[2,1]^5' --ell 9"
+    " --variant gl",
     "basis --n 2 --ell 3",
     "basis --n 1 --ell 3 --variant gl --json",
     "check central --n 2",
@@ -70,6 +75,8 @@ COMMANDS = [
 DIGESTS = {
     "check nakayama --n 2 --ell 3 --json": "c2d58306b7af90a72dd7aea9c4357817f7655a742d44c729104220da42a739b3",
     "check nakayama --n 2 --ell 5 --json": "daff1568519698da4c4ffb2c4bca4434a27660fc68959b128f685ea3e210a7fe",
+    # l = 9 is not prime: 26,744 cases, 3.3 MB.
+    "check nakayama --n 2 --ell 9 --json": "bdb79836ff960c87bb922fd6e787e39fcc17838f0cfa016d3a0b878c7cbe8d29",
     "check identities --n 5 --json": "5d094791d73cfd27d6614c1a5bdef83ca56fe22340a34953d121e335e0b2954a",
     "check iso --n 3 --json": "063c2f6bfa17fa39cd5196f1399ffc318036b26cc049bb411406d55d0719538e",
     # 13 terms whose coefficients reach 100 terms and |c| = 504.
