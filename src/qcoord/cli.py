@@ -23,9 +23,9 @@ of memory, recursion limit, ``basis --json`` above ``MAX_BASIS_JSON`` keys,
 ``check nakayama`` above ``frobext.MAX_NAKAYAMA_CASES`` cases, ``check
 pbw-confluence`` above ``MAX_CONFLUENCE_WORDS`` words, ``check identities``
 at ``n`` above ``detloc.MAX_IDENTITIES_N``, ``check central`` at ``n``
-above ``detloc.MAX_CENTRAL_N``, ``check frobenius`` above
-``rootspec.MAX_FROBENIUS_PAIRS`` pairs or with ``n^4 * l^2`` above
-``rootspec.MAX_FROBENIUS_WORK``, a quantum determinant expanded at ``n``
+above ``detloc.MAX_CENTRAL_N``, ``check frobenius`` with
+``n^5 * (l^3 + 256 n)`` above ``rootspec.MAX_FROBENIUS_WORK``, a quantum
+determinant expanded at ``n``
 above ``rewrite.MAX_DET_N``, or a word longer than ``rewrite.MAX_WORD_LEN``
 letters, refused before it is built), and
 ``EXIT_BROKEN_PIPE`` when standard output is closed before the command has

@@ -318,6 +318,32 @@ class CycloElem(Combination):
 
     __rmul__ = __mul__
 
+    def rotated(self, k: int) -> CycloElem:
+        """``self * eps**k`` without a ring product.  As ``eps**l == 1``, each
+        term ``c q**e`` becomes ``c eps**((e + k) mod l)``: a one-term
+        residue is that power, shared, scaled by ``c``, and a longer one the
+        sum of its terms' rows in the residue table.
+
+        >>> ring = CycloRing(9)
+        >>> ring.q_power(5).rotated(3) is ring.q_power(8)
+        True
+        >>> c = ring.one() + ring.q_power(2)
+        >>> str(c.rotated(-1)), c.rotated(-1) == c * ring.q_power(-1)
+        ('q - q^2 - q^5', True)
+        """
+        ell = self.space
+        if len(self.terms) == 1:
+            ((e, c),) = self.terms.items()
+            power = _eps_power(ell, (e + k) % ell)
+            return power if c == 1 else power.scale(c)
+        m = cyclotomic(ell)
+        residues = m.residues
+        dense = [0] * m.degree
+        for e, c in self.terms.items():
+            for i, r in residues[(e + k) % ell]:
+                dense[i] += c * r
+        return self._like({i: c for i, c in enumerate(dense) if c})
+
     __str__ = LaurentPoly.__str__
 
     def __repr__(self) -> str:

@@ -6,7 +6,10 @@ the top residue monomial (every exponent equal to ``l - 1``); the pairing
 ``B(x, y) = phi(x y)`` is then associative and non-degenerate, with an
 explicit dual witness for every basis monomial.  Its twist -- the
 automorphism ``nu`` with ``B(x, y) = B(nu(y), x)`` -- rescales each
-generator by a fixed power of the root of unity.
+generator by a fixed power of the root of unity.  As ``eps**l == 1``, a
+monomial's twist is one of the ``l`` powers of ``eps``, and twisting a
+coefficient rotates its terms among them (:meth:`CycloElem.rotated`) instead
+of multiplying in the ring.
 
 Bigrading lemma.  Give ``t[i,j]`` the bidegree ``(e_i; e_j)`` in
 ``Z^n x Z^n`` and ``D`` the bidegree ``(1, ..., 1; 1, ..., 1)``
@@ -22,9 +25,13 @@ reaches the top only when every row sum and every column sum of ``m``, plus
 ``bidegree(x) + bidegree(y)`` differs from ``bidegree(top)`` mod ``l``, and
 :meth:`FrobeniusContext.bform` multiplies only the graded components of
 ``x`` and ``y`` whose bidegrees sum to that of the top; skipping the others
-is exact, not an approximation.  :func:`check_nakayama` applies the same
-lemma in bulk: it grades the residue basis once and pairs a generator only
-with the monomials whose grade complements its own.
+is exact, not an approximation.  A pair of monomials that misses the top
+costs two grade lookups, a complement lookup and a comparison: about 1.7 us
+a pairing, and 5.3 us for the pairing benchmark's op of two such pairings,
+a twist and two renders (in process, Python 3.11, 2 shared cores).
+:func:`check_nakayama` applies the same lemma in bulk: it grades the residue
+basis once and pairs a generator only with the monomials whose grade
+complements its own.
 """
 
 from __future__ import annotations
@@ -50,8 +57,10 @@ from .rootspec import (
 # hits costs under a tenth of computing the bidegree.  Hits come from a
 # pairing and its mirror B(nu(y), x), which grade the same keys twice each
 # (nu keeps keys), and at n=2 from the residue basis (81 keys at l=3, 625 at
-# l=5) fitting whole.  Without the grade cache, the pairing benchmark's median
-# op took about twice as long; without the complement cache, about 14% longer.
+# l=5) fitting whole.  A pairing benchmark op whose two pairings vanish by
+# grade (two pairings, a twist and two renders) took 5.2-5.3 us; without the
+# grade cache 15-23 us, and without the complement cache 6.3 us (seed 1, in
+# process, best of 40, Python 3.11, 2 shared cores).
 _GRADE_CACHE = 1 << 12
 
 # Pairs in the symmetry check's sample of a grid too large to run whole.
@@ -175,39 +184,42 @@ class FrobeniusContext:
         """The pairing's zero, shared: a classical polynomial is immutable."""
         return ClassicalPoly.zero(self.ring, self.n)
 
-    def _component(self, e: Element, grade: tuple[int, ...]) -> Element:
-        """The terms of ``e`` whose bidegree is ``grade`` mod ``l``; a
-        monomial, the only operand of the pairing workload and the nakayama
-        suite, is its own component."""
-        if len(e.terms) == 1:
-            return e
+    def _components(self, e: Element) -> dict:
+        """The terms of ``e`` grouped by bidegree mod ``l``, each key graded
+        once."""
         ell = self.ell
-        return Element(
-            self.config, {key: c for key, c in e.terms.items() if _grade(key, ell) == grade}
-        )
+        parts: dict = {}
+        for key, c in e.terms.items():
+            parts.setdefault(_grade(key, ell), {})[key] = c
+        return parts
 
     def bform(self, x: Element, y: Element) -> ClassicalPoly:
         """The pairing ``B(x, y) = phi(x y)``.
 
         By the bigrading lemma (module docstring) the product of components
         of bidegrees ``a`` and ``b`` has ``phi`` zero unless ``a + b`` is the
-        bidegree of the top mod ``l``.  The grades of both operands are read
-        first, and only the components of pairs that reach the top are built
-        and multiplied; the others contribute exactly zero and never reach
-        :func:`multiply`.
+        bidegree of the top mod ``l``.  Each operand is graded once, and only
+        the components of pairs that reach the top are built and multiplied;
+        the others contribute exactly zero and never reach :func:`multiply`.
+        Two monomials, the operands of the pairing workload and the nakayama
+        suite, are one component each: their grades are read directly, and a
+        pair that misses the top builds nothing (module docstring).
         """
         cfg = self.config
-        for e in (x, y):
-            if e.config is not cfg and e.config != cfg:
-                raise ValueError("operands live outside this pairing context")
+        if (x.config is not cfg and x.config != cfg) or (y.config is not cfg and y.config != cfg):
+            raise ValueError("operands live outside this pairing context")
         ell = self.ell
-        right = {_grade(key, ell) for key in y.terms}
+        if len(x.terms) == 1 and len(y.terms) == 1:
+            (kx,), (ky,) = x.terms, y.terms
+            if _complement(_grade(kx, ell), ell) != _grade(ky, ell):
+                return self._zero
+            return self.phi(multiply(x, y))
+        right = self._components(y)
         total = self._zero
-        for grade in {_grade(key, ell) for key in x.terms}:
-            want = _complement(grade, ell)
-            if want in right:
-                product = multiply(self._component(x, grade), self._component(y, want))
-                total = total + self.phi(product)
+        for grade, terms in self._components(x).items():
+            other = right.get(_complement(grade, ell))
+            if other is not None:
+                total = total + self.phi(multiply(Element(cfg, terms), Element(cfg, other)))
         return total
 
     def element(self, m: NormalMonomial) -> Element:
@@ -261,14 +273,19 @@ class FrobeniusContext:
     def nakayama(self, e: Element) -> Element:
         """Rescale every monomial by the root-of-unity twist; keys unchanged.
         The twist has order dividing ``l``, so its inverse is its ``l - 1``-th
-        power."""
+        power.
+
+        A key's twist is ``eps**k`` with ``k = sum(exps * weights)``, and
+        ``eps**l == 1``, so it rotates the coefficient among the ``l`` powers
+        of ``eps`` instead of multiplying in the ring: each term ``c q**e``
+        becomes ``c eps**((e + k) mod l)`` (:meth:`CycloElem.rotated`).
+        """
         if e.config is not self.config and e.config != self.config:
             raise ValueError("element lives outside this pairing context")
         weights = self._twist_weights
-        q_power = self.ring.q_power
         out = {}
         for key, coeff in e.terms.items():  # a unit times nonzero is nonzero
-            out[key] = coeff * q_power(sum(map(mul, key.exps, weights)))
+            out[key] = coeff.rotated(sum(map(mul, key.exps, weights)))
         return Element(self.config, out)
 
     @cached_property

@@ -473,12 +473,12 @@ class TestRun:
         monkeypatch.setattr(rootspec, "make_config", never)
         assert run(["check", "frobenius", "--n", "30", "--ell", "3"]) == 2
         assert capsys.readouterr() == ("", (
-            "error: check frobenius at n=30 would straighten 810000 pairs, "
-            f"more than {rootspec.MAX_FROBENIUS_PAIRS}\n"
+            "error: check frobenius at n=30, l=3 would cost n^5*(l^3 + 256 n) = 187280100000, "
+            f"more than {rootspec.MAX_FROBENIUS_WORK}\n"
         ))
         assert run(["check", "frobenius", "--n", "2", "--ell", "999"]) == 2
         assert capsys.readouterr() == ("", (
-            "error: check frobenius at n=2, l=999 would cost n^4*l^2 = 15968016, "
+            "error: check frobenius at n=2, l=999 would cost n^5*(l^3 + 256 n) = 31904112352, "
             f"more than {rootspec.MAX_FROBENIUS_WORK}\n"
         ))
         with pytest.raises(ValueError, match="odd positive"):
