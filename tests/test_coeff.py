@@ -160,6 +160,26 @@ class TestResidueTable:
                 assert ring.q_power(a) * ring.q_power(b) == ring.q_power(a + b)
 
     @pytest.mark.parametrize("ell", ODD_ORDERS)
+    def test_rotation_equals_the_product_by_the_power(self, ell):
+        """``c.rotated(k)`` against ``c * eps**k`` by ``__mul__`` for every
+        ``k`` in ``[-2l, 2l)``: on the units ``q**e``, whose rotation is the
+        shared power itself, on scaled one-term residues and on residues of
+        several terms."""
+        rng = random.Random(4000 + ell)
+        ring = CycloRing(ell)
+        m = ring.modulus
+        units = [ring.q_power(e) for e in range(m.degree)]
+        scaled = [u.scale(rng.choice([-3, -1, 2])) for u in units]
+        dense = [random_residue(rng, m) for _ in range(6)]
+        assert any(len(c.terms) > 1 for c in dense) or m.degree == 1
+        for c in units + scaled + dense:
+            for k in range(-2 * ell, 2 * ell):
+                assert c.rotated(k) == c * ring.q_power(k)
+        for e, u in enumerate(units):
+            for k in range(-2 * ell, 2 * ell):
+                assert u.rotated(k) is ring.q_power(e + k)
+
+    @pytest.mark.parametrize("ell", ODD_ORDERS)
     def test_associative_and_distributive(self, ell):
         rng = random.Random(2000 + ell)
         m = cyclotomic(ell)

@@ -325,6 +325,42 @@ class TestNakayama:
             NormalMonomial((0, 0, 0, 1)): ctx23.ring.q_power(-2 % 3)
         }
 
+    @pytest.mark.parametrize("ell", [1, 3, 5, 9, 15])
+    @pytest.mark.parametrize("variant", ["m", "gl"])
+    @pytest.mark.parametrize("opposite", [False, True], ids=["rowmajor", "opposite"])
+    def test_equals_the_product_by_the_twist_power(self, ell, variant, opposite):
+        """Each twisted coefficient is ``c * eps**k`` by the ring product,
+        with ``k`` summed from :func:`nakayama_exponent`: on one-term
+        coefficients (``q**e`` and scaled ones) and on coefficients of
+        several terms.  9 and 15 are not prime, so ``deg phi_l < l - 1`` and
+        twists land on the reduced powers of ``eps``."""
+        n = 2
+        order = make_opposite_order(n) if opposite else row_major_order(n)
+        ctx = FrobeniusContext(n, ell, variant, order)
+        ring, deg = ctx.ring, ctx.ring.modulus.degree
+        rng = random.Random(ell * 4 + 2 * opposite + (variant == "gl"))
+
+        def coefficient(several):
+            if not several:
+                return ring.q_power(rng.randrange(deg)) * rng.choice([1, 1, -1, 2])
+            return sum(rng.randint(-3, 3) * ring.q_power(e) for e in range(deg)) + ring.q_power(1)
+
+        def key():
+            exps = tuple(rng.randrange(4) for _ in range(n * n))
+            return NormalMonomial(exps, rng.randint(-2, 2) if variant == "gl" else 0)
+
+        kinds = set()
+        for _ in range(8):
+            terms = [(key(), coefficient(rng.random() < 0.5)) for _ in range(4)]
+            e = Element.from_monomials(ctx.config, terms)
+            twisted = ctx.nakayama(e)
+            assert set(twisted.terms) == set(e.terms)
+            for m, c in e.terms.items():
+                k = sum(v * nakayama_exponent(n, s // n + 1, s % n + 1) for s, v in enumerate(m.exps))
+                assert twisted.terms[m] == c * ring.q_power(k)
+                kinds.add(min(len(c.terms), 2))
+        assert kinds == ({1, 2} if deg > 1 else {1})
+
     def test_exponent_formula(self):
         assert nakayama_exponent(2, 1, 1) == 2
         assert nakayama_exponent(2, 1, 2) == 0
