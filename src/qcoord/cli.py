@@ -43,7 +43,7 @@ from collections import namedtuple
 from functools import reduce
 
 from . import detloc, frobext, rootspec
-from .render import element_to_str, monomial_to_str
+from .render import element_to_str, monomial_to_str, sorted_terms
 from .report import CheckReport
 from .rewrite import VARIANTS, AlgebraConfig, Element, make_config, multiply, normal_form_of_word
 
@@ -306,7 +306,7 @@ SUITES = {
 def _element(e: Element, args) -> tuple:
     terms = (
         {"monomial": monomial_to_str(m, e.config.order) or "1", "coeff": str(c)}
-        for m, c in e.sorted_terms()
+        for m, c in sorted_terms(e.terms)
     )
     keys = {"n": args.n, "variant": args.variant, "ell": args.ell, "order": args.order}
     return {"schema": 1, **keys, "terms": terms}, map(element_to_str, [e]), 0
@@ -321,7 +321,7 @@ def _expand(args) -> tuple:
     cfg = _algebra(args)
     entries = [
         {"basis_key": monomial_to_str(k, cfg.order) or "1", "classical_coeff": str(c)}
-        for k, c in rootspec.module_expand(evaluate(args.expr, cfg)).sorted_entries()
+        for k, c in sorted_terms(rootspec.module_expand(evaluate(args.expr, cfg)).entries)
     ]
     payload = dict(schema=1, ell=args.ell, n=args.n, variant=args.variant, entries=entries)
     return payload, (f"{e['basis_key']}: {e['classical_coeff']}" for e in entries), 0

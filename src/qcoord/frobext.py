@@ -26,12 +26,18 @@ reaches the top only when every row sum and every column sum of ``m``, plus
 :meth:`FrobeniusContext.bform` multiplies only the graded components of
 ``x`` and ``y`` whose bidegrees sum to that of the top; skipping the others
 is exact, not an approximation.  A pair of monomials that misses the top
-costs two grade lookups, a complement lookup and a comparison: about 1.7 us
-a pairing, and 5.3 us for the pairing benchmark's op of two such pairings,
-a twist and two renders (in process, Python 3.11, 2 shared cores).
+costs two lookups in the cache of each key's grade and complement
+(:func:`_graded`) and a comparison (timed at ``_GRADE_CACHE``).
 :func:`check_nakayama` applies the same lemma in bulk: it grades the residue
 basis once and pairs a generator only with the monomials whose grade
 complements its own.
+
+Corner-sum lemma.  Let ``S_ij(E)`` be the sum of the exponents of a table
+``E`` in rows ``<= i`` and columns ``<= j``.  A swap keeps the table, and the
+nested-corner branch ``t[a,d] t[c,b]`` of ``t[a,b] t[c,d]`` lowers ``S_ij``
+by one for ``a <= i < c`` and ``b <= j < d`` and keeps it elsewhere.  So on
+the plain variant, in either flavor, every term of ``x y`` has
+``S_ij <= S_ij(x) + S_ij(y)`` at every corner.  ``bform`` does not use it.
 """
 
 from __future__ import annotations
@@ -52,15 +58,13 @@ from .rootspec import (
     module_expand,
 )
 
-# Entries in each of the two caches below: grades of recently paired
-# monomials, and the complements of recently met grades.  A grade lookup that
-# hits costs under a tenth of computing the bidegree.  Hits come from a
-# pairing and its mirror B(nu(y), x), which grade the same keys twice each
-# (nu keeps keys), and at n=2 from the residue basis (81 keys at l=3, 625 at
-# l=5) fitting whole.  A pairing benchmark op whose two pairings vanish by
-# grade (two pairings, a twist and two renders) took 5.2-5.3 us; without the
-# grade cache 15-23 us, and without the complement cache 6.3 us (seed 1, in
-# process, best of 40, Python 3.11, 2 shared cores).
+# Entries in the cache of :func:`_graded`.  Hits come from a pairing and its
+# mirror B(nu(y), x), which meet the same two keys (nu keeps keys), and at n=2
+# from the residue basis (81 keys at l=3, 625 at l=5) fitting whole.  A
+# grade-zero pairing took 0.66-0.67 us, and a pairing benchmark op whose two
+# pairings vanish by grade (with a twist and two renders) 2.7 us; without the
+# cache 5.3-5.4 us and 12.8 us (seed 1, in process, best of 40, Python 3.11,
+# 2 shared cores).
 _GRADE_CACHE = 1 << 12
 
 # Pairs in the symmetry check's sample of a grid too large to run whole.
@@ -85,17 +89,13 @@ def nakayama_exponent(n: int, i: int, j: int) -> int:
 
 
 @lru_cache(maxsize=_GRADE_CACHE)
-def _grade(m: NormalMonomial, ell: int) -> tuple[int, ...]:
-    """Bidegree of ``m`` mod ``l``."""
-    return tuple([v % ell for v in bidegree(m)])
-
-
-@lru_cache(maxsize=_GRADE_CACHE)
-def _complement(grade: tuple[int, ...], ell: int) -> tuple[int, ...]:
-    """The grade that sums with ``grade`` to the top's mod ``l``.  Every row
-    sum and column sum of the top is ``n*(l - 1)``, which is ``-n`` mod ``l``."""
+def _graded(m: NormalMonomial, ell: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The bidegree of ``m`` mod ``l``, its grade, and the complementary grade,
+    which sums with it to the top's mod ``l``.  Every row sum and column sum
+    of the top is ``n*(l - 1)``, which is ``-n`` mod ``l``."""
+    grade = tuple([v % ell for v in bidegree(m)])
     n = len(grade) // 2
-    return tuple([(-n - g) % ell for g in grade])
+    return grade, tuple([(-n - g) % ell for g in grade])
 
 
 @dataclass(frozen=True)
@@ -184,13 +184,13 @@ class FrobeniusContext:
         """The pairing's zero, shared: a classical polynomial is immutable."""
         return ClassicalPoly.zero(self.ring, self.n)
 
-    def _components(self, e: Element) -> dict:
-        """The terms of ``e`` grouped by bidegree mod ``l``, each key graded
-        once."""
+    def _components(self, e: Element, side: int) -> dict:
+        """The terms of ``e`` grouped by grade (``side`` 0) or by complementary
+        grade (``side`` 1), as :func:`_graded` gives them."""
         ell = self.ell
         parts: dict = {}
         for key, c in e.terms.items():
-            parts.setdefault(_grade(key, ell), {})[key] = c
+            parts.setdefault(_graded(key, ell)[side], {})[key] = c
         return parts
 
     def bform(self, x: Element, y: Element) -> ClassicalPoly:
@@ -211,13 +211,13 @@ class FrobeniusContext:
         ell = self.ell
         if len(x.terms) == 1 and len(y.terms) == 1:
             (kx,), (ky,) = x.terms, y.terms
-            if _complement(_grade(kx, ell), ell) != _grade(ky, ell):
+            if _graded(kx, ell)[1] != _graded(ky, ell)[0]:
                 return self._zero
             return self.phi(multiply(x, y))
-        right = self._components(y)
+        right = self._components(y, 0)
         total = self._zero
-        for grade, terms in self._components(x).items():
-            other = right.get(_complement(grade, ell))
+        for want, terms in self._components(x, 1).items():
+            other = right.get(want)
             if other is not None:
                 total = total + self.phi(multiply(Element(cfg, terms), Element(cfg, other)))
         return total
@@ -354,7 +354,7 @@ def check_nakayama(n: int, ell: int) -> CheckReport:
     one = ctx.ring.one()
     report = CheckReport("nakayama", n, ell)
     basis = {
-        m: (monomial_to_str(m, cfg.order) or "1", _grade(m, ell))
+        m: (monomial_to_str(m, cfg.order) or "1", _graded(m, ell)[0])
         for m in enumerate_basis(n, ell, "m")
     }
 
@@ -367,7 +367,7 @@ def check_nakayama(n: int, ell: int) -> CheckReport:
     for i in range(1, n + 1):
         for j in range(1, n + 1):
             (t,) = Element.generator(cfg, i, j).terms
-            want = _complement(_grade(t, ell), ell)
+            want = _graded(t, ell)[1]
             for m, (m_name, grade) in basis.items():
                 label = f"t[{i},{j}] twisted past {m_name}"
                 if grade == want:

@@ -12,7 +12,7 @@ rendered by one pass over that table.
 
 from __future__ import annotations
 
-from .monomial import GenOrder, NormalMonomial
+from .monomial import GenOrder, NormalMonomial, canonical_key
 
 
 def coeff_pairs(c) -> list[tuple[int, int]]:
@@ -87,6 +87,17 @@ def term_to_str(coeff, mon: str) -> tuple[int, str]:
     return 1, f"{body} {mon}" if mon else body
 
 
+def sorted_terms(terms: dict) -> list:
+    """``(key, coeff)`` pairs by :func:`canonical_key`, largest first, as printed."""
+    return sorted(terms.items(), key=lambda kv: canonical_key(kv[0]), reverse=True)
+
+
+def combination_to_str(terms: dict, order: GenOrder, symbol: str = "t", dsymbol: str = "D") -> str:
+    """``terms`` as ``a + b - c``, sorted; keys named by ``symbol`` and ``dsymbol``."""
+    return join_terms(
+        [term_to_str(c, monomial_to_str(m, order, symbol, dsymbol)) for m, c in sorted_terms(terms)]
+    )
+
+
 def element_to_str(e) -> str:
-    order = e.config.order
-    return join_terms([term_to_str(c, monomial_to_str(m, order)) for m, c in e.sorted_terms()])
+    return combination_to_str(e.terms, e.config.order)

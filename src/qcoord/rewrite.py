@@ -119,7 +119,6 @@ from .monomial import (
     Permutation,
     Word,
     antidiag_degree,
-    canonical_key,
     check_gen,
     make_opposite_order,
     row_major_order,
@@ -1113,12 +1112,6 @@ class Element(Combination):
             if c := coerce(entry[1]):
                 items.append(((*key, dpower), word, c, _ONE))
         return cls(cfg, _reduced(cfg, items, strategy))
-
-    # -- queries -----------------------------------------------------------
-
-    def sorted_terms(self) -> list:
-        """Terms sorted by :func:`canonical_key`, largest first."""
-        return sorted(self.terms.items(), key=lambda kv: canonical_key(kv[0]), reverse=True)
 
     # -- arithmetic ----------------------------------------------------------
 

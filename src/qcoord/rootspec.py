@@ -16,8 +16,8 @@ from itertools import product
 from typing import Iterator, NamedTuple
 
 from .coeff import Combination, CycloElem, CycloRing, _merge
-from .monomial import NormalMonomial, canonical_key, row_major_order
-from .render import join_terms, monomial_to_str, term_to_str
+from .monomial import NormalMonomial, row_major_order
+from .render import combination_to_str
 from .report import CheckReport
 from .rewrite import AlgebraConfig, Element, make_config, multiply
 
@@ -95,17 +95,10 @@ class ClassicalPoly(Combination):
 
     __rmul__ = __mul__
 
-    def sorted_terms(self) -> list:
-        return sorted(self.terms.items(), key=lambda kv: canonical_key(kv[0]), reverse=True)
-
     def __str__(self) -> str:
-        if not self.terms:
+        if not self.terms:  # the most common pairing value, printed without sorting
             return "0"
-        order = row_major_order(self.n)
-        return join_terms(
-            term_to_str(coeff, monomial_to_str(m, order, symbol="tbar", dsymbol="Dbar"))
-            for m, coeff in self.sorted_terms()
-        )
+        return combination_to_str(self.terms, row_major_order(self.n), "tbar", "Dbar")
 
     def __repr__(self) -> str:
         return f"<ClassicalPoly {self}>"
@@ -186,9 +179,6 @@ class ModuleExpansion:
 
     config: AlgebraConfig
     entries: dict[NormalMonomial, ClassicalPoly]
-
-    def sorted_entries(self) -> list:
-        return sorted(self.entries.items(), key=lambda kv: canonical_key(kv[0]), reverse=True)
 
     def recombine(self) -> Element:
         cfg = self.config

@@ -248,26 +248,76 @@ class TestDualWitness:
 
 
 class TestComplement:
-    """``_complement``'s closed form ``(-n - g) mod l`` against two paths
-    that do not use it: the grade of the dual witness, and the top's grade
-    minus ``g``."""
+    """:func:`frobext._graded`'s closed form ``(-n - g) mod l`` against two
+    paths that do not use it: the grade of the dual witness, and the top's
+    grade minus the grade, each read from :func:`bidegree`."""
+
+    @staticmethod
+    def grade(m, ell):
+        return tuple(v % ell for v in bidegree(m))
 
     @pytest.mark.parametrize("n, ell, variant", [(2, 3, "m"), (2, 5, "m"), (3, 3, "m"), (2, 3, "gl")])
     def test_complement_is_the_grade_of_the_dual_witness(self, n, ell, variant):
         ctx = FrobeniusContext(n, ell, variant)
         for m in enumerate_basis(n, ell, variant):
-            want = frobext._grade(ctx.dual_witness(m), ell)
-            assert frobext._complement(frobext._grade(m, ell), ell) == want
+            grade, complement = frobext._graded(m, ell)
+            assert grade == self.grade(m, ell)
+            assert complement == self.grade(ctx.dual_witness(m), ell)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     @pytest.mark.parametrize("ell", [1, 3, 5, 9])
     def test_complement_is_the_top_grade_minus_the_grade(self, n, ell):
-        top = frobext._grade(FrobeniusContext(n, ell).top, ell)
+        top_key = FrobeniusContext(n, ell).top
+        top = self.grade(top_key, ell)
         rng = random.Random(n * 100 + ell)
-        grades = [top, (0,) * (2 * n)]
-        grades += [tuple(rng.randrange(ell) for _ in range(2 * n)) for _ in range(50)]
-        for g in grades:
-            assert frobext._complement(g, ell) == tuple((t - v) % ell for t, v in zip(top, g))
+        keys = [top_key, NormalMonomial((0,) * (n * n))]
+        for _ in range(50):
+            exps = tuple(rng.randrange(2 * ell) for _ in range(n * n))
+            keys.append(NormalMonomial(exps, rng.randrange(-ell, ell)))
+        for m in keys:
+            g = self.grade(m, ell)
+            assert frobext._graded(m, ell) == (g, tuple((t - v) % ell for t, v in zip(top, g)))
+
+
+class TestGradeCache:
+    """One cache holds each key's grade and complement."""
+
+    @pytest.mark.parametrize("n, ell, variant", [(2, 3, "m"), (3, 3, "m"), (2, 5, "gl")])
+    def test_a_pairing_op_grades_each_key_at_most_once(self, monkeypatch, n, ell, variant):
+        """``bform(x, y)``, ``nakayama(y)`` and ``bform(nu(y), x)`` compute
+        the bidegree of each distinct key at most once between them."""
+        ctx = FrobeniusContext(n, ell, variant)
+        rng = random.Random(37 * n + ell)
+        seen = []
+        monkeypatch.setattr(frobext, "bidegree", lambda m: seen.append(m) or bidegree(m))
+        for _ in range(30):
+            x, y = (
+                Element.from_monomials(ctx.config, [
+                    (NormalMonomial(tuple(rng.randrange(ell) for _ in range(n * n))), 1)
+                    for _ in range(rng.randint(1, 3))
+                ])
+                for _ in range(2)
+            )
+            frobext._graded.cache_clear()
+            seen.clear()
+            left = ctx.bform(x, y)
+            assert left == ctx.bform(ctx.nakayama(y), x)
+            assert len(seen) == len(set(seen)) == len(set(x.terms) | set(y.terms))
+
+    def test_the_cache_stays_within_its_bound(self):
+        """Pairing more distinct keys than the cache holds leaves it full,
+        not larger."""
+        ctx = FrobeniusContext(2, 9)
+        t11 = Element.generator(ctx.config, 1, 1)
+        basis = list(enumerate_basis(2, 9))
+        assert len(basis) > frobext._GRADE_CACHE
+        frobext._graded.cache_clear()
+        nonzero = 0
+        for m in basis:
+            nonzero += not ctx.bform(ctx.element(m), t11).is_zero()
+        assert frobext._graded.cache_info().currsize == frobext._GRADE_CACHE
+        # Only the dual witness of t[1,1] reaches the top.
+        assert nonzero == 1
 
 
 class TestNondegeneracy:

@@ -14,8 +14,9 @@ print round trip runs at n=2 and n=3 over ``Z_q``, ``Z_eps(3)`` and
 ``Z_eps(5)``, and at n=3 under shuffled generator orders, whose factor
 order the printed monomials must follow.  Multiplication is checked against
 straightening the concatenated words of every pair of terms, for
-associativity, and for keeping the bidegree (row sums and column sums plus
-the determinant power).  The
+associativity, for keeping the bidegree (row sums and column sums plus
+the determinant power), and on the plain variant for staying under the
+corner sums of its factors.  The
 determinant inserted into an ordered word at any split must give the product
 with it appended.  Straightening a word of up to 8 letters, in either
 strategy, must give the independent reference straightener's result.  The
@@ -269,6 +270,37 @@ def test_products_keep_the_bidegree(cfg, data):
         assert shifts == {0} or (cfg.variant == "sl" and len(shifts) == 1)
 
 
+def corner_sums(exps, n):
+    """``S_ij``: the sum of the exponents in rows ``<= i`` and columns ``<= j``,
+    for every corner ``(i, j)`` in row-major order."""
+    return [
+        sum(exps[r * n + c] for r in range(i + 1) for c in range(j + 1))
+        for i in range(n)
+        for j in range(n)
+    ]
+
+
+@pytest.mark.parametrize("flavor", FLAVORS)
+@pytest.mark.parametrize("n, max_exp, products", [(2, 3, 200), (3, 2, 80), (4, 1, 40)])
+def test_products_keep_under_the_corner_sums(n, max_exp, products, flavor):
+    """The corner-sum lemma (``frobext`` docstring): on the plain variant
+    every term of ``x y`` has ``S_ij <= S_ij(x) + S_ij(y)`` at every corner,
+    and the branch terms fall strictly below somewhere."""
+    cfg = make_config(n, "m", flavor=flavor)
+    rng = random.Random(1000 * n + len(flavor))
+    below = 0
+    for _ in range(products):
+        m1, m2 = (
+            NormalMonomial(tuple(rng.randint(0, max_exp) for _ in range(n * n))) for _ in range(2)
+        )
+        bound = [a + b for a, b in zip(corner_sums(m1.exps, n), corner_sums(m2.exps, n))]
+        for key in multiply(Element.monomial(cfg, m1), Element.monomial(cfg, m2)).terms:
+            sums = corner_sums(key.exps, n)
+            assert all(map(int.__le__, sums, bound))
+            below += sums != bound
+    assert below
+
+
 @pytest.mark.parametrize(
     "cfg",
     [make_config(n, ell=ell, flavor=f) for n in (2, 3) for f in FLAVORS for ell in (None, 3)],
@@ -351,13 +383,13 @@ def test_bform_equals_phi_of_the_product(n, ell, variant):
 
 def test_bform_differential_catches_a_mutated_target(monkeypatch):
     """A complement off by one in one row pairs the wrong components."""
-    complement = frobext._complement
+    graded = frobext._graded
 
-    def shifted(grade, ell):
-        want = complement(grade, ell)
-        return ((want[0] + 1) % ell,) + want[1:]
+    def shifted(m, ell):
+        grade, want = graded(m, ell)
+        return grade, ((want[0] + 1) % ell,) + want[1:]
 
-    monkeypatch.setattr(frobext, "_complement", shifted)
+    monkeypatch.setattr(frobext, "_graded", shifted)
     ctx = FrobeniusContext(2, 3)
     with pytest.raises(AssertionError):
         check_bform_against_phi(ctx)
