@@ -77,6 +77,9 @@ DIGESTS = {
     "check nakayama --n 2 --ell 5 --json": "daff1568519698da4c4ffb2c4bca4434a27660fc68959b128f685ea3e210a7fe",
     # l = 9 is not prime: 26,744 cases, 3.3 MB.
     "check nakayama --n 2 --ell 9 --json": "bdb79836ff960c87bb922fd6e787e39fcc17838f0cfa016d3a0b878c7cbe8d29",
+    # 85 twist cases and 500 sampled pairs: the first stride sample past the
+    # 7,000-pair threshold.
+    "check nakayama --n 1 --ell 85 --json": "eb7fe98c806e9d59f925fdb09afc804df1bb3b673656fd6015e9ab747016930a",
     "check identities --n 5 --json": "5d094791d73cfd27d6614c1a5bdef83ca56fe22340a34953d121e335e0b2954a",
     "check iso --n 3 --json": "063c2f6bfa17fa39cd5196f1399ffc318036b26cc049bb411406d55d0719538e",
     # 13 terms whose coefficients reach 100 terms and |c| = 504.
