@@ -28,9 +28,9 @@ reaches the top only when every row sum and every column sum of ``m``, plus
 is exact, not an approximation.  A pair of monomials that misses the top
 costs two lookups in the cache of each key's grade and complement
 (:func:`_graded`) and a comparison (timed at ``_GRADE_CACHE``).
-:func:`check_nakayama` applies the same lemma in bulk: it grades the residue
-basis once and pairs a generator only with the monomials whose grade
-complements its own.
+:func:`check_nakayama` applies the same lemma in bulk: it lists the residue
+basis once, grades it there without the cache (:func:`_grade`), and pairs a
+generator only with the monomials whose grade complements its own.
 
 Corner-sum lemma.  Let ``S_ij(E)`` be the sum of the exponents of a table
 ``E`` in rows ``<= i`` and columns ``<= j``.  A swap keeps the table, and the
@@ -58,9 +58,9 @@ from .rootspec import (
     module_expand,
 )
 
-# Entries in the cache of :func:`_graded`.  Hits come from a pairing and its
-# mirror B(nu(y), x), which meet the same two keys (nu keeps keys), and at n=2
-# from the residue basis (81 keys at l=3, 625 at l=5) fitting whole.  A
+# Entries in the cache of :func:`_graded`, which only pairings fill.  Hits come
+# from a pairing and its mirror B(nu(y), x), which meet the same two keys (nu
+# keeps keys); the nakayama suite grades its basis listing apart.  A
 # grade-zero pairing took 0.66-0.67 us, and a pairing benchmark op whose two
 # pairings vanish by grade (with a twist and two renders) 2.7 us; without the
 # cache 5.3-5.4 us and 12.8 us (seed 1, in process, best of 40, Python 3.11,
@@ -88,12 +88,17 @@ def nakayama_exponent(n: int, i: int, j: int) -> int:
     return 2 * (n + 1 - i - j)
 
 
+def _grade(m: NormalMonomial, ell: int) -> tuple[int, ...]:
+    """The grade of ``m``: its bidegree mod ``l``."""
+    return tuple([v % ell for v in bidegree(m)])
+
+
 @lru_cache(maxsize=_GRADE_CACHE)
 def _graded(m: NormalMonomial, ell: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The bidegree of ``m`` mod ``l``, its grade, and the complementary grade,
-    which sums with it to the top's mod ``l``.  Every row sum and column sum
-    of the top is ``n*(l - 1)``, which is ``-n`` mod ``l``."""
-    grade = tuple([v % ell for v in bidegree(m)])
+    """The grade of ``m`` and the complementary grade, which sums with it to
+    the top's mod ``l``.  Every row sum and column sum of the top is
+    ``n*(l - 1)``, which is ``-n`` mod ``l``."""
+    grade = _grade(m, ell)
     n = len(grade) // 2
     return grade, tuple([(-n - g) % ell for g in grade])
 
@@ -297,29 +302,16 @@ class FrobeniusContext:
         return tuple([nakayama_exponent(n, k // n + 1, k % n + 1) for k in range(n * n)])
 
 
-def default_symmetry_pairs(n: int, ell: int):
-    """Deterministic pair sample for the pairing-symmetry check.
-
-    The whole grid of pairs of :func:`enumerate_basis` when it has at most
-    7,000; otherwise a fixed stride sample of ``_SYMMETRY_SAMPLE`` pairs of
-    it.  Each monomial is decoded from its index there without listing the
-    basis.
-    """
+def default_symmetry_pairs(n: int, ell: int) -> list[tuple[int, int]]:
+    """Deterministic sample for the pairing-symmetry check: pairs of indices
+    into the listing of :func:`enumerate_basis`, the whole grid when it has
+    at most 7,000 pairs and otherwise a fixed stride sample of
+    ``_SYMMETRY_SAMPLE`` pairs of it."""
     CycloRing(ell)  # validates odd positive ell
     size = ell ** (n * n)
     total = size * size
     count = total if total <= 7000 else _SYMMETRY_SAMPLE
-
-    def monomial(index: int) -> NormalMonomial:
-        # The base-l digits of ``index``, most significant first, are the
-        # exponents, as ``enumerate_basis`` lists them.
-        exps = [0] * (n * n)
-        for slot in reversed(range(n * n)):
-            index, exps[slot] = divmod(index, ell)
-        return NormalMonomial(tuple(exps))
-
-    return [(monomial(idx // size), monomial(idx % size))
-            for idx in range(0, total, total // count)[:count]]
+    return [divmod(idx, size) for idx in range(0, total, total // count)[:count]]
 
 
 def check_nakayama(n: int, ell: int) -> CheckReport:
@@ -328,10 +320,11 @@ def check_nakayama(n: int, ell: int) -> CheckReport:
     Two families of cases, each with residual ``B(x, y) - B(nu(y), x)``:
     the twist cases ``B(m, t) == B(nu(t), m)`` for every generator
     ``t = t[i,j]``, where ``nu(t) = eps**(2*(n+1-i-j)) * t``, and every
-    residue basis monomial ``m``; and the symmetry cases on the sample of
-    monomial pairs :func:`default_symmetry_pairs`.
+    residue basis monomial ``m``; and the symmetry cases on the basis pairs
+    that :func:`default_symmetry_pairs` indexes.
 
-    Each basis monomial is named and graded, by bidegree mod ``l``, once.
+    The basis is listed once, and each monomial named and graded there
+    (:func:`_grade`, without the pairings' cache).
     By the bigrading lemma (module docstring) both sides of a twist case
     vanish unless the grade of ``m`` complements that of ``t`` (``nu`` keeps
     keys, so ``nu(t)`` has the grade of ``t``); only those cases build the
@@ -353,10 +346,10 @@ def check_nakayama(n: int, ell: int) -> CheckReport:
     cfg = ctx.config
     one = ctx.ring.one()
     report = CheckReport("nakayama", n, ell)
-    basis = {
-        m: (monomial_to_str(m, cfg.order) or "1", _graded(m, ell)[0])
+    basis = [
+        (m, monomial_to_str(m, cfg.order) or "1", _grade(m, ell))
         for m in enumerate_basis(n, ell, "m")
-    }
+    ]
 
     def case(label: str, x: NormalMonomial, y: NormalMonomial) -> None:
         # Plain residue monomials and generators are normal forms, so their
@@ -368,13 +361,14 @@ def check_nakayama(n: int, ell: int) -> CheckReport:
         for j in range(1, n + 1):
             (t,) = Element.generator(cfg, i, j).terms
             want = _graded(t, ell)[1]
-            for m, (m_name, grade) in basis.items():
+            for m, m_name, grade in basis:
                 label = f"t[{i},{j}] twisted past {m_name}"
                 if grade == want:
                     case(label, m, t)
                 else:
                     report.add(label, "0", True)
 
-    for x, y in pairs:
-        case(f"B({basis[x][0]}, {basis[y][0]}) symmetry", x, y)
+    for a, b in pairs:
+        (x, x_name, _), (y, y_name, _) = basis[a], basis[b]
+        case(f"B({x_name}, {y_name}) symmetry", x, y)
     return report

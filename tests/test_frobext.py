@@ -319,6 +319,18 @@ class TestGradeCache:
         # Only the dual witness of t[1,1] reaches the top.
         assert nonzero == 1
 
+    def test_the_nakayama_suite_keeps_a_pairing_key_cached(self):
+        """The suite grades its basis listing without the cache, so its
+        6,561 basis keys at n=2, l=9, more than the cache holds, evict no
+        pairing key.  The key carries a ``D``, so the suite never meets it."""
+        key = NormalMonomial((1, 2, 0, 1), 1)
+        frobext._graded.cache_clear()
+        frobext._graded(key, 9)
+        assert check_nakayama(2, 9).passed
+        hits = frobext._graded.cache_info().hits
+        frobext._graded(key, 9)
+        assert frobext._graded.cache_info().hits == hits + 1
+
 
 class TestNondegeneracy:
     def test_top_element(self, ctx23):
@@ -353,6 +365,18 @@ class TestNondegeneracy:
             # independent recomputation of the unit relation
             value = ctx23.phi(multiply(ctx23.element(witness.x), a))
             assert value == witness.unit * expansion.entries[best]
+
+    def test_gl_witness_may_need_a_negative_unit(self):
+        """On ``gl`` the pairing can return minus the leading coefficient
+        times a root power, so the search tries both signs."""
+        ctx = FrobeniusContext(2, 3, "gl")
+        a = evaluate("(-1 - q) t[1,1] t[1,2]^2 t[2,1]^2 + t[1,1] D^2", ctx.config)
+        witness = ctx.check_nondegenerate(a)
+        assert witness.key == NormalMonomial((1, 2, 2, 0))
+        assert str(witness.coeff) == "(-1 - q)"
+        assert str(witness.value) == "(1 + q)"
+        assert str(witness.unit) == "-1"
+        assert witness.value == witness.unit * witness.coeff
 
     def test_gl_witness_uses_invertible_classical_determinant(self):
         ctx = FrobeniusContext(2, 3, "gl")
@@ -492,14 +516,14 @@ class TestZeroOnSmaller:
 class TestNakayamaSuite:
     @pytest.mark.parametrize("n, ell", [(1, 3), (2, 3), (2, 5), (3, 3), (2, 7), (1, 83), (1, 85)])
     def test_symmetry_pairs_are_the_stride_sample_of_the_listed_basis(self, n, ell):
-        basis = list(enumerate_basis(n, ell, "m"))
-        size = len(basis)
+        """The pairs index the grid of pairs of the listed basis, row by row."""
+        size = len(list(enumerate_basis(n, ell, "m")))
         total = size * size
         stride = 1 if total <= 7000 else total // frobext._SYMMETRY_SAMPLE
         indices = range(0, total, stride)
         if stride > 1:
             indices = indices[: frobext._SYMMETRY_SAMPLE]
-        expected = [(basis[k // size], basis[k % size]) for k in indices]
+        expected = [(k // size, k % size) for k in indices]
         assert frobext.default_symmetry_pairs(n, ell) == expected
 
     def test_trivial_dimension(self):
@@ -590,7 +614,8 @@ class TestNakayamaBuckets:
     @pytest.mark.parametrize("n, ell", [(2, 3), (2, 5)])
     def test_mistwisted_suite_equals_pairing_every_case(self, monkeypatch, n, ell):
         self.mistwist(monkeypatch)
-        pairs = frobext.default_symmetry_pairs(n, ell)
+        basis = list(enumerate_basis(n, ell, "m"))
+        pairs = [(basis[a], basis[b]) for a, b in frobext.default_symmetry_pairs(n, ell)]
         bulk = check_nakayama(n, ell).cases
         assert bulk == per_case_nakayama(n, ell, pairs).cases
         assert any(not c.passed for c in bulk)
