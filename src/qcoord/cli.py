@@ -19,17 +19,11 @@ code; :func:`run` alone checks the shared flags, prints and maps errors.
 Exit codes: 0 success, 1 failed check, 2 usage, parse or input error (also
 ``--n`` above ``MAX_N``, ``--ell`` above ``MAX_ELL``, or a suite given a
 non-default flag it does not read), or a command too large to finish (out
-of memory, recursion limit, ``basis --json`` above ``MAX_BASIS_JSON`` keys,
-``check nakayama`` above ``frobext.MAX_NAKAYAMA_CASES`` cases, ``check
-pbw-confluence`` above ``MAX_CONFLUENCE_WORDS`` words, ``check identities``
-at ``n`` above ``detloc.MAX_IDENTITIES_N``, ``check central`` at ``n``
-above ``detloc.MAX_CENTRAL_N``, ``check frobenius`` with
-``n^5 * (l^3 + 256 n)`` above ``rootspec.MAX_FROBENIUS_WORK``, a quantum
-determinant expanded at ``n``
-above ``rewrite.MAX_DET_N``, or a word longer than ``rewrite.MAX_WORD_LEN``
-letters, refused before it is built), and
-``EXIT_BROKEN_PIPE`` when standard output is closed before the command has
-written it all.
+of memory, recursion limit, a suite or ``basis --json`` above the ``Limit``
+it declares, a quantum determinant expanded at ``n`` above
+``rewrite.MAX_DET_N``, or a word longer than ``rewrite.MAX_WORD_LEN``
+letters, refused before it is built), and ``EXIT_BROKEN_PIPE`` when
+standard output is closed before the command has written it all.
 """
 
 from __future__ import annotations
@@ -52,9 +46,6 @@ from .rewrite import VARIANTS, AlgebraConfig, Element, make_config, multiply, no
 # interpreter's recursion limit.
 MAX_NESTING = 100
 
-# Most keys ``basis --json`` lists: it holds them all, while text output streams.
-MAX_BASIS_JSON = 2**22
-
 # Largest ``--n`` any command accepts.  Every generator order and exponent
 # table has n*n entries, so this keeps a mistyped size a usage error, not an
 # out-of-memory kill.
@@ -68,10 +59,6 @@ MAX_ELL = 999
 
 # Longest word ``check pbw-confluence`` straightens both ways: all words up to it.
 MAX_CONFLUENCE_LEN = 5
-
-# Most words ``check pbw-confluence`` straightens, (n*n)**length summed over
-# lengths: ``--n 4``'s 1,118,481 took 30 s, ``--n 5``'s 10,172,526 over 30 s.
-MAX_CONFLUENCE_WORDS = 2**21
 
 # Exit code when the reader of standard output goes away (``qcoord basis |
 # head``): 128 + SIGPIPE, what a shell reports for a process SIGPIPE ends.
@@ -262,12 +249,6 @@ def _algebra(args) -> AlgebraConfig:
 def _confluence_report(n: int, flavor: str = "standard") -> CheckReport:
     from itertools import product
 
-    words = sum((n * n) ** length for length in range(MAX_CONFLUENCE_LEN + 1))
-    # Refused before the order is built; a dimension below 1 is make_config's error.
-    if n > 0 and words > MAX_CONFLUENCE_WORDS:
-        raise ValueError(
-            f"check pbw-confluence would straighten {words} words, more than {MAX_CONFLUENCE_WORDS}"
-        )
     report = CheckReport("pbw-confluence", n)
     cfg = make_config(n, "m", flavor=flavor)
     gens = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
@@ -289,18 +270,91 @@ def _confluence_report(n: int, flavor: str = "standard") -> CheckReport:
     return report
 
 
+# Admission: a suite or ``basis --json`` declares a ``Limit(cap, size)``, where
+# ``size(args)`` is its work as ``(count, text with the unit)``.  Each cap sits
+# beside the runs that set it (whole processes, Python 3.11, 2 cores).
+Limit = namedtuple("Limit", "cap size")
+
+
+def _admit(name: str, limit: Limit | None, args) -> None:
+    """Refuse ``name`` above its cap before anything is built; a dimension
+    below 1 is left to ``make_config``'s error."""
+    if limit and args.n > 0:
+        count, text = limit.size(args)
+        if count > limit.cap:
+            raise ValueError(f"{name} is too large: {text}, more than {limit.cap}")
+
+
+def _power(base: int, k: int) -> int:
+    """``base ** k``, ``k`` clipped at 64: enough to pass every cap; ``999 ** 10**6`` takes 2 s."""
+    return base ** min(k, 64)
+
+
+def _dimension(a) -> tuple:
+    return a.n, f"n = {a.n}"
+
+
+def _nakayama_cases(a) -> tuple:
+    k = a.n * a.n
+    grid = _power(a.ell, k)
+    pairs = frobext.symmetry_sample_size(grid * grid)
+    return k * grid + pairs, f"{k}*{a.ell}^{k} twist + {pairs} symmetry cases"
+
+
+def _frobenius_work(a) -> tuple:
+    work = a.n**5 * (a.ell**3 + 256 * a.n)
+    return work, f"n^5*(l^3 + 256 n) = {work} work units"
+
+
+def _confluence_words(a) -> tuple:
+    words = sum((a.n * a.n) ** length for length in range(MAX_CONFLUENCE_LEN + 1))
+    return words, f"{words} words"
+
+
+def _basis_keys(a) -> tuple:
+    k = a.n * a.n + (a.variant == "gl")
+    return _power(a.ell, k), f"{a.ell}^{k} keys"
+
+
 # ``build(args)`` returns the report, reaching its module by attribute at call
 # time; ``takes`` names the shared flags it reads besides --n and --json.
-Suite = namedtuple("Suite", "build takes needs_ell", defaults=((), False))
+Suite = namedtuple("Suite", "build limit takes needs_ell", defaults=((), False))
 
 SUITES = {
-    "central": Suite(lambda a: detloc.check_central(a.n, a.ell), ("ell",)),
-    "pbw-confluence": Suite(lambda a: _confluence_report(a.n, _FLAVOR[a.order]), ("order",)),
-    "frobenius": Suite(lambda a: rootspec.check_frobenius_central(a.n, a.ell), ("ell",), True),
-    "nakayama": Suite(lambda a: frobext.check_nakayama(a.n, a.ell), ("ell",), True),
-    "iso": Suite(lambda a: detloc.check_sl_gl_iso(a.n)),
-    "identities": Suite(lambda a: detloc.check_identities(a.n)),
+    # ``D`` (n! terms) times each generator, both sides: n=6 took 0.91 s at 19 MB,
+    # n=7 11.9 s at 40 MB, n=8 (``MAX_DET_N`` admits it) past 90 s at 267 MB or more.
+    "central": Suite(lambda a: detloc.check_central(a.n, a.ell), Limit(7, _dimension), ("ell",)),
+    # ``--n 4``'s 1,118,481 words took 30 s, ``--n 5``'s 10,172,526 over 30 s.
+    "pbw-confluence": Suite(
+        lambda a: _confluence_report(a.n, _FLAVOR[a.order]),
+        Limit(2**21, _confluence_words),
+        ("order",),
+    ),
+    # ``t^l h`` and ``h t^l`` for all n^4 generator pairs, about 1.1 ns a unit: a
+    # pair's branches cost about n l^3, its monomials 256 n^2.  Row maxima with l
+    # far above n took 4-5 s (``--n 3 --ell 259`` 5.1 s); with both terms, up to 1.6
+    # times the law (``--n 11 --ell 27``, the heaviest admitted: 7.4 s at 22 MB).
+    # Refused: ``--n 2 --ell 723`` took 11.9 s, ``--n 16 --ell 3`` 4.7-5.4 s at 46 MB.
+    "frobenius": Suite(
+        lambda a: rootspec.check_frobenius_central(a.n, a.ell),
+        Limit(2**32, _frobenius_work),
+        ("ell",),
+        True,
+    ),
+    # Each case is held: n=3 l=3, the heaviest documented run, has 177,647; n=2
+    # l=19 (521,784) took 2.4 s at 236 MB, 4.5 s at 607 MB with ``--json``.
+    "nakayama": Suite(
+        lambda a: frobext.check_nakayama(a.n, a.ell), Limit(2**19, _nakayama_cases), ("ell",), True
+    ),
+    # No limit: ``rewrite.MAX_DET_N`` bounds the determinant it expands.
+    "iso": Suite(lambda a: detloc.check_sl_gl_iso(a.n), None),
+    # n=6 took 1.45-1.66 s at 47.5 MB, n=7 58.6 s at 1,103 MB; n=8, which
+    # ``MAX_DET_N`` admits, was never run.
+    "identities": Suite(lambda a: detloc.check_identities(a.n), Limit(6, _dimension)),
 }
+
+# ``basis --json`` holds every key, while text output streams.
+BASIS_JSON = Limit(2**22, _basis_keys)
 
 
 def _element(e: Element, args) -> tuple:
@@ -339,15 +393,9 @@ def _nakayama(args) -> tuple:
 
 
 def _basis(args) -> tuple:
+    if args.json:
+        _admit("basis --json", BASIS_JSON, args)
     cfg = _algebra(args)
-    k = args.n**2 + (args.variant == "gl")
-    # l**k keys; past the bit length of the cap any l > 1 exceeds it, so a
-    # huge power is never formed.
-    if args.json and args.ell ** min(k, MAX_BASIS_JSON.bit_length()) > MAX_BASIS_JSON:
-        raise ValueError(
-            f"basis --json would list {args.ell}^{k} keys, more than {MAX_BASIS_JSON}; "
-            "text output streams"
-        )
     basis = rootspec.enumerate_basis(args.n, args.ell, args.variant)
     names = (monomial_to_str(m, cfg.order) or "1" for m in basis)
     payload = dict(schema=1, n=args.n, ell=args.ell, variant=args.variant, basis=names)
@@ -355,7 +403,9 @@ def _basis(args) -> tuple:
 
 
 def _check(args) -> tuple:
-    report = SUITES[args.suite].build(args)
+    suite = SUITES[args.suite]
+    _admit(f"check {args.suite}", suite.limit, args)
+    report = suite.build(args)
     status = "PASS" if report.passed else "FAIL"
     scope = f"n={report.n}" + (f", ell={report.ell}" if report.ell is not None else "")
     lines = [f"check {report.check} ({scope}): {status} ({len(report.cases)} cases)"]

@@ -34,18 +34,6 @@ from .rewrite import (
     times_determinant,
 )
 
-# Largest dimension ``check identities`` runs at.  Its diagonal reductions
-# grow fast: n=6 took 1.45-1.66 s at 47.5 MB, n=7 58.6 s at 1,103 MB (whole
-# processes, Python 3.11, 2 cores); n=8, which ``MAX_DET_N`` admits, was
-# never run.
-MAX_IDENTITIES_N = 6
-
-# Largest dimension ``check central`` runs at.  It multiplies ``D`` (n! terms)
-# by each generator on both sides: n=6 took 0.91 s at 19 MB, n=7 11.9 s at
-# 40 MB, and n=8, which ``MAX_DET_N`` admits, ran past 90 s at 267 MB or more
-# (whole processes, Python 3.11, 2 cores).
-MAX_CENTRAL_N = 7
-
 
 def quantum_determinant_reversed(cfg: AlgebraConfig) -> Element:
     """The reversed-row expansion ``sum_s (-q)**(-len(s)) t[n,s(n)] .. t[1,s(1)]``.
@@ -64,11 +52,6 @@ def quantum_determinant_reversed(cfg: AlgebraConfig) -> Element:
 
 def check_central(n: int, ell: int | None = None) -> CheckReport:
     """Verify that every generator commutes with the quantum determinant."""
-    # Refused before any algebra is built; a dimension below 1 is make_config's error.
-    if n > MAX_CENTRAL_N:
-        raise ValueError(
-            f"check central at n={n} is too large; the suite is limited to n <= {MAX_CENTRAL_N}"
-        )
     cfg = make_config(n, "m", ell=ell)
     det = quantum_determinant(cfg)
     report = CheckReport("central", n, ell)
@@ -156,12 +139,6 @@ def _reduction_targets(order: GenOrder) -> list[NormalMonomial]:
 
 
 def check_identities(n: int) -> CheckReport:
-    # Refused before any algebra is built; a dimension below 1 is make_config's error.
-    if n > MAX_IDENTITIES_N:
-        raise ValueError(
-            f"check identities at n={n} is too large; "
-            f"the suite is limited to n <= {MAX_IDENTITIES_N}"
-        )
     report = CheckReport("identities", n)
     cfg_m = make_config(n, "m")
     det = quantum_determinant(cfg_m)

@@ -70,11 +70,6 @@ _GRADE_CACHE = 1 << 12
 # Pairs in the symmetry check's sample of a grid too large to run whole.
 _SYMMETRY_SAMPLE = 500
 
-# Most cases :func:`check_nakayama` records, holding each: the heaviest
-# documented run, n=3 l=3, has 177,647.  n=2 l=19 (521,784) took 2.4 s at
-# 236 MB, 4.5 s at 607 MB with ``--json`` (Python 3.11, 2 cores).
-MAX_NAKAYAMA_CASES = 2**19
-
 
 def nakayama_exponent(n: int, i: int, j: int) -> int:
     """Exponent of the root of unity in ``nu(t[i,j])``.
@@ -302,15 +297,19 @@ class FrobeniusContext:
         return tuple([nakayama_exponent(n, k // n + 1, k % n + 1) for k in range(n * n)])
 
 
+def symmetry_sample_size(total: int) -> int:
+    """Pairs the symmetry check takes from a grid of ``total``: all up to 7,000."""
+    return total if total <= 7000 else _SYMMETRY_SAMPLE
+
+
 def default_symmetry_pairs(n: int, ell: int) -> list[tuple[int, int]]:
     """Deterministic sample for the pairing-symmetry check: pairs of indices
-    into the listing of :func:`enumerate_basis`, the whole grid when it has
-    at most 7,000 pairs and otherwise a fixed stride sample of
-    ``_SYMMETRY_SAMPLE`` pairs of it."""
+    into the listing of :func:`enumerate_basis`, at a fixed stride through
+    the grid, as many as :func:`symmetry_sample_size` takes."""
     CycloRing(ell)  # validates odd positive ell
     size = ell ** (n * n)
     total = size * size
-    count = total if total <= 7000 else _SYMMETRY_SAMPLE
+    count = symmetry_sample_size(total)
     return [divmod(idx, size) for idx in range(0, total, total // count)[:count]]
 
 
@@ -334,14 +333,6 @@ def check_nakayama(n: int, ell: int) -> CheckReport:
     symmetry cases all go through ``bform``.  Labels, order and case count
     are those of pairing every case.
     """
-    CycloRing(ell)  # validates odd positive ell before anything is counted or built
-    # l > 1 to the cap's bit length already exceeds it: no huge power is formed.
-    twists = n * n * ell ** min(n * n, MAX_NAKAYAMA_CASES.bit_length())
-    pairs = default_symmetry_pairs(n, ell) if twists <= MAX_NAKAYAMA_CASES else ()
-    # A dimension below 1 is left to the context's error.
-    if n > 0 and twists + len(pairs) > MAX_NAKAYAMA_CASES:
-        cases = f"{n * n}*{ell}^{n * n}" + (f" + {len(pairs)}" if pairs else " twist")
-        raise ValueError(f"check nakayama would run {cases} cases, more than {MAX_NAKAYAMA_CASES}")
     ctx = FrobeniusContext(n, ell)
     cfg = ctx.config
     one = ctx.ring.one()
@@ -368,7 +359,7 @@ def check_nakayama(n: int, ell: int) -> CheckReport:
                 else:
                     report.add(label, "0", True)
 
-    for a, b in pairs:
+    for a, b in default_symmetry_pairs(n, ell):
         (x, x_name, _), (y, y_name, _) = basis[a], basis[b]
         case(f"B({x_name}, {y_name}) symmetry", x, y)
     return report

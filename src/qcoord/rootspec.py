@@ -22,20 +22,6 @@ from .report import CheckReport
 from .rewrite import AlgebraConfig, Element, make_config, multiply
 
 
-# Bound on ``check frobenius``, which straightens ``t^l h`` and ``h t^l`` for
-# all n^4 pairs of generators: its work ``n^5 * (l^3 + 256 n)`` at most
-# ``MAX_FROBENIUS_WORK``.  Whole processes take about 1.1 ns a unit (Python
-# 3.11, 2 cores): a pair's branches cost about n l^3 and its n^2-slot
-# monomials about 256 n^2, so each row's heaviest run with l much above n
-# takes 4-5 s: ``--n 2 --ell 511`` 4.1 s, ``--n 3 --ell 259`` 5.1 s, ``--n 8
-# --ell 49`` 4.8 s.  Runs where both terms count take up to 1.6 times the
-# law: the heaviest admitted, ``--n 11 --ell 27``, took 7.4 s at 22 MB, and
-# ``--n 10 --ell 33`` and ``--n 15 --ell 11`` 7.4 and 7.3 s.  Refused:
-# ``--n 2 --ell 723`` took 11.9 s, ``--n 16 --ell 3`` 4.7-5.4 s at 46 MB, and
-# so is every n >= 16.
-MAX_FROBENIUS_WORK = 2**32
-
-
 class ClassicalMonomial(NamedTuple):
     """A commutative monomial ``prod tbar[i,j]**exps[i,j] * Dbar**dpower``."""
 
@@ -148,14 +134,7 @@ def frobenius_image_poly(p: ClassicalPoly, cfg: AlgebraConfig) -> Element:
 
 def check_frobenius_central(n: int, ell: int) -> CheckReport:
     """``t[i,j]**l`` commutes with every generator after specialization."""
-    CycloRing(ell)  # validates odd positive ell before the size is checked
-    # Refused before any algebra is built; a dimension below 1 is make_config's error.
-    work = n**5 * (ell**3 + 256 * n) if n > 0 else 0
-    if work > MAX_FROBENIUS_WORK:
-        raise ValueError(
-            f"check frobenius at n={n}, l={ell} would cost n^5*(l^3 + 256 n) = {work}, "
-            f"more than {MAX_FROBENIUS_WORK}"
-        )
+    CycloRing(ell)  # validates odd positive ell before the dimension
     cfg = make_config(n, "m", ell=ell)
     report = CheckReport("frobenius", n, ell)
     gens = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]

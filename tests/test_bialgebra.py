@@ -7,9 +7,11 @@ and ``Delta(D) = D (x) D``.  For a word ``w`` the two sides of
 straightens ``w`` and then the split words of each normal monomial, the
 right side the split words of ``w`` itself.  The tensor square is test code
 here: a dict from pairs of normal monomials to coefficients, each factor
-straightened on its own.  The antipode is left out.
+straightened on its own.  The counit ``eps(t[i,j]) = delta_ij`` is an
+algebra map too, so ``eps(NF(w)) = eps(w)``.  The antipode is left out.
 """
 
+import random
 from itertools import product
 
 import pytest
@@ -59,14 +61,47 @@ def words(n, lengths):
     return [w for k in lengths for w in product(letters, repeat=k)]
 
 
+def assert_coproduct_commutes(cfg, ws):
+    tensor = Tensor(cfg)
+    for w in ws:
+        assert tensor.delta_word(w) == tensor.delta(Element.from_words(cfg, [(w, 1)])), w
+
+
 @pytest.mark.parametrize("flavor", FLAVORS)
 def test_coproduct_commutes_with_straightening(flavor):
     """``NF (x) NF (Delta(w)) = Delta(NF(w))`` for all 80 words of length 2-3
     at n = 2, over ``Z_q``."""
-    cfg = make_config(2, flavor=flavor)
-    tensor = Tensor(cfg)
-    for w in words(2, (2, 3)):
-        assert tensor.delta_word(w) == tensor.delta(Element.from_words(cfg, [(w, 1)])), w
+    assert_coproduct_commutes(make_config(2, flavor=flavor), words(2, (2, 3)))
+
+
+@pytest.mark.parametrize("flavor", FLAVORS)
+def test_coproduct_commutes_with_straightening_over_z_eps3(flavor):
+    """The same 80 words over ``Z_eps(3)``."""
+    assert_coproduct_commutes(make_config(2, ell=3, flavor=flavor), words(2, (2, 3)))
+
+
+@pytest.mark.parametrize("flavor", FLAVORS)
+def test_coproduct_commutes_with_straightening_on_seeded_words_at_n3(flavor):
+    """The same on 30 seeded words of length 3 at n = 3, over ``Z_q``."""
+    ws = random.Random(3).sample(words(3, (3,)), 30)
+    assert_coproduct_commutes(make_config(3, flavor=flavor), ws)
+
+
+@pytest.mark.parametrize("flavor", FLAVORS)
+@pytest.mark.parametrize("n", [2, 3])
+def test_counit_commutes_with_straightening(flavor, n):
+    """``eps(NF(w)) = eps(w)`` for every word of length 2-3, over ``Z_q``:
+    a normal monomial counts its coefficient when all its letters are
+    diagonal, and a word is 1 when all of its are, else 0."""
+    cfg = make_config(n, flavor=flavor)
+
+    def diagonal(word):
+        return all(i == j for i, j in word)
+
+    for w in words(n, (2, 3)):
+        terms = Element.from_words(cfg, [(w, 1)]).terms
+        counit = sum((c for m, c in terms.items() if diagonal(m.word(cfg.order))), cfg.ring.zero())
+        assert counit == int(diagonal(w)), w
 
 
 @pytest.mark.parametrize("flavor", FLAVORS)

@@ -1,5 +1,6 @@
 """Tests for the expression parser, evaluator and command line driver."""
 
+import argparse
 import contextlib
 import io
 import json
@@ -366,30 +367,34 @@ class TestRun:
         monkeypatch.setattr(cli.rootspec, "enumerate_basis", never)
         assert run(["basis", "--n", "4", "--ell", "3", "--json"]) == 2
         assert capsys.readouterr().err == (
-            f"error: basis --json would list 3^16 keys, more than {cli.MAX_BASIS_JSON}; "
-            "text output streams\n"
+            "error: basis --json is too large: 3^16 keys, more than 4194304\n"
         )
         # 3^10000 has 4,772 digits, past the integer-to-text limit of Python
         assert run(["basis", "--n", "100", "--ell", "3", "--json"]) == 2
-        assert capsys.readouterr().err.startswith("error: basis --json would list 3^10000 keys,")
+        assert capsys.readouterr().err.startswith("error: basis --json is too large: 3^10000 keys,")
         # gl adds a determinant residue: l^(n*n) * l keys
-        monkeypatch.setattr(cli, "MAX_BASIS_JSON", 8)
+        monkeypatch.setattr(cli, "BASIS_JSON", cli.BASIS_JSON._replace(cap=8))
         assert run(["basis", "--n", "1", "--ell", "3", "--variant", "gl", "--json"]) == 2
-        assert "would list 3^2 keys, more than 8" in capsys.readouterr().err
+        assert "too large: 3^2 keys, more than 8" in capsys.readouterr().err
 
     def test_nakayama_refused_above_case_cap(self, capsys, monkeypatch):
-        from qcoord import frobext
+        from qcoord import cli, frobext
 
-        cap = frobext.MAX_NAKAYAMA_CASES
+        suite = cli.SUITES["nakayama"]
+
+        def cap(value):
+            limit = suite.limit._replace(cap=value)
+            monkeypatch.setitem(cli.SUITES, "nakayama", suite._replace(limit=limit))
+
         # n=1, l=3: 3 twist cases and the 9 pairs of the 3-monomial grid, run
         # whole; exactly at the cap the suite runs
-        monkeypatch.setattr(frobext, "MAX_NAKAYAMA_CASES", 12)
+        cap(12)
         assert run(["check", "nakayama", "--n", "1", "--ell", "3"]) == 0
         assert capsys.readouterr().out == "check nakayama (n=1, ell=3): PASS (12 cases)\n"
-        monkeypatch.setattr(frobext, "MAX_NAKAYAMA_CASES", 11)
+        cap(11)
         assert run(["check", "nakayama", "--n", "1", "--ell", "3"]) == 2
         assert capsys.readouterr().err == (
-            "error: check nakayama would run 1*3^1 + 9 cases, more than 11\n"
+            "error: check nakayama is too large: 1*3^1 twist + 9 symmetry cases, more than 11\n"
         )
 
         def never(*args):
@@ -397,90 +402,65 @@ class TestRun:
 
         monkeypatch.setattr(frobext, "enumerate_basis", never)
         # n=3, l=3: the 9 * 3^9 twist cases fit; with the sample of 500, one over
-        monkeypatch.setattr(frobext, "MAX_NAKAYAMA_CASES", 9 * 3**9 + 499)
+        cap(9 * 3**9 + 499)
         assert run(["check", "nakayama", "--n", "3", "--ell", "3"]) == 2
         assert capsys.readouterr().err == (
-            "error: check nakayama would run 9*3^9 + 500 cases, more than 177646\n"
+            "error: check nakayama is too large: 9*3^9 twist + 500 symmetry cases, "
+            "more than 177646\n"
         )
-        monkeypatch.setattr(frobext, "MAX_NAKAYAMA_CASES", cap)
-        for n, ell in ((3, 5), (4, 3), (2, 21), (100, 3)):
+        cap(suite.limit.cap)
+        for n, ell in ((3, 5), (4, 3), (2, 21), (100, 3), (1000, 4)):
             assert run(["check", "nakayama", "--n", str(n), "--ell", str(ell)]) == 2
             assert capsys.readouterr() == ("", (
-                f"error: check nakayama would run {n * n}*{ell}^{n * n} twist cases, "
-                f"more than {cap}\n"
+                f"error: check nakayama is too large: {n * n}*{ell}^{n * n} twist "
+                "+ 500 symmetry cases, more than 524288\n"
             ))
+        # An even l that the table admits is still the ring's error.
+        assert run(["check", "nakayama", "--n", "1", "--ell", "4"]) == 2
+        assert capsys.readouterr().err == (
+            "error: root order must be an odd positive integer, got 4\n"
+        )
 
-    def test_nakayama_refuses_before_building_its_context(self, monkeypatch):
-        from qcoord import frobext
+    # CI's refused lines.  Each names its suite, the count in its unit and the cap.
+    REFUSED = {
+        "check nakayama --n 3 --ell 5": "9*5^9 twist + 500 symmetry cases, more than 524288",
+        "check nakayama --n 1000 --ell 999": (
+            "1000000*999^1000000 twist + 500 symmetry cases, more than 524288"
+        ),
+        "check pbw-confluence --n 5": "10172526 words, more than 2097152",
+        "check identities --n 7": "n = 7, more than 6",
+        "check central --n 8": "n = 8, more than 7",
+        "check frobenius --n 30 --ell 3": (
+            "n^5*(l^3 + 256 n) = 187280100000 work units, more than 4294967296"
+        ),
+        "basis --n 100 --ell 3 --json": "3^10000 keys, more than 4194304",
+    }
 
-        def never(*args):
-            pytest.fail("a pairing context was built")
-
-        monkeypatch.setattr(frobext, "FrobeniusContext", never)
-        with pytest.raises(ValueError, match="would run 1000000\\*3\\^1000000 twist cases"):
-            frobext.check_nakayama(1000, 3)
-        with pytest.raises(ValueError, match="odd positive"):
-            frobext.check_nakayama(1000, 4)
-
-    def test_confluence_refused_above_word_cap(self, capsys, monkeypatch):
+    @pytest.mark.parametrize("line", REFUSED)
+    def test_a_refused_line_never_builds_its_suite(self, capsys, monkeypatch, line):
         from qcoord import cli
 
         def never(*args, **kwargs):
-            pytest.fail("an algebra was built")
+            pytest.fail("the suite was built")
 
-        # --n 4 straightens sum(16**k for k <= 5) words and runs; --n 5 does not
-        assert sum(16**k for k in range(cli.MAX_CONFLUENCE_LEN + 1)) <= cli.MAX_CONFLUENCE_WORDS
-        monkeypatch.setattr(cli, "make_config", never)
-        for n, words in ((5, 10172526), (1000, sum(10**(6 * k) for k in range(6)))):
-            assert run(["check", "pbw-confluence", "--n", str(n)]) == 2
-            assert capsys.readouterr() == ("", (
-                f"error: check pbw-confluence would straighten {words} words, "
-                f"more than {cli.MAX_CONFLUENCE_WORDS}\n"
-            ))
+        argv = line.split()
+        if argv[0] == "check":
+            suite = cli.SUITES[argv[1]]
+            monkeypatch.setitem(cli.SUITES, argv[1], suite._replace(build=never))
+            name = f"check {argv[1]}"
+        else:
+            monkeypatch.setattr(cli, "_algebra", never)
+            monkeypatch.setattr(cli.rootspec, "enumerate_basis", never)
+            name = "basis --json"
+        assert run(argv) == 2
+        assert capsys.readouterr() == ("", f"error: {name} is too large: {self.REFUSED[line]}\n")
 
-    def test_identities_refused_above_size_limit(self, capsys, monkeypatch):
-        from qcoord import detloc
+    def test_a_library_suite_checks_its_root_order_first(self):
+        from qcoord import frobext, rootspec
 
-        def never(*args, **kwargs):
-            pytest.fail("an algebra was built")
-
-        # --n 7 ran 58.6 s at 1,103 MB before it was refused
-        monkeypatch.setattr(detloc, "make_config", never)
-        assert run(["check", "identities", "--n", "7"]) == 2
-        assert capsys.readouterr() == ("", (
-            "error: check identities at n=7 is too large; the suite is limited to n <= 6\n"
-        ))
-
-    def test_central_refused_above_size_limit(self, capsys, monkeypatch):
-        from qcoord import detloc
-
-        def never(*args, **kwargs):
-            pytest.fail("an algebra was built")
-
-        # --n 7 ran 11.9 s; --n 8, which MAX_DET_N admits, ran past 90 s
-        monkeypatch.setattr(detloc, "make_config", never)
-        assert run(["check", "central", "--n", "8"]) == 2
-        assert capsys.readouterr() == ("", (
-            "error: check central at n=8 is too large; the suite is limited to n <= 7\n"
-        ))
-
-    def test_frobenius_refused_above_its_bounds(self, capsys, monkeypatch):
-        from qcoord import rootspec
-
-        def never(*args, **kwargs):
-            pytest.fail("an algebra was built")
-
-        monkeypatch.setattr(rootspec, "make_config", never)
-        assert run(["check", "frobenius", "--n", "30", "--ell", "3"]) == 2
-        assert capsys.readouterr() == ("", (
-            "error: check frobenius at n=30, l=3 would cost n^5*(l^3 + 256 n) = 187280100000, "
-            f"more than {rootspec.MAX_FROBENIUS_WORK}\n"
-        ))
-        assert run(["check", "frobenius", "--n", "2", "--ell", "999"]) == 2
-        assert capsys.readouterr() == ("", (
-            "error: check frobenius at n=2, l=999 would cost n^5*(l^3 + 256 n) = 31904112352, "
-            f"more than {rootspec.MAX_FROBENIUS_WORK}\n"
-        ))
+        # The size refusal is the command line's; the library validates l.
+        with pytest.raises(ValueError, match="odd positive"):
+            frobext.check_nakayama(1000, 4)
         with pytest.raises(ValueError, match="odd positive"):
             rootspec.check_frobenius_central(30, 4)
 
@@ -584,7 +564,8 @@ class TestMain:
         assert (child.returncode, child.stdout, child.stderr) == (
             2,
             b"",
-            b"error: check nakayama would run 9*5^9 twist cases, more than 524288\n",
+            b"error: check nakayama is too large: 9*5^9 twist + 500 symmetry cases, "
+            b"more than 524288\n",
         )
 
     def test_exit_code_is_kept_when_output_is_read(self):
@@ -745,6 +726,96 @@ _EXPRESSIONS = st.recursive(
     ),
     max_leaves=6,
 )
+
+
+def _admitted(limit, n, ell=None, variant="m"):
+    args = argparse.Namespace(n=n, ell=ell, variant=variant)
+    try:
+        cli._admit("suite", limit, args)
+    except ValueError:
+        return False
+    return True
+
+
+# The closed forms that each module checked before the table, copied as they were.
+def _old_refusal(suite, n, ell=None, variant="m"):
+    if suite == "nakayama":
+        cap = 2**19
+        twists = n * n * ell ** min(n * n, cap.bit_length())
+        if twists > cap:
+            return True
+        total = ell ** (2 * n * n)
+        return twists + (total if total <= 7000 else 500) > cap
+    if suite == "frobenius":
+        return n**5 * (ell**3 + 256 * n) > 2**32
+    if suite == "basis":
+        cap = 2**22
+        return ell ** min(n * n + (variant == "gl"), cap.bit_length()) > cap
+    if suite == "pbw-confluence":
+        return sum((n * n) ** length for length in range(6)) > 2**21
+    return n > {"identities": 6, "central": 7}[suite]
+
+
+class TestAdmission:
+    """``cli.SUITES`` and ``cli.BASIS_JSON`` declare every size refusal."""
+
+    NS = [*range(1, 41), 50, 100, 500, 999, 1000]
+    ELLS = range(1, 1000, 2)
+
+    @pytest.mark.parametrize(
+        "suite,variant", [("nakayama", "m"), ("frobenius", "m"), ("basis", "m"), ("basis", "gl")]
+    )
+    def test_the_table_refuses_where_the_old_closed_forms_did(self, suite, variant):
+        limit = cli.BASIS_JSON if suite == "basis" else cli.SUITES[suite].limit
+        for n in self.NS:
+            for ell in self.ELLS:
+                refused = _old_refusal(suite, n, ell, variant)
+                assert _admitted(limit, n, ell, variant) != refused, (n, ell)
+
+    @pytest.mark.parametrize("suite", ["pbw-confluence", "identities", "central"])
+    def test_a_dimension_bound_refuses_where_the_old_closed_form_did(self, suite):
+        limit = cli.SUITES[suite].limit
+        for n in range(1, cli.MAX_N + 1):
+            assert _admitted(limit, n) != _old_refusal(suite, n), n
+
+    def test_a_dimension_below_one_is_left_to_make_config(self):
+        for limit in [cli.BASIS_JSON, *(s.limit for s in cli.SUITES.values())]:
+            assert _admitted(limit, 0, 999, "gl") and _admitted(limit, -5, 999, "gl")
+
+    @pytest.mark.parametrize(
+        "n,ell,cases",
+        [(1, 1, 2), (1, 3, 12), (1, 85, 585), (2, 3, 6885), (2, 5, 3000), (3, 1, 10)],
+    )
+    def test_nakayama_predicts_its_case_count(self, n, ell, cases):
+        from qcoord.frobext import check_nakayama
+
+        args = argparse.Namespace(n=n, ell=ell)
+        assert cli.SUITES["nakayama"].limit.size(args)[0] == cases
+        assert len(check_nakayama(n, ell).cases) == cases
+
+    @pytest.mark.parametrize(
+        "n,ell,variant", [(1, 3, "m"), (1, 3, "gl"), (2, 3, "m"), (2, 3, "gl"), (2, 5, "m")]
+    )
+    def test_basis_json_predicts_its_key_count(self, n, ell, variant):
+        from qcoord.rootspec import enumerate_basis
+
+        args = argparse.Namespace(n=n, ell=ell, variant=variant)
+        count = sum(1 for _ in enumerate_basis(n, ell, variant))
+        assert cli.BASIS_JSON.size(args)[0] == count
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_confluence_predicts_its_word_count(self, monkeypatch, n):
+        calls = []
+        straighten = cli.normal_form_of_word
+
+        def counted(*args):
+            calls.append(args[1])
+            return straighten(*args)
+
+        monkeypatch.setattr(cli, "normal_form_of_word", counted)
+        assert cli._confluence_report(n).passed
+        words = cli.SUITES["pbw-confluence"].limit.size(argparse.Namespace(n=n))[0]
+        assert len(calls) == 2 * words
 
 
 @st.composite
